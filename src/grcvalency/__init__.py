@@ -28,7 +28,7 @@ from .frames import (
     compose_frame,
     extract_entries,
     identify_predicates,
-    realize_slot,
+    realization_of,
 )
 from .lexicon import (
     ConstructionRecord,

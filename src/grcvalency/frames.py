@@ -7,7 +7,7 @@ token with at least one argument yields one lexicon entry; nothing is
 ever reconstructed for unexpressed arguments.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .postag import UNSPECIFIED
 from .treebank import SentenceTree, WordNode
@@ -109,8 +109,8 @@ def identify_predicates(tree: SentenceTree, include_participles: bool = True) ->
     return predicates
 
 
-def realize_slot(node: WordNode, slot: ArgumentSlot) -> ArgumentSlot:
-    """Fill in how the argument is realized and by which lemma.
+def realization_of(node: WordNode) -> str:
+    """How an argument filled by ``node`` is realized.
 
     Case wins when the postag carries one (so declined participles count
     as their case); caseless verb forms realize as their mood; anything
@@ -118,14 +118,12 @@ def realize_slot(node: WordNode, slot: ArgumentSlot) -> ArgumentSlot:
     """
     postag = node.postag
     if postag.has_case:
-        realization = postag.case
-    elif postag.pos == "participle":
-        realization = postag.mood if postag.mood != UNSPECIFIED else "participle"
-    elif postag.pos == "verb" and postag.mood != UNSPECIFIED:
-        realization = postag.mood
-    else:
-        realization = "adverb"
-    return replace(slot, realization=realization, filler_lemma=node.lemma)
+        return postag.case
+    if postag.pos == "participle":
+        return postag.mood if postag.mood != UNSPECIFIED else "participle"
+    if postag.pos == "verb" and postag.mood != UNSPECIFIED:
+        return postag.mood
+    return "adverb"
 
 
 def collect_arguments(tree: SentenceTree, verb: WordNode) -> list[ArgumentSlot]:
@@ -146,17 +144,18 @@ def collect_arguments(tree: SentenceTree, verb: WordNode) -> list[ArgumentSlot]:
         coord = coord or has_co
         apos = apos or has_ap
         if base in ARGUMENT_RELATIONS:
-            skeleton = ArgumentSlot(
-                base_relation=base,
-                coord_suffix=coord,
-                apos_suffix=apos,
-                mediator=mediator,
-                realization="",
-                filler_lemma="",
-                filler_token_id=node.token_id,
-                surface_position=tree.position(node.token_id),
+            slots.append(
+                ArgumentSlot(
+                    base_relation=base,
+                    coord_suffix=coord,
+                    apos_suffix=apos,
+                    mediator=mediator,
+                    realization=realization_of(node),
+                    filler_lemma=node.lemma,
+                    filler_token_id=node.token_id,
+                    surface_position=tree.position(node.token_id),
+                )
             )
-            slots.append(realize_slot(node, skeleton))
             continue
         if base in BRIDGE_RELATIONS:
             if mediator is None:

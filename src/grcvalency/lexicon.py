@@ -97,7 +97,7 @@ def parse_frame(frame: str) -> tuple[str, tuple[FrameElement, ...]]:
 
 
 class Lexicon:
-    """Immutable entry list plus lookup indexes built on load."""
+    """Entry list plus lookup indexes built on load."""
 
     def __init__(self, entries):
         self.entries = list(entries)
@@ -147,6 +147,10 @@ def write_lexicon(lexicon, destination, figure1_layout: bool = False) -> int:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temp_path, 0o666 & ~umask)
         os.replace(temp_path, destination)
     except BaseException:
         os.unlink(temp_path)

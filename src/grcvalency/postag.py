@@ -8,6 +8,7 @@ the documented alphabet; any other letter is a decode error.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 UNSPECIFIED = "unspecified"
 
@@ -126,8 +127,13 @@ class PosTag:
         return self.case != UNSPECIFIED
 
 
+@lru_cache(maxsize=None)
 def decode_postag(tag: str) -> PosTag:
-    """Decode a 1-9 character positional tag, right-padding with '-'."""
+    """Decode a 1-9 character positional tag, right-padding with '-'.
+
+    Cached per process, so every occurrence of a tag shares one frozen
+    :class:`PosTag`.  Errors are not cached.
+    """
     if not 1 <= len(tag) <= 9:
         raise PostagError("tag must be 1-9 characters", tag, 0)
     padded = tag.ljust(9, "-")

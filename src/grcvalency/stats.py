@@ -8,13 +8,10 @@ the two-sided Kolmogorov limiting distribution evaluated at
 D * sqrt(n1*n2 / (n1+n2)).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-#: Largest pooled size for which the permutation distribution is enumerated.
+#: Largest pooled size for which "auto" picks the exact test.
 DEFAULT_EXACT_LIMIT = 20
 
 _SERIES_EPS = 1e-12
@@ -101,33 +98,32 @@ def kolmogorov_sf(lam: float) -> float:
 
 
 def _exact_pvalue(pooled_sorted, n1: int, observed: int) -> float:
-    """P(D* >= observed) over all assignments of pooled values to group A.
+    """P(D* >= observed) over all C(n1+n2, n1) relabelings of the pooled values.
 
-    Enumerates every C(n1+n2, n1) relabeling; membership cumsums give the
-    integer-scaled distance at each tie-group boundary.
+    Counts lattice paths (Hodges 1958; Kim & Jennrich 1973): after the
+    first k pooled values, ``paths[i]`` is the number of label sequences
+    with i of them in A whose integer-scaled distance stayed below
+    ``observed`` at every tie-group end so far.  Python ints keep the
+    count exact, so the p-value equals the relabeling count's ratio.
     """
     n = len(pooled_sorted)
     n2 = n - n1
-    group_ends = [i for i in range(n) if i == n - 1 or pooled_sorted[i] != pooled_sorted[i + 1]]
-    combo_count = math.comb(n, n1)
-    indices = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), n1)),
-        dtype=np.intp,
-        count=combo_count * n1,
-    ).reshape(combo_count, n1)
-    member = np.zeros((combo_count, n), dtype=np.int8)
-    member[np.arange(combo_count)[:, None], indices] = 1
-    count_a = member.cumsum(axis=1, dtype=np.int32)
-    positions = np.arange(1, n + 1, dtype=np.int32)
-    distances = np.abs(count_a * n2 - (positions - count_a) * n1)[:, group_ends]
-    hits = int(np.count_nonzero(distances.max(axis=1) >= observed))
-    return hits / combo_count
+    paths = [1] + [0] * n1
+    for k in range(1, n + 1):
+        for i in range(min(k, n1), 0, -1):
+            paths[i] += paths[i - 1]
+        if k == n or pooled_sorted[k - 1] != pooled_sorted[k]:
+            for i in range(min(k, n1) + 1):
+                if abs(i * n2 - (k - i) * n1) >= observed:
+                    paths[i] = 0
+    total = math.comb(n, n1)
+    return (total - paths[n1]) / total
 
 
 def ks_two_sample(a, b, method: str = "auto", exact_limit: int = DEFAULT_EXACT_LIMIT) -> KSResult:
     """Two-sample, two-sided KS test.
 
-    method "exact" enumerates the permutation distribution (pooled size
+    method "exact" counts the permutation distribution (pooled size
     capped by ``exact_limit``); "asymptotic" uses the Kolmogorov limiting
     distribution; "auto" picks exact when the pooled size allows it.
     """
@@ -194,22 +190,3 @@ def boxplot_stats(sample) -> dict:
         "max_whisker": inliers[-1],
         "outliers": outliers,
     }
-
-
-def permutation_pvalue(a, b, resamples: int, rng) -> float:
-    """Monte-Carlo permutation p-value for the KS distance; the sanity
-    reference for the asymptotic route at sizes where enumeration cannot
-    run."""
-    a = [float(x) for x in a]
-    b = [float(x) for x in b]
-    n1 = len(a)
-    pooled = np.array(a + b, dtype=float)
-    observed = _scaled_distance(sorted(a), sorted(b))
-    hits = 0
-    for _ in range(resamples):
-        rng.shuffle(pooled)
-        left = np.sort(pooled[:n1])
-        right = np.sort(pooled[n1:])
-        if _scaled_distance(left.tolist(), right.tolist()) >= observed:
-            hits += 1
-    return hits / resamples

@@ -10,6 +10,7 @@ import re
 import unicodedata
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from .betacode import BetaCodeError, beta_to_unicode
@@ -98,8 +99,13 @@ class ValidationReport:
         return out
 
 
+@lru_cache(maxsize=None)
 def normalize_lemma(raw: str) -> str:
-    """Strip sense-numbering digits; transcode ASCII-Greek to Unicode; NFC."""
+    """Strip sense-numbering digits; transcode ASCII-Greek to Unicode; NFC.
+
+    Cached per process: a corpus repeats a small vocabulary of lemmas.
+    Errors are not cached, so every bad word is still reported.
+    """
     stripped = _TRAILING_DIGITS.sub("", raw)
     if _ASCII_LETTERS.search(stripped):
         return beta_to_unicode(stripped)

@@ -43,6 +43,11 @@ def test_extract_writes_report_and_manifest(extracted):
     assert len(manifest["inputs"]) == 4
 
 
+def test_extract_lexicon_mode_matches_report(extracted):
+    report = extracted.with_name(extracted.name + ".report.tsv")
+    assert extracted.stat().st_mode == report.stat().st_mode
+
+
 def test_extract_is_idempotent(tmp_path, extracted):
     manifest_path = extracted.with_name(extracted.name + ".manifest.json")
     first_lexicon = extracted.read_bytes()

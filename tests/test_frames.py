@@ -10,7 +10,7 @@ from grcvalency.frames import (
     compose_frame,
     extract_entries,
     identify_predicates,
-    realize_slot,
+    realization_of,
     split_relation,
 )
 from grcvalency.lexicon import read_lexicon
@@ -171,11 +171,11 @@ def _word(token_id, postag, lemma):
 
 
 def test_realize_slot_case_mood_and_fallback():
-    assert realize_slot(_word(5, "p-s----d-", "σύ"), _skeleton()).realization == "dative"
-    assert realize_slot(_word(2, "v--pna---", "λύω"), _skeleton()).realization == "infinitive"
-    assert realize_slot(_word(2, "d--------", "εὖ"), _skeleton()).realization == "adverb"
+    assert realization_of(_word(5, "p-s----d-", "σύ")) == "dative"
+    assert realization_of(_word(2, "v--pna---", "λύω")) == "infinitive"
+    assert realization_of(_word(2, "d--------", "εὖ")) == "adverb"
     # a declined participle realizes as its case, not as a mood
-    assert realize_slot(_word(2, "v-sppamn-", "φέρω"), _skeleton()).realization == "nominative"
+    assert realization_of(_word(2, "v-sppamn-", "φέρω")) == "nominative"
 
 
 def test_compose_frame_reproduces_published_entry():

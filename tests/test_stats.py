@@ -3,7 +3,6 @@ import math
 import random
 from bisect import bisect_right
 
-import numpy as np
 import pytest
 
 from grcvalency.stats import (
@@ -11,7 +10,6 @@ from grcvalency.stats import (
     boxplot_stats,
     kolmogorov_sf,
     ks_two_sample,
-    permutation_pvalue,
     significance_stars,
     summarize,
 )
@@ -103,15 +101,43 @@ def test_disjoint_supports_have_distance_one():
 
 
 def test_exact_agrees_with_enumeration_oracle():
+    # the lattice-path count is the oracle's relabeling count, so the
+    # p-values are the same ratio of integers: equal, not merely close
     rng = random.Random(77)
-    for _ in range(30):
-        n1, n2 = rng.randint(2, 6), rng.randint(2, 6)
+    for _ in range(200):
+        n1, n2 = rng.randint(2, 7), rng.randint(2, 7)
         a = _random_sample(rng, n1)
         b = _random_sample(rng, n2)
         result = ks_two_sample(a, b, method="exact")
         oracle_d, oracle_p = enumeration_oracle(a, b)
         assert result.d_statistic == oracle_d
-        assert result.p_value == pytest.approx(oracle_p, abs=1e-12)
+        assert result.p_value == oracle_p
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_exact_separated_samples_closed_form(n):
+    # only the two fully separated relabelings reach D = 1; at 100+100 the
+    # p-value is about 2e-59, which subtracting from 1 in floating point
+    # would round to 0
+    a = [float(x) for x in range(n)]
+    b = [float(x) for x in range(n, 2 * n)]
+    result = ks_two_sample(a, b, method="exact", exact_limit=2 * n)
+    assert result.d_statistic == 1.0
+    assert result.p_value == 2 / math.comb(2 * n, n)
+
+
+def test_exact_checks_ties_only_at_group_ends():
+    # pooled: three tied 0s, then five tied 1s.  The observed scaled
+    # distance, 12 at the 0s, is reached only by relabelings whose first
+    # three values fall in one sample: 5 + 5 of C(8, 4) = 70.  Checking
+    # inside the tied 1s too would also count B A A A A ..., which reaches
+    # 12 at position 5
+    a = [0.0, 0.0, 0.0, 1.0]
+    b = [1.0, 1.0, 1.0, 1.0]
+    result = ks_two_sample(a, b, method="exact")
+    assert result.d_statistic == 0.75
+    assert result.p_value == 10 / math.comb(8, 4)
+    assert (result.d_statistic, result.p_value) == enumeration_oracle(a, b)
 
 
 def test_symmetry_in_the_two_samples():
@@ -153,13 +179,12 @@ def test_asymptotic_close_to_exact_at_small_sizes():
 
 def test_asymptotic_close_to_permutation_at_fifty():
     rng = random.Random(17)
-    np_rng = np.random.default_rng(17)
     diffs = []
     for _ in range(12):
         a = [rng.gauss(0, 1) for _ in range(50)]
         b = [rng.gauss(0, 1) for _ in range(50)]
         asym = ks_two_sample(a, b, method="asymptotic").p_value
-        reference = permutation_pvalue(a, b, resamples=1000, rng=np_rng)
+        reference = ks_two_sample(a, b, method="exact", exact_limit=100).p_value
         diffs.append(abs(asym - reference))
     assert sum(diffs) / len(diffs) <= 0.05
 

@@ -4,6 +4,7 @@ from grcvalency.betacode import BetaCodeError
 from grcvalency.treebank import (
     SentenceTree,
     TreebankParseError,
+    WordIssue,
     WordNode,
     load_manifest,
     normalize_lemma,
@@ -101,6 +102,38 @@ def test_missing_attribute_skips_word_and_reports():
     assert len(issues) == 3
     assert len(trees[0].nodes) + len(issues) == 4
     assert any("relation" in issue.message for issue in issues)
+
+
+def test_repeated_bad_words_are_each_reported():
+    # decoding is cached per process; errors are not, so the second
+    # occurrence of a bad lemma or postag is reported like the first
+    data = b"""<treebank><sentence id="6">
+        <word id="1" form="x" lemma="a" postag="v3spia---" head="0" relation="PRED"/>
+        <word id="2" form="y" lemma="q?" postag="n-s---ma-" head="1" relation="OBJ"/>
+        <word id="3" form="z" lemma="c" postag="zzz" head="1" relation="OBJ"/>
+        <word id="4" form="y" lemma="q?" postag="n-s---ma-" head="1" relation="OBJ"/>
+        <word id="5" form="z" lemma="c" postag="zzz" head="1" relation="OBJ"/>
+    </sentence></treebank>"""
+    bad_lemma = "character outside the Beta Code alphabet: '?' at offset 1"
+    bad_postag = "unknown pos letter: 'z' at position 1"
+    for _ in range(2):
+        trees, issues = parse_treebank_file(data)
+        assert [n.token_id for n in trees[0].nodes] == [1]
+        assert issues == [
+            WordIssue(6, 2, bad_lemma),
+            WordIssue(6, 3, bad_postag),
+            WordIssue(6, 4, bad_lemma),
+            WordIssue(6, 5, bad_postag),
+        ]
+
+
+def test_parsing_the_same_bytes_twice_gives_equal_trees():
+    data = (CORPUS_DIR / "iliad.xml").read_bytes()
+    first, first_issues = parse_treebank_file(data)
+    second, second_issues = parse_treebank_file(data)
+    assert first == second
+    assert first_issues == second_issues
+    assert first[0].nodes[0].postag is second[0].nodes[0].postag
 
 
 def test_malformed_xml_raises_with_offset():
