@@ -11,7 +11,7 @@ which every dropped verb carries a machine-readable reason.
 import csv
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .frames import collect_arguments, identify_predicates
@@ -170,23 +170,13 @@ def mark_formulaic(pairs, spans: FormulaSpanSet) -> list[TrVObjPair]:
         flag = spans.contains(pair.sentence_id, pair.verb_token_id) and spans.contains(
             pair.sentence_id, pair.object_token_id
         )
-        marked.append(
-            TrVObjPair(
-                verb=pair.verb,
-                object=pair.object,
-                sentence_id=pair.sentence_id,
-                verb_token_id=pair.verb_token_id,
-                object_token_id=pair.object_token_id,
-                work=pair.work,
-                formulaic=flag,
-            )
-        )
+        marked.append(replace(pair, formulaic=flag))
     return marked
 
 
-def select_verbs(pairs, min_epic_tokens: int) -> list[tuple[str, int]]:
-    """Verbs whose formulaic pair count reaches the threshold, descending."""
-    counts = Counter(pair.verb for pair in pairs if pair.formulaic)
+def select_verbs(counts, min_epic_tokens: int) -> list[tuple[str, int]]:
+    """Verbs whose formulaic pair count (``counts``: verb -> count)
+    reaches the threshold, descending."""
     selected = [(verb, count) for verb, count in counts.items() if count >= min_epic_tokens]
     selected.sort(key=lambda item: (-item[1], item[0]))
     return selected
@@ -224,7 +214,8 @@ def run_case_study(config: CaseStudyConfig, corpus, lexicon, space: VectorSpace)
         extract_trv_obj(corpus, config.epic_works, config.include_participles), spans
     )
     log = []
-    formulaic_count = sum(1 for p in pairs if p.formulaic)
+    counts = Counter(pair.verb for pair in pairs if pair.formulaic)
+    formulaic_count = counts.total()
     log.append(
         LogEvent(
             event="pairs",
@@ -235,7 +226,6 @@ def run_case_study(config: CaseStudyConfig, corpus, lexicon, space: VectorSpace)
         )
     )
 
-    counts = Counter(pair.verb for pair in pairs if pair.formulaic)
     for verb, count in sorted(counts.items()):
         if count < config.min_epic_tokens:
             log.append(
@@ -246,7 +236,7 @@ def run_case_study(config: CaseStudyConfig, corpus, lexicon, space: VectorSpace)
                     detail=f"{count} < {config.min_epic_tokens}",
                 )
             )
-    selected = select_verbs(pairs, config.min_epic_tokens)
+    selected = select_verbs(counts, config.min_epic_tokens)
 
     formulaic_by_verb = defaultdict(list)
     for pair in pairs:

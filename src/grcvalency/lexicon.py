@@ -97,17 +97,13 @@ def parse_frame(frame: str) -> tuple[str, tuple[FrameElement, ...]]:
 
 
 class Lexicon:
-    """Entry list plus lookup indexes built on load."""
+    """Entry list plus a by-verb index built on load."""
 
     def __init__(self, entries):
         self.entries = list(entries)
         self.by_verb = defaultdict(list)
-        self.by_author = defaultdict(list)
-        self.by_frame = defaultdict(list)
         for entry in self.entries:
             self.by_verb[entry.verb].append(entry)
-            self.by_author[entry.author].append(entry)
-            self.by_frame[entry.frame].append(entry)
 
     def __len__(self):
         return len(self.entries)

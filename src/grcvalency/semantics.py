@@ -5,6 +5,7 @@ before centroid averaging so the analysis stays purely angular and no
 single vector's magnitude can dominate a centroid.
 """
 
+import itertools
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,43 +63,94 @@ def _is_header(parts) -> bool:
     return True
 
 
+def _parse_components(lines):
+    """numpy's C parser: one float64 row per line, ASCII decimal fields
+    split on whitespace, no comment character."""
+    return np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+
+
 def load_vector_space(source) -> VectorSpace:
     """Load whitespace-separated text vectors, optionally preceded by a
     ``<rows> <dims>`` header line.  Lemmas are NFC-normalized; a duplicate
-    lemma overwrites the previous one and is counted."""
-    text = Path(source).read_text(encoding="utf-8")
-    vectors = {}
-    dimension = None
+    lemma overwrites the previous one and is counted.
+
+    The file is streamed into one float64 matrix whose rows are the
+    vectors.  Any fault raises a ``VectorSpaceError`` naming the first
+    faulty line."""
+    lemmas = []
+
+    def bodies(lines):
+        for line in lines:
+            parts = line.split(None, 1)
+            if parts:
+                lemmas.append(unicodedata.normalize("NFC", parts[0]))
+                yield parts[1] if len(parts) == 2 else ""
+
     declared = None
-    duplicates = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if lineno == 1 and _is_header(parts):
-            declared = int(parts[1])
-            continue
-        lemma = unicodedata.normalize("NFC", parts[0])
-        try:
-            vector = np.array([float(x) for x in parts[1:]], dtype=float)
-        except ValueError:
-            raise VectorSpaceError(f"line {lineno}: non-numeric vector component")
-        if vector.size == 0:
-            raise VectorSpaceError(f"line {lineno}: lemma without components")
-        if not np.all(np.isfinite(vector)):
-            raise VectorSpaceError(f"line {lineno}: non-finite vector component")
-        if dimension is None:
-            dimension = declared if declared is not None else vector.size
-        if vector.size != dimension:
-            raise VectorSpaceError(
-                f"line {lineno}: expected {dimension} components, got {vector.size}"
-            )
-        if lemma in vectors:
-            duplicates += 1
-        vectors[lemma] = vector
-    if dimension is None or not vectors:
-        raise VectorSpaceError("no vectors found")
-    return VectorSpace(dimension=dimension, vectors=vectors, duplicate_count=duplicates)
+    matrix = None
+    try:
+        with open(source, encoding="utf-8") as handle:
+            first = next(handle, "")
+            header = first.split()
+            if _is_header(header):
+                declared = int(header[1])
+                lines = handle
+            else:
+                lines = itertools.chain([first], handle)
+            rows = bodies(lines)
+            # an empty input would make numpy warn, not raise
+            head = next(rows, "")
+            if head:
+                matrix = _parse_components(itertools.chain([head], rows))
+    except ValueError:  # numpy's parse errors and UnicodeDecodeError
+        matrix = None  # the line-by-line pass below names the fault
+    if (
+        matrix is None
+        or len(matrix) != len(lemmas)
+        or (declared is not None and matrix.shape[1] != declared)
+        or not np.isfinite(matrix).all()
+    ):
+        _raise_first_fault(source)
+    vectors = dict(zip(lemmas, matrix))
+    return VectorSpace(
+        dimension=matrix.shape[1], vectors=vectors, duplicate_count=len(lemmas) - len(vectors)
+    )
+
+
+def _raise_first_fault(source):
+    """Re-read a vector file that failed to load, line by line, and raise
+    its first fault in file order."""
+    dimension = None
+    with open(source, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # an undecodable byte, escaped
+                raise VectorSpaceError(f"line {lineno}: invalid UTF-8") from None
+            parts = line.split(None, 1)
+            if not parts:
+                continue
+            if lineno == 1:
+                header = line.split()
+                if _is_header(header):
+                    dimension = int(header[1])
+                    continue
+            if len(parts) == 1:
+                raise VectorSpaceError(f"line {lineno}: lemma without components")
+            try:
+                vector = _parse_components([parts[1]])[0]
+            except ValueError:
+                raise VectorSpaceError(f"line {lineno}: non-numeric vector component") from None
+            if not np.all(np.isfinite(vector)):
+                raise VectorSpaceError(f"line {lineno}: non-finite vector component")
+            if dimension is None:
+                dimension = vector.size
+            if vector.size != dimension:
+                raise VectorSpaceError(
+                    f"line {lineno}: expected {dimension} components, got {vector.size}"
+                )
+    # the bulk parse fails only on a fault that the checks above name
+    raise VectorSpaceError("no vectors found")
 
 
 def cosine_similarity(u, v) -> float:

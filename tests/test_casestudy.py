@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from grcvalency.casestudy import (
@@ -109,11 +111,9 @@ def _pair(verb, obj, sid, formulaic):
 
 
 def test_select_verbs_threshold_boundary():
-    pairs = [_pair("ἄγω", f"o{i}", i, True) for i in range(50)]
-    pairs += [_pair("φέρω", f"o{i}", 1000 + i, True) for i in range(49)]
-    pairs += [_pair("φέρω", "extra", 2000, False)]  # non-formulaic does not count
-    selected = select_verbs(pairs, 50)
-    assert selected == [("ἄγω", 50)]
+    counts = Counter({"ἄγω": 50, "φέρω": 49, "δίδωμι": 50, "λαμβάνω": 51})
+    selected = select_verbs(counts, 50)
+    assert selected == [("λαμβάνω", 51), ("δίδωμι", 50), ("ἄγω", 50)]
 
 
 def test_object_types_are_unique_and_sorted():
@@ -172,6 +172,9 @@ def test_run_case_study_synthetic(tmp_path):
     assert (synthetic_case.RARE_VERB, "below_min_epic_tokens") in drops
     assert (synthetic_case.NARROW_VERB, "insufficient_epic_types") in drops
     assert (synthetic_case.THIN_VERB, "insufficient_baseline_types") in drops
+    # the tight verb's one non-formulaic epic token is not counted
+    reports = {e.verb: e.detail for e in result.log if e.event == "report"}
+    assert reports[synthetic_case.TIGHT_VERB].startswith("epic_tokens=60 ")
 
     formulaic = result.formulaic_count
     assert formulaic + (result.pair_count - formulaic) == result.pair_count

@@ -161,9 +161,7 @@ def test_read_rejects_wrong_header(tmp_path):
 
 def test_indexes_are_consistent(sample_lexicon):
     total = len(sample_lexicon)
-    assert sum(len(v) for v in sample_lexicon.by_author.values()) == total
     assert sum(len(v) for v in sample_lexicon.by_verb.values()) == total
-    assert sum(len(v) for v in sample_lexicon.by_frame.values()) == total
 
 
 def test_stats_basic_against_brute_force(sample_lexicon):
