@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage or I/O failure, 2 partial data failure
 
 import argparse
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -13,6 +14,7 @@ from .betacode import BetaCodeError, beta_to_unicode
 from .casestudy import load_config, run_case_study, write_case_study_outputs
 from .frames import extract_entries
 from .lexicon import (
+    COLUMNS,
     FORMAT_VERSION,
     Lexicon,
     LexiconFormatError,
@@ -236,15 +238,10 @@ def cmd_stats(args) -> int:
 
 
 def _print_entries(entries) -> None:
-    print("\t".join(
-        ("author", "title", "subdoc", "verb", "voice", "sentence_id", "root_id",
-         "frame", "frame_fillers")
-    ))
-    for e in entries:
-        print(
-            f"{e.author}\t{e.title}\t{e.subdoc}\t{e.verb}\t{e.voice}"
-            f"\t{e.sentence_id}\t{e.root_id}\t{e.frame}\t{e.frame_fillers}"
-        )
+    print("\t".join(COLUMNS))
+    fields = attrgetter(*COLUMNS)
+    for entry in entries:
+        print("\t".join(map(str, fields(entry))))
 
 
 def cmd_query(args) -> int:

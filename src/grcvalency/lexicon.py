@@ -97,10 +97,11 @@ def parse_frame(frame: str) -> tuple[str, tuple[FrameElement, ...]]:
 
 
 class Lexicon:
-    """Entry list plus a by-verb index built on load."""
+    """Entries, a by-verb index in entry order, and the rows a lenient read skipped."""
 
     def __init__(self, entries):
         self.entries = list(entries)
+        self.row_errors = []
         self.by_verb = defaultdict(list)
         for entry in self.entries:
             self.by_verb[entry.verb].append(entry)
@@ -230,26 +231,6 @@ def frame_frequencies(lexicon, top_k: int | None = None) -> list[tuple[str, int]
     return ranked
 
 
-def _matches(entry, verb, author, title, voice, frame_contains, realization, mediator):
-    if verb is not None and entry.verb != verb:
-        return False
-    if author is not None and entry.author != author:
-        return False
-    if title is not None and entry.title != title:
-        return False
-    if voice is not None and entry.voice != voice:
-        return False
-    if frame_contains is not None and frame_contains not in entry.frame:
-        return False
-    if realization is not None or mediator is not None:
-        _, elements = parse_frame(entry.frame)
-        if realization is not None and all(el.realization != realization for el in elements):
-            return False
-        if mediator is not None and all(el.mediator != mediator for el in elements):
-            return False
-    return True
-
-
 def query_entries(
     lexicon,
     verb: str | None = None,
@@ -260,12 +241,30 @@ def query_entries(
     realization: str | None = None,
     mediator: str | None = None,
 ) -> list[LexiconEntry]:
-    """Conjunctive filtering; returns an order-preserving subset."""
-    return [
-        entry
-        for entry in lexicon.entries
-        if _matches(entry, verb, author, title, voice, frame_contains, realization, mediator)
-    ]
+    """Conjunctive filtering into a new, order-preserving list; a verb filter reads the
+    by-verb index, and frame filters judge each distinct frame once, substring test first."""
+    entries = lexicon.entries if verb is None else lexicon.by_verb.get(verb, ())
+    if author is not None:
+        entries = [entry for entry in entries if entry.author == author]
+    if title is not None:
+        entries = [entry for entry in entries if entry.title == title]
+    if voice is not None:
+        entries = [entry for entry in entries if entry.voice == voice]
+    if frame_contains is None and realization is None and mediator is None:
+        return list(entries)
+    keep, hits = {}, []
+    for entry in entries:
+        frame = entry.frame
+        if frame not in keep:
+            keep[frame] = frame_contains is None or frame_contains in frame
+            if keep[frame] and (realization is not None or mediator is not None):
+                _, elements = parse_frame(frame)
+                keep[frame] = (
+                    realization is None or any(el.realization == realization for el in elements)
+                ) and (mediator is None or any(el.mediator == mediator for el in elements))
+        if keep[frame]:
+            hits.append(entry)
+    return hits
 
 
 def constructions_for_verb(

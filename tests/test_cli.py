@@ -119,6 +119,17 @@ def test_query_no_filters_prints_everything(extracted, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 64
 
 
+def test_query_prints_the_lexicon_layout_byte_for_byte(capsysbinary):
+    golden = GOLDEN_LEXICON.read_bytes()
+    header, *rows = golden.splitlines(keepends=True)
+    assert main(["query", str(GOLDEN_LEXICON)]) == 0
+    assert capsysbinary.readouterr().out == golden
+    assert main(["query", str(GOLDEN_LEXICON), "--verb", "φέρω", "--voice", "active"]) == 0
+    expected = [row for row in rows if row.split(b"\t")[3:5] == ["φέρω".encode(), b"active"]]
+    assert len(expected) > 1
+    assert capsysbinary.readouterr().out == header + b"".join(expected)
+
+
 def test_query_reports_malformed_frames_cleanly(tmp_path, capsys):
     path = tmp_path / "mangled.tsv"
     header = "author\ttitle\tsubdoc\tverb\tvoice\tsentence_id\troot_id\tframe\tframe_fillers"

@@ -1,9 +1,13 @@
 import csv
+import dataclasses
+import itertools
 import random
+import unicodedata
 from collections import Counter, defaultdict
 
 import pytest
 
+import grcvalency.lexicon as lexicon_module
 from grcvalency.frames import LexiconEntry
 from grcvalency.lexicon import (
     COLUMNS,
@@ -140,9 +144,20 @@ def test_read_rejects_malformed_rows(tmp_path):
     assert len(lenient.row_errors) == 2
 
 
-def test_write_rejects_fields_that_break_the_layout(tmp_path):
-    import dataclasses
+def test_row_errors_exist_on_every_lexicon(tmp_path):
+    built = Lexicon([PUBLISHED_ENTRY])
+    assert Lexicon([]).row_errors == [] and built.row_errors == []
+    assert built.row_errors is not Lexicon([]).row_errors
+    path = tmp_path / "good.tsv"
+    write_lexicon(built, path)
+    assert read_lexicon(path).row_errors == []
+    path.write_text(path.read_text(encoding="utf-8") + "too\tfew\n", encoding="utf-8")
+    lenient = read_lexicon(path, lenient=True)
+    assert lenient.entries == [PUBLISHED_ENTRY]
+    assert lenient.row_errors == [(3, "expected 9 columns, got 2")]
 
+
+def test_write_rejects_fields_that_break_the_layout(tmp_path):
     broken = dataclasses.replace(PUBLISHED_ENTRY, title="Per\tsians")
     with pytest.raises(ValueError, match="TSV"):
         write_lexicon(Lexicon([broken]), tmp_path / "broken.tsv")
@@ -313,3 +328,166 @@ def test_parse_frame_elements():
         parse_frame("active_")
     with pytest.raises(ValueError):
         frame_frequencies(Lexicon([]), top_k=-1)
+
+
+_QUERY_FILTERS = ("verb", "author", "title", "voice", "frame_contains", "realization", "mediator")
+
+
+def _nfc(text):
+    return unicodedata.normalize("NFC", text)
+
+
+def _frame_lexicon(rng):
+    """A small lexicon whose entries share a few frames, and the
+    (mediator, realization) pairs of each frame as built."""
+    works = [
+        ("Homer", "Iliad"),
+        ("Homer", "Odyssey"),
+        ("Hesiod", "Theogony"),
+        (_nfc("Ἡρόδοτος"), _nfc("Ἱστορίαι")),
+    ]
+    verbs = [_nfc(v) for v in ("φέρω", "ἄγω", "λύω", "αἱρέω", "δίδωμι")]
+    mediators = [None, None, _nfc("εἰς"), _nfc("ἐν"), _nfc("ὑπό")]
+    realizations = ["accusative", "dative", "genitive", "infinitive", _nfc("ὅτι")]
+    frames = {}
+    for _ in range(rng.randint(1, 6)):
+        voice = rng.choice(["active", "middle", "medio-passive"])
+        elements = [
+            (rng.choice(mediators), rng.choice(realizations))
+            for _ in range(rng.randint(1, 3))
+        ]
+        chunks = [
+            (f"({m})" if m else "") + f"{label}[{r}]"
+            for (m, r), label in zip(elements, rng.sample(["OBJ", "SBJ", "PNOM", "OBJ_CO"], 3))
+        ]
+        frames[f"{voice}_" + ",".join(chunks)] = elements
+    entries = []
+    for i in range(rng.randint(0, 30)):
+        author, title = rng.choice(works)
+        frame = rng.choice(list(frames))
+        entries.append(
+            LexiconEntry(
+                author=author,
+                title=title,
+                subdoc=f"1.{i}",
+                verb=rng.choice(verbs[:4]),  # the fifth verb is never indexed
+                voice=frame.partition("_")[0],
+                sentence_id=i,
+                root_id=1,
+                frame=frame,
+                frame_fillers=frame,
+            )
+        )
+    return Lexicon(entries), frames, verbs
+
+
+_SLOT = {"mediator": 0, "realization": 1}  # position in a frame's (mediator, realization) pairs
+
+
+def _reference_query(entries, frames, **filters):
+    """Plain scan: an entry is kept when every given filter holds for it."""
+
+    def holds(entry, name, value):
+        if name == "frame_contains":
+            return value in entry.frame
+        if name in _SLOT:
+            return value in [pair[_SLOT[name]] for pair in frames[entry.frame]]
+        return getattr(entry, name) == value
+
+    return [e for e in entries if all(holds(e, name, v) for name, v in filters.items())]
+
+
+def _filter_value(rng, name, lexicon, frames, verbs):
+    """A value for one filter: usually one the lexicon has, sometimes none."""
+    if name == "verb":
+        return rng.choice(verbs)
+    if name == "frame_contains":
+        frame = rng.choice(list(frames))
+        start = rng.randrange(len(frame))
+        return rng.choice([frame[start:start + rng.randint(0, 8)], "OCOMP"])
+    if name in _SLOT:
+        present = [pair[_SLOT[name]] for pairs in frames.values() for pair in pairs]
+        absent = "vocative" if name == "realization" else _nfc("πρός")
+        return rng.choice([value for value in present if value is not None] + [absent])
+    if not lexicon.entries or rng.random() < 0.2:
+        return {"author": "Plato", "title": "Euthyphro", "voice": "passive"}[name]
+    return getattr(rng.choice(lexicon.entries), name)
+
+
+def test_query_matches_brute_force_for_every_filter_subset():
+    rng = random.Random(20260418)
+    for _ in range(200):
+        lexicon, frames, verbs = _frame_lexicon(rng)
+        indexed_verbs = set(lexicon.by_verb)
+        for size in range(len(_QUERY_FILTERS) + 1):
+            for names in itertools.combinations(_QUERY_FILTERS, size):
+                filters = {
+                    name: _filter_value(rng, name, lexicon, frames, verbs) for name in names
+                }
+                got = query_entries(lexicon, **filters)
+                want = _reference_query(lexicon.entries, frames, **filters)
+                assert [id(e) for e in got] == [id(e) for e in want], filters
+                assert got is not lexicon.entries
+                assert all(got is not hits for hits in lexicon.by_verb.values())
+        assert set(lexicon.by_verb) == indexed_verbs
+
+
+def _entry(verb, author, frame):
+    return dataclasses.replace(
+        PUBLISHED_ENTRY, verb=verb, author=author, voice="active", frame=frame
+    )
+
+
+def test_query_raises_for_the_first_malformed_frame_it_must_parse():
+    lexicon = Lexicon(
+        [
+            _entry("φέρω", "Homer", "active_OBJ[accusative]"),
+            _entry("ἄγω", "Hesiod", "active_OBJ["),
+            _entry("φέρω", "Homer", "active_(εἰς)OBJ[accusative]"),
+            _entry("λύω", "Homer", "active_SBJ)"),
+        ]
+    )
+    for filters in ({"realization": "accusative"}, {"mediator": "εἰς"}):
+        with pytest.raises(LexiconFormatError, match=r"'active_OBJ\['"):
+            query_entries(lexicon, **filters)
+    with pytest.raises(LexiconFormatError, match=r"'active_SBJ\)'"):
+        query_entries(lexicon, author="Homer", realization="dative")
+    with pytest.raises(LexiconFormatError, match=r"'active_SBJ\)'"):
+        query_entries(lexicon, frame_contains=")", mediator="εἰς")
+    first, _, third, _ = lexicon.entries
+    assert query_entries(lexicon, verb="φέρω", realization="accusative") == [first, third]
+    assert query_entries(lexicon, verb="φέρω", author="Homer", mediator="εἰς") == [third]
+    assert query_entries(lexicon, author="Hesiod", voice="middle", realization="dative") == []
+
+
+def test_frame_contains_alone_never_parses(monkeypatch):
+    def refuse(frame):
+        raise AssertionError(f"parsed {frame!r}")
+
+    lexicon = Lexicon(
+        [
+            _entry("φέρω", "Homer", "active_OBJ["),
+            _entry("ἄγω", "Homer", "active_SBJ[nominative]"),
+        ]
+    )
+    monkeypatch.setattr(lexicon_module, "parse_frame", refuse)
+    assert query_entries(lexicon, frame_contains="OBJ[") == lexicon.entries[:1]
+    assert query_entries(lexicon, frame_contains="active", verb="ἄγω") == lexicon.entries[1:]
+
+
+def test_query_parses_each_distinct_candidate_frame_once(monkeypatch):
+    lexicon = _random_lexicon(1000, seed=11)
+    parsed = []
+
+    def counting(frame):
+        parsed.append(frame)
+        return parse_frame(frame)
+
+    monkeypatch.setattr(lexicon_module, "parse_frame", counting)
+    hits = query_entries(lexicon, frame_contains="εἰς", realization="dative")
+    candidates = [e.frame for e in lexicon.entries if "εἰς" in e.frame]
+    assert sorted(parsed) == sorted(set(candidates))
+    assert len(candidates) > 10 * len(parsed)
+    assert hits == [
+        e for e in lexicon.entries if e.frame.endswith("OBJ[dative]") and "εἰς" in e.frame
+    ]
