@@ -25,7 +25,6 @@ from .frames import (
     LexiconEntry,
     Mediator,
     collect_arguments,
-    compose_frame,
     extract_entries,
     identify_predicates,
     realization_of,

@@ -9,13 +9,14 @@ which every dropped verb carries a machine-readable reason.
 """
 
 import csv
+import io
 import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .frames import collect_arguments, identify_predicates
-from .lexicon import parse_frame
+from .frames import collect_arguments, identify_predicates, parse_frame
+from .lexicon import write_atomic
 from .semantics import (
     DegenerateCentroidError,
     InsufficientDataError,
@@ -330,72 +331,40 @@ def _fmt(value: float) -> str:
 
 
 def write_case_study_outputs(result: CaseStudyResult, output_dir) -> dict[str, Path]:
-    """Write table5.tsv, table6.tsv, fig2_boxplot.csv and the run log."""
+    """Write table5.tsv, table6.tsv, fig2_boxplot.csv and the run log, each atomically."""
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    table5 = output_dir / "table5.tsv"
-    lines = ["verb\tepic_types\tbaseline_types"]
-    for c in result.comparisons:
-        lines.append(f"{c.verb}\t{c.epic_type_count}\t{c.baseline_type_count}")
-    table5.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths["table5"] = table5
-
-    table6 = output_dir / "table6.tsv"
-    header = (
+    table5 = ["verb\tepic_types\tbaseline_types"]
+    table6 = [
         "verb\tmedian_formulaic\tmedian_baseline\tvariance_formulaic\tvariance_baseline"
         "\td_statistic\tp_value\tstars\toov_formulaic\toov_baseline\tmethod"
-    )
-    lines = [header]
+    ]
     for c in result.comparisons:
-        lines.append(
-            "\t".join(
-                [
-                    c.verb,
-                    _fmt(c.median_formulaic),
-                    _fmt(c.median_baseline),
-                    _fmt(c.variance_formulaic),
-                    _fmt(c.variance_baseline),
-                    _fmt(c.ks.d_statistic),
-                    _fmt(c.ks.p_value),
-                    c.stars,
-                    str(c.oov_counts[0]),
-                    str(c.oov_counts[1]),
-                    c.ks.method,
-                ]
-            )
-        )
-    table6.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths["table6"] = table6
+        table5.append(f"{c.verb}\t{c.epic_type_count}\t{c.baseline_type_count}")
+        numbers = (c.median_formulaic, c.median_baseline, c.variance_formulaic,
+                   c.variance_baseline, c.ks.d_statistic, c.ks.p_value)
+        table6.append("\t".join([c.verb, *map(_fmt, numbers), c.stars, str(c.oov_counts[0]),
+                                 str(c.oov_counts[1]), c.ks.method]))
+    boxplot = io.StringIO()  # csv.writer ends rows with \r\n, kept as written
+    writer = csv.writer(boxplot)
+    quantiles = ("min_whisker", "q1", "median", "q3", "max_whisker")
+    writer.writerow(["verb", "group", *quantiles, "outliers"])
+    for row in result.boxplot_rows:
+        writer.writerow([row["verb"], row["group"], *(_fmt(row[key]) for key in quantiles),
+                         ";".join(map(_fmt, row["outliers"]))])
+    run_log = ["event\tverb\treason\tdetail"]
+    run_log += [f"{e.event}\t{e.verb}\t{e.reason}\t{e.detail}" for e in result.log]
 
-    boxplot = output_dir / "fig2_boxplot.csv"
-    with boxplot.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["verb", "group", "min_whisker", "q1", "median", "q3", "max_whisker", "outliers"]
-        )
-        for row in result.boxplot_rows:
-            writer.writerow(
-                [
-                    row["verb"],
-                    row["group"],
-                    _fmt(row["min_whisker"]),
-                    _fmt(row["q1"]),
-                    _fmt(row["median"]),
-                    _fmt(row["q3"]),
-                    _fmt(row["max_whisker"]),
-                    ";".join(_fmt(x) for x in row["outliers"]),
-                ]
-            )
-    paths["boxplot"] = boxplot
-
-    run_log = output_dir / "run.log"
-    lines = ["event\tverb\treason\tdetail"]
-    for event in result.log:
-        lines.append(f"{event.event}\t{event.verb}\t{event.reason}\t{event.detail}")
-    run_log.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths["log"] = run_log
+    outputs = {
+        "table5": ("table5.tsv", "\n".join(table5) + "\n"),
+        "table6": ("table6.tsv", "\n".join(table6) + "\n"),
+        "boxplot": ("fig2_boxplot.csv", boxplot.getvalue()),
+        "log": ("run.log", "\n".join(run_log) + "\n"),
+    }
+    paths = {}
+    for key, (name, text) in outputs.items():
+        paths[key] = output_dir / name
+        write_atomic(paths[key], text.encode("utf-8"))
     return paths
 
 

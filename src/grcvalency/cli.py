@@ -25,10 +25,11 @@ from .lexicon import (
     read_lexicon,
     stats_basic,
     stats_by_author,
+    write_atomic,
     write_lexicon,
 )
 from .manifest import build_manifest, write_manifest
-from .semantics import VectorSpaceError, load_vector_space
+from .semantics import load_vector_space
 from .treebank import (
     TreebankParseError,
     load_manifest,
@@ -133,28 +134,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_extract(args) -> int:
-    directory = Path(args.treebank_dir)
-    if not directory.is_dir():
-        return _fail(f"not a directory: {directory}")
-    meta = {}
-    if args.manifest:
-        try:
-            meta = load_manifest(args.manifest)
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc))
-
-    files = sorted(directory.glob("*.xml"))
+def _load_corpus(directory: Path, manifest_path):
+    """Parse and validate every ``*.xml`` file in ``directory``: the valid trees,
+    report rows ``(file, sentence_id, kind, detail)`` for unusable files, skipped
+    words and excluded sentences, and the paths that parsed.  Bad data is excluded
+    and reported, never repaired; only an unreadable metadata manifest raises."""
+    meta = load_manifest(manifest_path) if manifest_path else {}
     trees = []
-    report_rows = []  # (file, sentence_id, kind, detail)
+    report_rows = []
     parsed_paths = []
-    failed_files = 0
-    for path in files:
+    for path in sorted(directory.glob("*.xml")):
         try:
             data = path.read_bytes()
             file_trees, issues = parse_treebank_file(data, fallback_meta=meta.get(path.name))
         except (OSError, TreebankParseError) as exc:
-            failed_files += 1
             report_rows.append((path.name, "", "file_error", str(exc)))
             continue
         parsed_paths.append(path)
@@ -167,40 +160,51 @@ def cmd_extract(args) -> int:
             if validation.ok:
                 trees.append(tree)
             else:
-                report_rows.append(
-                    (
-                        path.name,
-                        str(tree.sentence_id),
-                        "sentence_excluded",
-                        "; ".join(validation.messages()),
-                    )
-                )
+                detail = "; ".join(validation.messages())
+                report_rows.append((path.name, str(tree.sentence_id), "sentence_excluded", detail))
+    return trees, report_rows, parsed_paths
+
+
+def _write_report(path: Path, rows) -> None:
+    lines = ["file\tsentence_id\tkind\tdetail"] + ["\t".join(row) for row in rows]
+    write_atomic(path, ("\n".join(lines) + "\n").encode(_ENCODING))
+
+
+def _failed_files(report_rows) -> int:
+    return sum(row[2] == "file_error" for row in report_rows)
+
+
+def cmd_extract(args) -> int:
+    directory = Path(args.treebank_dir)
+    if not directory.is_dir():
+        return _fail(f"not a directory: {directory}")
+    try:
+        trees, report_rows, parsed_paths = _load_corpus(directory, args.manifest)
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
 
     entries = extract_entries(trees, include_participles=args.include_participles)
     output = Path(args.output)
+    report_path = output.with_name(output.name + ".report.tsv")
     try:
         write_lexicon(Lexicon(entries), output, figure1_layout=args.figure1_layout)
-    except OSError as exc:
+        _write_report(report_path, report_rows)
+        manifest = build_manifest(
+            command="extract",
+            config={
+                "treebank_dir": str(directory),
+                "include_participles": args.include_participles,
+                "figure1_layout": args.figure1_layout,
+                "manifest": args.manifest or "",
+                "output": str(output),
+            },
+            input_paths=parsed_paths,
+        )
+        write_manifest(manifest, output.with_name(output.name + ".manifest.json"))
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
 
-    report_path = output.with_name(output.name + ".report.tsv")
-    lines = ["file\tsentence_id\tkind\tdetail"]
-    lines += ["\t".join(row) for row in report_rows]
-    report_path.write_text("\n".join(lines) + "\n", encoding=_ENCODING)
-
-    manifest = build_manifest(
-        command="extract",
-        config={
-            "treebank_dir": str(directory),
-            "include_participles": args.include_participles,
-            "figure1_layout": args.figure1_layout,
-            "manifest": args.manifest or "",
-            "output": str(output),
-        },
-        input_paths=parsed_paths,
-    )
-    write_manifest(manifest, output.with_name(output.name + ".manifest.json"))
-
+    failed_files = _failed_files(report_rows)
     print(
         f"extracted {len(entries)} entries from {len(parsed_paths)} file(s); "
         f"{failed_files} file(s) failed; report: {report_path}"
@@ -321,46 +325,45 @@ def cmd_casestudy(args) -> int:
     directory = Path(config.treebank_dir)
     if not directory.is_dir():
         return _fail(f"not a directory: {directory}")
-    meta = {}
-    if config.manifest_path:
-        try:
-            meta = load_manifest(config.manifest_path)
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc))
-    corpus = []
-    input_paths = []
     try:
-        for path in sorted(directory.glob("*.xml")):
-            trees, _ = parse_treebank_file(path.read_bytes(), fallback_meta=meta.get(path.name))
-            corpus.extend(tree for tree in trees if validate_sentence(tree).ok)
-            input_paths.append(path)
+        corpus, report_rows, parsed_paths = _load_corpus(directory, config.manifest_path)
         lexicon = read_lexicon(config.lexicon_path)
         space = load_vector_space(config.vector_space_path)
         result = run_case_study(config, corpus, lexicon, space)
-    except (OSError, TreebankParseError, LexiconFormatError, VectorSpaceError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
 
-    paths = write_case_study_outputs(result, config.output_dir)
-    manifest = build_manifest(
-        command="casestudy",
-        config={
-            "epic_works": ["|".join(w) for w in config.epic_works],
-            "baseline_exclusions": ["|".join(w) for w in config.baseline_exclusions],
-            "min_epic_tokens": config.min_epic_tokens,
-            "min_object_types": config.min_object_types,
-            "include_participles": config.include_participles,
-            "ks_exact_limit": config.ks_exact_limit,
-            "variance_convention": "sample (n-1)",
-            "quartile_convention": "midpoint-inclusive",
-        },
-        input_paths=input_paths
-        + [config.lexicon_path, config.vector_space_path, config.formula_span_path],
-    )
-    write_manifest(manifest, Path(config.output_dir) / "manifest.json")
+    output_dir = Path(config.output_dir)
+    report_path = output_dir / "report.tsv"
+    try:
+        paths = write_case_study_outputs(result, output_dir)
+        _write_report(report_path, report_rows)
+        manifest = build_manifest(
+            command="casestudy",
+            config={
+                "epic_works": ["|".join(w) for w in config.epic_works],
+                "baseline_exclusions": ["|".join(w) for w in config.baseline_exclusions],
+                "min_epic_tokens": config.min_epic_tokens,
+                "min_object_types": config.min_object_types,
+                "include_participles": config.include_participles,
+                "ks_exact_limit": config.ks_exact_limit,
+                "variance_convention": "sample (n-1)",
+                "quartile_convention": "midpoint-inclusive",
+            },
+            input_paths=parsed_paths
+            + [config.lexicon_path, config.vector_space_path, config.formula_span_path],
+        )
+        write_manifest(manifest, output_dir / "manifest.json")
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
+
+    failed_files = _failed_files(report_rows)
     print(
-        f"reported {len(result.comparisons)} verb(s); outputs: "
-        + ", ".join(str(p) for p in paths.values())
+        f"reported {len(result.comparisons)} verb(s); {failed_files} file(s) failed; outputs: "
+        + ", ".join(str(p) for p in [*paths.values(), report_path])
     )
+    if failed_files:
+        return EXIT_PARTIAL
     return EXIT_OK if result.comparisons else EXIT_EMPTY
 
 

@@ -5,9 +5,14 @@ either directly or through chains of preposition (AuxP), conjunction
 (AuxC), coordination (COORD) and apposition (APOS) nodes.  Every verb
 token with at least one argument yields one lexicon entry; nothing is
 ever reconstructed for unexpressed arguments.
+
+Frame strings are written by :meth:`Frame.render` and read back by
+:func:`parse_frame`; both directions of the format live here.
 """
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .postag import UNSPECIFIED
 from .treebank import SentenceTree, WordNode
@@ -17,6 +22,24 @@ BRIDGE_RELATIONS = frozenset({"AUXP", "AUXC", "COORD", "APOS"})
 
 PREPOSITION = "preposition"
 CONJUNCTION = "conjunction"
+
+_ELEMENT_RE = re.compile(
+    r"^(?:\((?P<mediator>[^()]*)\))?"
+    r"(?P<label>[A-Z][A-Z_]*)"
+    r"\[(?P<realization>[^\[\]]+)\]"
+    r"(?:\{(?P<filler>[^{}]*)\})?$"
+)
+
+
+class LexiconFormatError(ValueError):
+    def __init__(self, message, row_errors=None):
+        details = ""
+        if row_errors:
+            details = ": " + "; ".join(f"line {n}: {msg}" for n, msg in row_errors[:10])
+            if len(row_errors) > 10:
+                details += f"; ... ({len(row_errors)} rows total)"
+        super().__init__(message + details)
+        self.row_errors = row_errors or []
 
 
 @dataclass(frozen=True)
@@ -49,7 +72,12 @@ class ArgumentSlot:
 
 @dataclass(frozen=True)
 class Frame:
-    """Voice plus argument slots, held in canonical order."""
+    """Voice plus argument slots, held in canonical order.
+
+    Slots are ordered by full relation label, then by surface position;
+    that reproduces both the label-major published layout and the
+    distinct orderings of repeated labels.
+    """
 
     voice: str
     slots: tuple[ArgumentSlot, ...]
@@ -75,6 +103,41 @@ class Frame:
             self.voice + "_" + ",".join(elements),
             self.voice + "_" + ",".join(filler_elements),
         )
+
+
+@dataclass(frozen=True)
+class FrameElement:
+    mediator: str | None
+    label: str
+    realization: str
+    filler: str | None
+
+    @property
+    def base_relation(self) -> str:
+        return self.label.split("_")[0]
+
+
+@lru_cache(maxsize=None)
+def parse_frame(frame: str) -> tuple[str, tuple[FrameElement, ...]]:
+    """Split a canonical frame (or frame_fillers) string into voice and
+    elements; raises on anything that does not follow the layout."""
+    voice, sep, rest = frame.partition("_")
+    if not sep or not voice or not rest:
+        raise LexiconFormatError(f"malformed frame string: {frame!r}")
+    elements = []
+    for chunk in rest.split(","):
+        match = _ELEMENT_RE.match(chunk)
+        if match is None:
+            raise LexiconFormatError(f"malformed frame element: {chunk!r} in {frame!r}")
+        elements.append(
+            FrameElement(
+                mediator=match["mediator"],
+                label=match["label"],
+                realization=match["realization"],
+                filler=match["filler"],
+            )
+        )
+    return voice, tuple(elements)
 
 
 @dataclass(frozen=True)
@@ -174,16 +237,6 @@ def collect_arguments(tree: SentenceTree, verb: WordNode) -> list[ArgumentSlot]:
     return slots
 
 
-def compose_frame(voice: str, slots) -> tuple[str, str]:
-    """Render the canonical frame and frame_fillers strings.
-
-    Slots are ordered by full relation label, then by surface position;
-    that reproduces both the label-major published layout and the
-    distinct orderings of repeated labels.
-    """
-    return Frame(voice, tuple(slots)).render()
-
-
 def extract_entries(
     corpus: list[SentenceTree],
     include_participles: bool = True,
@@ -196,7 +249,7 @@ def extract_entries(
             slots = collect_arguments(tree, verb)
             if not slots:
                 continue
-            frame, frame_fillers = compose_frame(verb.postag.voice, slots)
+            frame, frame_fillers = Frame(verb.postag.voice, tuple(slots)).render()
             entries.append(
                 LexiconEntry(
                     author=tree.author,

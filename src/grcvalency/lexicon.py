@@ -8,15 +8,13 @@ lexicon file is self-sufficient.
 """
 
 import os
-import re
 import tempfile
 import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
-from .frames import LexiconEntry
+from .frames import LexiconEntry, LexiconFormatError, parse_frame
 
 FORMAT_VERSION = "1"
 
@@ -34,36 +32,6 @@ COLUMNS = (
 
 FIGURE1_COLUMNS = tuple(c for c in COLUMNS if c != "root_id")
 
-_ELEMENT_RE = re.compile(
-    r"^(?:\((?P<mediator>[^()]*)\))?"
-    r"(?P<label>[A-Z][A-Z_]*)"
-    r"\[(?P<realization>[^\[\]]+)\]"
-    r"(?:\{(?P<filler>[^{}]*)\})?$"
-)
-
-
-class LexiconFormatError(ValueError):
-    def __init__(self, message, row_errors=None):
-        details = ""
-        if row_errors:
-            details = ": " + "; ".join(f"line {n}: {msg}" for n, msg in row_errors[:10])
-            if len(row_errors) > 10:
-                details += f"; ... ({len(row_errors)} rows total)"
-        super().__init__(message + details)
-        self.row_errors = row_errors or []
-
-
-@dataclass(frozen=True)
-class FrameElement:
-    mediator: str | None
-    label: str
-    realization: str
-    filler: str | None
-
-    @property
-    def base_relation(self) -> str:
-        return self.label.split("_")[0]
-
 
 @dataclass
 class ConstructionRecord:
@@ -71,29 +39,6 @@ class ConstructionRecord:
     frame: str
     count: int
     authors: set[str]
-
-
-@lru_cache(maxsize=None)
-def parse_frame(frame: str) -> tuple[str, tuple[FrameElement, ...]]:
-    """Split a canonical frame (or frame_fillers) string into voice and
-    elements; raises on anything that does not follow the layout."""
-    voice, sep, rest = frame.partition("_")
-    if not sep or not voice or not rest:
-        raise LexiconFormatError(f"malformed frame string: {frame!r}")
-    elements = []
-    for chunk in rest.split(","):
-        match = _ELEMENT_RE.match(chunk)
-        if match is None:
-            raise LexiconFormatError(f"malformed frame element: {chunk!r} in {frame!r}")
-        elements.append(
-            FrameElement(
-                mediator=match["mediator"],
-                label=match["label"],
-                realization=match["realization"],
-                filler=match["filler"],
-            )
-        )
-    return voice, tuple(elements)
 
 
 class Lexicon:
@@ -119,9 +64,28 @@ def _nfc(value: str) -> str:
     return unicodedata.normalize("NFC", value)
 
 
-def write_lexicon(lexicon, destination, figure1_layout: bool = False) -> int:
-    """Serialize to TSV via a temp file and atomic rename; returns bytes written."""
+def write_atomic(destination, payload: bytes) -> int:
+    """Write ``payload`` to a temp file beside ``destination`` and rename it
+    over ``destination``; returns the bytes written.  On any failure the old
+    file, if there was one, stays as it was and the temp file is removed."""
     destination = Path(destination)
+    fd, temp_path = tempfile.mkstemp(dir=destination.parent, prefix=destination.name)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temp_path, 0o666 & ~umask)
+        os.replace(temp_path, destination)
+    except BaseException:
+        os.unlink(temp_path)
+        raise
+    return len(payload)
+
+
+def write_lexicon(lexicon, destination, figure1_layout: bool = False) -> int:
+    """Serialize to TSV through :func:`write_atomic`; returns bytes written."""
     columns = FIGURE1_COLUMNS if figure1_layout else COLUMNS
     lines = ["\t".join(columns)]
     for entry in lexicon:
@@ -139,20 +103,7 @@ def write_lexicon(lexicon, destination, figure1_layout: bool = False) -> int:
         if figure1_layout:
             del row[6]
         lines.append("\t".join(row))
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    fd, temp_path = tempfile.mkstemp(dir=destination.parent, prefix=destination.name)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(temp_path, 0o666 & ~umask)
-        os.replace(temp_path, destination)
-    except BaseException:
-        os.unlink(temp_path)
-        raise
-    return len(payload)
+    return write_atomic(destination, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_lexicon(source, lenient: bool = False) -> Lexicon:

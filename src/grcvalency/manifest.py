@@ -6,6 +6,9 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
+from .lexicon import FORMAT_VERSION, write_atomic
+
 
 @dataclass
 class RunManifest:
@@ -26,9 +29,6 @@ def _sha256(path: Path) -> str:
 
 
 def build_manifest(command: str, config: dict, input_paths) -> RunManifest:
-    from . import __version__
-    from .lexicon import FORMAT_VERSION
-
     inputs = {str(p): _sha256(Path(p)) for p in sorted(str(p) for p in input_paths)}
     return RunManifest(
         command=command,
@@ -42,8 +42,6 @@ def build_manifest(command: str, config: dict, input_paths) -> RunManifest:
 
 def write_manifest(manifest: RunManifest, destination) -> Path:
     destination = Path(destination)
-    destination.write_text(
-        json.dumps(asdict(manifest), ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(asdict(manifest), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    write_atomic(destination, text.encode("utf-8"))
     return destination

@@ -1,5 +1,6 @@
 import json
 import shutil
+import stat
 
 import pytest
 
@@ -43,9 +44,27 @@ def test_extract_writes_report_and_manifest(extracted):
     assert len(manifest["inputs"]) == 4
 
 
-def test_extract_lexicon_mode_matches_report(extracted):
-    report = extracted.with_name(extracted.name + ".report.tsv")
-    assert extracted.stat().st_mode == report.stat().st_mode
+def _open_mode(directory):
+    probe = directory / "probe"
+    probe.write_bytes(b"")
+    mode = stat.S_IMODE(probe.stat().st_mode)
+    probe.unlink()
+    return mode
+
+
+def test_extract_lexicon_mode_matches_report(tmp_path, extracted):
+    # every output is written atomically and gets the mode open() would give
+    mode = _open_mode(tmp_path)
+    for suffix in ("", ".report.tsv", ".manifest.json"):
+        assert stat.S_IMODE(extracted.with_name(extracted.name + suffix).stat().st_mode) == mode
+    case_dir = tmp_path / "case"
+    case_dir.mkdir()
+    assert main(["casestudy", "--config", str(_write_case_files(case_dir))]) == 0
+    outputs = sorted((case_dir / "out").iterdir())
+    assert [path.name for path in outputs] == [
+        "fig2_boxplot.csv", "manifest.json", "report.tsv", "run.log", "table5.tsv", "table6.tsv",
+    ]
+    assert all(stat.S_IMODE(path.stat().st_mode) == mode for path in outputs)
 
 
 def test_extract_is_idempotent(tmp_path, extracted):
@@ -82,6 +101,24 @@ def test_extract_partial_failure(tmp_path):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 4  # header + 3 entries
     report = out.with_name(out.name + ".report.tsv")
     assert "file_error" in report.read_text(encoding="utf-8")
+
+
+def test_extract_field_that_would_break_the_tsv_is_an_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "tab.xml").write_text(
+        '<treebank author="Homer" title="Iliad"><sentence id="1" subdoc="1.1">'
+        '<word id="1" form="λόγον" lemma="λόγος&#9;" postag="n-s---ma-" head="2" relation="OBJ"/>'
+        '<word id="2" form="λέγει" lemma="λέγω" postag="v3spia---" head="0" relation="PRED"/>'
+        "</sentence></treebank>",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["extract", str(corpus), "-o", str(out_dir / "lex.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "TSV layout" in err
+    assert list(out_dir.iterdir()) == []  # no lexicon and no temp file
 
 
 def test_extract_unreadable_path_is_usage_error(tmp_path, capsys):
@@ -318,3 +355,71 @@ def test_casestudy_missing_paths_is_usage_error(tmp_path, capsys):
     config_path.write_text("output_dir = out\n", encoding="utf-8")
     assert main(["casestudy", "--config", str(config_path)]) == 1
     assert "missing" in capsys.readouterr().err
+
+
+_FAULTY_XML = """<treebank author="Homer" title="Odyssey">
+  <sentence id="901" subdoc="1.1">
+    <word id="1" form="mu=qon" lemma="mu=qos1" postag="zz" head="2" relation="OBJ"/>
+    <word id="2" form="a)kou/ei" lemma="a)kou/w1" postag="v3spia---" head="0" relation="PRED"/>
+  </sentence>
+  <sentence id="902" subdoc="1.2">
+    <word id="1" form="mu=qon" lemma="mu=qos1" postag="n-s---ma-" head="7" relation="OBJ"/>
+    <word id="2" form="a)kou/ei" lemma="a)kou/w1" postag="v3spia---" head="0" relation="PRED"/>
+  </sentence>
+</treebank>
+"""
+
+
+def _case_outputs(out_dir):
+    names = ("table5.tsv", "table6.tsv", "fig2_boxplot.csv", "run.log")
+    return {name: (out_dir / name).read_bytes() for name in names}
+
+
+def test_casestudy_reports_a_malformed_file_and_goes_on(tmp_path, capsys):
+    config_path = _write_case_files(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["casestudy", "--config", str(config_path)]) == 0
+    clean_outputs = _case_outputs(out_dir)
+    clean_inputs = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["inputs"]
+    shutil.rmtree(out_dir)
+
+    first = sorted((tmp_path / "corpus").glob("*.xml"))[0].read_bytes()
+    (tmp_path / "corpus" / "truncated.xml").write_bytes(first[: len(first) // 2])
+    assert main(["casestudy", "--config", str(config_path)]) == 2
+    assert "1 file(s) failed" in capsys.readouterr().out
+    assert _case_outputs(out_dir) == clean_outputs
+    rows = [
+        line.split("\t")
+        for line in (out_dir / "report.tsv").read_text(encoding="utf-8").splitlines()
+    ]
+    assert rows[0] == ["file", "sentence_id", "kind", "detail"]
+    assert [row[:3] for row in rows[1:]] == [["truncated.xml", "", "file_error"]]
+    assert rows[1][3].startswith("malformed XML")
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == clean_inputs  # only the files that parsed are hashed
+
+
+def test_casestudy_and_extract_report_the_same_rows(tmp_path):
+    config_path = _write_case_files(tmp_path)
+    corpus = tmp_path / "corpus"
+    (corpus / "faulty.xml").write_text(_FAULTY_XML, encoding="utf-8")
+    assert main(["casestudy", "--config", str(config_path)]) == 0
+    lexicon = tmp_path / "extracted.tsv"
+    assert main(["extract", str(corpus), "-o", str(lexicon)]) == 0
+    report = (tmp_path / "out" / "report.tsv").read_text(encoding="utf-8")
+    assert report == lexicon.with_name(lexicon.name + ".report.tsv").read_text(encoding="utf-8")
+    rows = [line.split("\t") for line in report.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [
+        ["faulty.xml", "901", "word_skipped"],
+        ["faulty.xml", "902", "sentence_excluded"],
+    ]
+
+
+def test_casestudy_output_dir_under_a_file_is_an_error(tmp_path, capsys):
+    config_path = _write_case_files(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    argv = ["casestudy", "--config", str(config_path), "--output-dir", str(blocker / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert blocker.read_bytes() == b""

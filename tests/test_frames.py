@@ -4,12 +4,16 @@ import re
 import pytest
 
 from grcvalency.frames import (
+    ARGUMENT_RELATIONS,
+    CONJUNCTION,
+    PREPOSITION,
     ArgumentSlot,
+    Frame,
     Mediator,
     collect_arguments,
-    compose_frame,
     extract_entries,
     identify_predicates,
+    parse_frame,
     realization_of,
     split_relation,
 )
@@ -127,7 +131,7 @@ def test_coordination_suffix_comes_from_the_path_too():
     first = WordNode(3, "δῶρον", "δῶρον", "δῶρον", decode_postag("n-s---na-"), 2, "OBJ")
     second = WordNode(4, "ξίφος", "ξίφος", "ξίφος", decode_postag("n-s---na-"), 2, "OBJ")
     tree = SentenceTree(1, "", "", "", [verb, conj, first, second])
-    frame, _ = compose_frame("active", collect_arguments(tree, verb))
+    frame, _ = Frame("active", tuple(collect_arguments(tree, verb))).render()
     assert frame == "active_OBJ_CO[accusative],OBJ_CO[accusative]"
 
 
@@ -188,15 +192,15 @@ def test_compose_frame_reproduces_published_entry():
         ),
         _skeleton(realization="dative", filler_lemma="σύ", surface_position=4),
     ]
-    frame, fillers = compose_frame("medio-passive", slots)
+    frame, fillers = Frame("medio-passive", tuple(slots)).render()
     assert frame == "medio-passive_OBJ[dative],SBJ[nominative]"
     assert fillers == "medio-passive_OBJ[dative]{σύ},SBJ[nominative]{δέος}"
 
 
 def test_compose_frame_single_object():
-    frame, fillers = compose_frame(
-        "active", [_skeleton(realization="accusative", filler_lemma="τέλος")]
-    )
+    frame, fillers = Frame(
+        "active", (_skeleton(realization="accusative", filler_lemma="τέλος"),)
+    ).render()
     assert frame == "active_OBJ[accusative]"
     assert fillers == "active_OBJ[accusative]{τέλος}"
 
@@ -204,24 +208,22 @@ def test_compose_frame_single_object():
 def test_compose_frame_keeps_surface_order_of_equal_labels():
     dative = _skeleton(realization="dative", filler_lemma="ἀνήρ", surface_position=1)
     accusative = _skeleton(realization="accusative", filler_lemma="δῶρον", surface_position=5)
-    frame, _ = compose_frame("active", [dative, accusative])
+    frame, _ = Frame("active", (dative, accusative)).render()
     assert frame == "active_OBJ[dative],OBJ[accusative]"
     swapped_dative = _skeleton(realization="dative", filler_lemma="ἀνήρ", surface_position=5)
     swapped_accusative = _skeleton(
         realization="accusative", filler_lemma="δῶρον", surface_position=1
     )
-    frame, _ = compose_frame("active", [swapped_dative, swapped_accusative])
+    frame, _ = Frame("active", (swapped_dative, swapped_accusative)).render()
     assert frame == "active_OBJ[accusative],OBJ[dative]"
 
 
 def test_compose_frame_rejects_empty_slots():
     with pytest.raises(ValueError):
-        compose_frame("active", [])
+        Frame("active", ()).render()
 
 
 def test_frame_type_sorts_and_validates():
-    from grcvalency.frames import Frame
-
     subject = _skeleton(
         base_relation="SBJ", realization="nominative", filler_lemma="δέος", surface_position=0
     )
@@ -231,6 +233,51 @@ def test_frame_type_sorts_and_validates():
     assert frame.render()[0] == "medio-passive_OBJ[dative],SBJ[nominative]"
     with pytest.raises(ValueError):
         Frame("active", ())
+
+
+_VOICES = ("active", "middle", "passive", "medio-passive", "unspecified")
+_REALIZATIONS = (
+    "nominative", "genitive", "dative", "accusative", "vocative",
+    "infinitive", "participle", "indicative", "subjunctive", "optative", "adverb",
+)
+_GREEK = "αβγδεζηθικλμνξοπρςστυφχψωάέήίόύώἀἁἐἑἰὀὁὐὑῶῆῖᾳῃῳ"
+
+
+def _random_lemma(rng):
+    return "".join(rng.choice(_GREEK) for _ in range(rng.randint(1, 9)))
+
+
+def _random_slot(rng, token_id):
+    mediator = None
+    if rng.random() < 0.3:
+        mediator = Mediator(rng.choice((PREPOSITION, CONJUNCTION)), _random_lemma(rng))
+    return ArgumentSlot(
+        base_relation=rng.choice(sorted(ARGUMENT_RELATIONS)),
+        coord_suffix=rng.random() < 0.3,
+        apos_suffix=rng.random() < 0.2,
+        mediator=mediator,
+        realization=rng.choice(_REALIZATIONS),
+        filler_lemma=_random_lemma(rng),
+        filler_token_id=token_id,
+        surface_position=rng.randrange(30),
+    )
+
+
+def test_render_then_parse_gives_back_every_slot_in_frame_order():
+    rng = random.Random(5151)
+    for _ in range(500):
+        slots = tuple(_random_slot(rng, token_id) for token_id in range(1, rng.randint(2, 7)))
+        frame = Frame(rng.choice(_VOICES), slots)
+        for index, text in enumerate(frame.render()):
+            voice, elements = parse_frame(text)
+            assert voice == frame.voice
+            assert len(elements) == len(frame.slots)
+            for slot, element in zip(frame.slots, elements):
+                assert element.mediator == (slot.mediator.lemma if slot.mediator else None)
+                assert element.label == slot.label
+                assert element.base_relation == slot.base_relation
+                assert element.realization == slot.realization
+                assert element.filler == (slot.filler_lemma if index == 1 else None)
 
 
 def test_mediated_element_sorts_by_bare_label():
@@ -246,7 +293,7 @@ def test_mediated_element_sorts_by_bare_label():
         filler_lemma="ἀνήρ",
         surface_position=0,
     )
-    frame, _ = compose_frame("active", [subject, mediated])
+    frame, _ = Frame("active", (subject, mediated)).render()
     assert frame == "active_(εἰς)OBJ[accusative],SBJ[nominative]"
 
 

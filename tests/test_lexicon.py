@@ -1,12 +1,16 @@
 import csv
 import dataclasses
+import errno
 import itertools
+import os
 import random
+import stat
 import unicodedata
 from collections import Counter, defaultdict
 
 import pytest
 
+import grcvalency.frames as frames_module
 import grcvalency.lexicon as lexicon_module
 from grcvalency.frames import LexiconEntry
 from grcvalency.lexicon import (
@@ -22,6 +26,7 @@ from grcvalency.lexicon import (
     read_lexicon,
     stats_basic,
     stats_by_author,
+    write_atomic,
     write_lexicon,
 )
 
@@ -161,6 +166,64 @@ def test_write_rejects_fields_that_break_the_layout(tmp_path):
     broken = dataclasses.replace(PUBLISHED_ENTRY, title="Per\tsians")
     with pytest.raises(ValueError, match="TSV"):
         write_lexicon(Lexicon([broken]), tmp_path / "broken.tsv")
+
+
+def test_lexicon_reads_frames_with_the_frame_codec():
+    # query_entries looks parse_frame up in lexicon; both names are one codec
+    assert lexicon_module.parse_frame is frames_module.parse_frame
+    assert lexicon_module.LexiconFormatError is frames_module.LexiconFormatError
+
+
+def test_write_atomic_replaces_with_the_mode_open_would_give(tmp_path):
+    probe = tmp_path / "probe"
+    probe.write_bytes(b"")
+    target = tmp_path / "out.tsv"
+    target.write_bytes(b"old\n")
+    os.chmod(target, 0o600)
+    assert write_atomic(target, b"new\n") == 4
+    assert target.read_bytes() == b"new\n"
+    assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv", "probe"]
+
+
+def _half_then_full_disk(real_fdopen):
+    def fdopen(fd, mode):
+        handle = real_fdopen(fd, mode)
+
+        class HalfWriter:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                handle.close()
+
+            def write(self, data):
+                handle.write(data[: len(data) // 2])
+                handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        return HalfWriter()
+
+    return fdopen
+
+
+def _refuse(*args):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("stage", ["write", "chmod", "replace"])
+def test_write_atomic_failure_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch, stage):
+    target = tmp_path / "out.tsv"
+    target.write_bytes(b"old\n")
+    if stage == "write":
+        monkeypatch.setattr(lexicon_module.os, "fdopen", _half_then_full_disk(os.fdopen))
+    else:
+        monkeypatch.setattr(lexicon_module.os, stage, _refuse)
+    with pytest.raises(OSError):
+        write_atomic(target, "νέα γραμμή\n".encode("utf-8") * 1000)
+    monkeypatch.undo()
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
 
 
 def test_read_rejects_wrong_header(tmp_path):
