@@ -54,7 +54,6 @@ from .semantics import (
     centroid,
     centroid_similarities,
     cosine_similarity,
-    export_distributions,
     load_vector_space,
 )
 from .stats import (

@@ -12,7 +12,10 @@ import tempfile
 import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .frames import LexiconEntry, LexiconFormatError, parse_frame
 
@@ -42,7 +45,12 @@ class ConstructionRecord:
 
 
 class Lexicon:
-    """Entries, a by-verb index in entry order, and the rows a lenient read skipped."""
+    """Entries, a by-verb index in entry order, and the rows a lenient read skipped.
+
+    Queries and aggregates read a columnar view of the entries that is built
+    on the first of them; like ``by_verb``, it is not rebuilt, so ``entries``
+    must not change after that.
+    """
 
     def __init__(self, entries):
         self.entries = list(entries)
@@ -56,6 +64,57 @@ class Lexicon:
 
     def __iter__(self):
         return iter(self.entries)
+
+    @cached_property
+    def _columns(self):
+        return _Columns(self.entries)
+
+
+def _intern(values) -> tuple[np.ndarray, dict[str, int]]:
+    """Codes of ``values`` and the value→code dict; codes follow the sorted
+    distinct values, so code order is string order."""
+    index = {value: code for code, value in enumerate(sorted(set(values)))}
+    return np.fromiter(map(index.__getitem__, values), np.intp, len(values)), index
+
+
+class _Columns:
+    """Interned numpy columns of a lexicon's entries, for queries and aggregates."""
+
+    INTERNED = ("author", "title", "voice", "frame", "verb")
+
+    def __init__(self, entries):
+        self.entries = np.empty(len(entries), dtype=object)
+        self.entries[:] = entries
+        self.codes, self.index = {}, {}
+        for name in self.INTERNED:
+            self.codes[name], self.index[name] = _intern([getattr(e, name) for e in entries])
+        self.frames = list(self.index["frame"])
+        # one stable sort groups each verb's rows, in entry order
+        self.verb_order = np.argsort(self.codes["verb"], kind="stable")
+        self.verb_starts = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.codes["verb"], minlength=len(self.index["verb"]))))
+        )
+        self.unique_frame_fillers = len({e.frame_fillers for e in entries})
+        # per frame code: None until a query judges it, then its
+        # (realizations, mediators) or its LexiconFormatError
+        self.judged = [None] * len(self.frames)
+
+    def verb_rows(self, code: int) -> np.ndarray:
+        return self.verb_order[self.verb_starts[code] : self.verb_starts[code + 1]]
+
+    def judge(self, code: int):
+        """A frame's (realizations, mediators) or its LexiconFormatError, parsed once."""
+        if self.judged[code] is None:
+            try:
+                _, elements = parse_frame(self.frames[code])
+            except LexiconFormatError as exc:
+                self.judged[code] = exc
+            else:
+                self.judged[code] = (
+                    {el.realization for el in elements},
+                    {el.mediator for el in elements},
+                )
+        return self.judged[code]
 
 
 def _nfc(value: str) -> str:
@@ -155,19 +214,25 @@ def read_lexicon(source, lenient: bool = False) -> Lexicon:
 
 
 def stats_basic(lexicon) -> dict:
+    columns = lexicon._columns
     return {
-        "entries": len(lexicon.entries),
-        "unique_verb_lemmas": len({e.verb for e in lexicon.entries}),
-        "unique_frames": len({e.frame for e in lexicon.entries}),
-        "unique_frame_fillers": len({e.frame_fillers for e in lexicon.entries}),
+        "entries": len(columns.entries),
+        "unique_verb_lemmas": len(columns.index["verb"]),
+        "unique_frames": len(columns.frames),
+        "unique_frame_fillers": columns.unique_frame_fillers,
     }
+
+
+def _counts(columns, name) -> np.ndarray:
+    """Entry count per code of an interned column."""
+    return np.bincount(columns.codes[name], minlength=len(columns.index[name]))
 
 
 def stats_by_author(lexicon) -> list[tuple[str, int]]:
     """Per-author entry counts sorted by author, with a TOTAL row appended."""
-    counts = Counter(e.author for e in lexicon.entries)
-    rows = sorted(counts.items())
-    rows.append(("TOTAL", len(lexicon.entries)))
+    columns = lexicon._columns
+    rows = list(zip(columns.index["author"], _counts(columns, "author").tolist()))
+    rows.append(("TOTAL", len(columns.entries)))
     return rows
 
 
@@ -175,11 +240,11 @@ def frame_frequencies(lexicon, top_k: int | None = None) -> list[tuple[str, int]
     """Most frequent frames, descending; ties broken lexicographically."""
     if top_k is not None and top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {top_k}")
-    counts = Counter(e.frame for e in lexicon.entries)
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    if top_k is not None:
-        ranked = ranked[:top_k]
-    return ranked
+    columns = lexicon._columns
+    counts = _counts(columns, "frame")
+    # frame codes are in string order, so a stable sort breaks ties by frame
+    ranked = np.argsort(-counts, kind="stable")[:top_k]
+    return list(zip([columns.frames[code] for code in ranked.tolist()], counts[ranked].tolist()))
 
 
 def query_entries(
@@ -192,30 +257,51 @@ def query_entries(
     realization: str | None = None,
     mediator: str | None = None,
 ) -> list[LexiconEntry]:
-    """Conjunctive filtering into a new, order-preserving list; a verb filter reads the
-    by-verb index, and frame filters judge each distinct frame once, substring test first."""
-    entries = lexicon.entries if verb is None else lexicon.by_verb.get(verb, ())
-    if author is not None:
-        entries = [entry for entry in entries if entry.author == author]
-    if title is not None:
-        entries = [entry for entry in entries if entry.title == title]
-    if voice is not None:
-        entries = [entry for entry in entries if entry.voice == voice]
-    if frame_contains is None and realization is None and mediator is None:
-        return list(entries)
-    keep, hits = {}, []
-    for entry in entries:
-        frame = entry.frame
-        if frame not in keep:
-            keep[frame] = frame_contains is None or frame_contains in frame
-            if keep[frame] and (realization is not None or mediator is not None):
-                _, elements = parse_frame(frame)
-                keep[frame] = (
-                    realization is None or any(el.realization == realization for el in elements)
-                ) and (mediator is None or any(el.mediator == mediator for el in elements))
-        if keep[frame]:
-            hits.append(entry)
-    return hits
+    """Conjunctive filtering into a new, order-preserving list.
+
+    Rows start from all entries or the verb's and are narrowed by author,
+    title and voice on their codes; the frame filters then judge each
+    distinct candidate frame once, substring test first.  A malformed
+    candidate frame raises the error of the first entry that has one.
+    """
+    columns = lexicon._columns
+    rows = None  # every row
+    if verb is not None:
+        code = columns.index["verb"].get(verb)
+        if code is None:
+            return []
+        rows = columns.verb_rows(code)
+    for name, value in (("author", author), ("title", title), ("voice", voice)):
+        if value is None:
+            continue
+        code = columns.index[name].get(value)
+        if code is None:
+            return []
+        codes = columns.codes[name]
+        rows = np.flatnonzero(codes == code) if rows is None else rows[codes[rows] == code]
+    if frame_contains is not None or realization is not None or mediator is not None:
+        frame_codes = columns.codes["frame"] if rows is None else columns.codes["frame"][rows]
+        counts = np.bincount(frame_codes, minlength=len(columns.frames))
+        candidates = np.flatnonzero(counts).tolist()
+        if frame_contains is not None:
+            candidates = [code for code in candidates if frame_contains in columns.frames[code]]
+        if realization is not None or mediator is not None:
+            judged = [columns.judge(code) for code in candidates]
+            malformed = [c for c, j in zip(candidates, judged) if isinstance(j, LexiconFormatError)]
+            if malformed:
+                first = frame_codes[np.isin(frame_codes, malformed)][0]
+                raise LexiconFormatError(str(columns.judged[first]))  # a fresh one per query
+            candidates = [
+                code
+                for code, (realizations, mediators) in zip(candidates, judged)
+                if (realization is None or realization in realizations)
+                and (mediator is None or mediator in mediators)
+            ]
+        keep = np.zeros(len(columns.frames), dtype=bool)
+        keep[candidates] = True
+        hits = keep[frame_codes]
+        rows = np.flatnonzero(hits) if rows is None else rows[hits]
+    return (columns.entries if rows is None else columns.entries[rows]).tolist()
 
 
 def constructions_for_verb(

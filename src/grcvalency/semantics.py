@@ -8,7 +8,6 @@ single vector's magnitude can dominate a centroid.
 import itertools
 import unicodedata
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -208,20 +207,3 @@ def centroid_similarities(lemmas, space: VectorSpace, verb: str, group: str) -> 
         oov_lemmas=oov,
     )
 
-
-def export_distributions(distributions, destination) -> int:
-    """Write distributions as a TSV of per-lemma rows.
-
-    Carries both the similarity and its complement (the "distance",
-    1 - similarity) so either reading of the comparison can be plotted.
-    """
-    lines = ["verb\tgroup\tlemma\tsimilarity\tdistance"]
-    for dist in distributions:
-        for lemma, similarity in zip(dist.included_lemmas, dist.similarities):
-            lines.append(
-                f"{dist.verb}\t{dist.group}\t{lemma}"
-                f"\t{format(similarity, '.12g')}\t{format(1.0 - similarity, '.12g')}"
-            )
-    payload = "\n".join(lines) + "\n"
-    Path(destination).write_text(payload, encoding="utf-8")
-    return len(payload.encode("utf-8"))

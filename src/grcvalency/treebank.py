@@ -20,6 +20,9 @@ _REQUIRED_ATTRIBUTES = ("id", "form", "lemma", "postag", "head", "relation")
 
 _TRAILING_DIGITS = re.compile(r"\d+$")
 _ASCII_LETTERS = re.compile(r"[A-Za-z*]")
+# the frame codec's delimiters and the TSV's separators: a lemma holding
+# one would render into a frame or a row that cannot be read back
+_RESERVED = re.compile(r"[,()\[\]{}\t\n]")
 
 
 class TreebankParseError(ValueError):
@@ -103,13 +106,20 @@ class ValidationReport:
 def normalize_lemma(raw: str) -> str:
     """Strip sense-numbering digits; transcode ASCII-Greek to Unicode; NFC.
 
-    Cached per process: a corpus repeats a small vocabulary of lemmas.
-    Errors are not cached, so every bad word is still reported.
+    Raises ``ValueError`` when the result holds a frame delimiter
+    (``, ( ) [ ] { }``), a tab or a newline.  Cached per process: a corpus
+    repeats a small vocabulary of lemmas.  Errors are not cached, so every
+    bad word is still reported.
     """
     stripped = _TRAILING_DIGITS.sub("", raw)
     if _ASCII_LETTERS.search(stripped):
-        return beta_to_unicode(stripped)
-    return unicodedata.normalize("NFC", stripped)
+        lemma = beta_to_unicode(stripped)
+    else:
+        lemma = unicodedata.normalize("NFC", stripped)
+    reserved = _RESERVED.search(lemma)
+    if reserved:
+        raise ValueError(f"lemma {lemma!r} holds the reserved character {reserved[0]!r}")
+    return lemma
 
 
 def _byte_offset(data: bytes, line: int, column: int) -> int:

@@ -107,3 +107,22 @@ def test_error_carries_offset():
     with pytest.raises(BetaCodeError) as info:
         beta_to_unicode("abg#")
     assert info.value.offset == 3
+
+
+def test_fuzzed_input_transcodes_or_raises_beta_code_error():
+    # mostly the alphabet, so many strings transcode; the rest is ASCII
+    # punctuation, digits, uppercase, controls and non-ASCII characters
+    alphabet = "abgdevzhqiklmncoprstufxyw)(/\\=+|*' " * 3 + "AZ09#[],{}\t\n\x00é΄ά﻿"
+    rng = random.Random(5150)
+    transcoded = 0
+    for _ in range(5000):
+        beta = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        try:
+            greek = beta_to_unicode(beta)
+        except BetaCodeError as exc:
+            assert beta[exc.offset] == exc.char, beta
+            continue
+        transcoded += 1
+        assert greek == unicodedata.normalize("NFC", greek)
+        assert not any(char.isascii() and char != " " for char in greek), beta
+    assert 500 < transcoded < 4500

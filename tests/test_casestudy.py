@@ -152,6 +152,7 @@ def test_run_case_study_synthetic(tmp_path):
         output_dir=str(tmp_path / "out"),
     )
     result = run_case_study(config, case["corpus"], case["lexicon"], case["space"])
+    assert "_columns" not in case["lexicon"].__dict__  # the query view is never built
 
     assert [c.verb for c in result.comparisons] == [
         synthetic_case.TIGHT_VERB,

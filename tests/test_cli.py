@@ -4,6 +4,7 @@ import stat
 
 import pytest
 
+import grcvalency.lexicon as lexicon_module
 from grcvalency import __version__
 from grcvalency.cli import main
 from grcvalency.lexicon import write_lexicon
@@ -107,8 +108,8 @@ def test_extract_field_that_would_break_the_tsv_is_an_error(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "tab.xml").write_text(
-        '<treebank author="Homer" title="Iliad"><sentence id="1" subdoc="1.1">'
-        '<word id="1" form="λόγον" lemma="λόγος&#9;" postag="n-s---ma-" head="2" relation="OBJ"/>'
+        '<treebank author="Homer" title="Iliad"><sentence id="1" subdoc="1.1&#9;">'
+        '<word id="1" form="λόγον" lemma="λόγος" postag="n-s---ma-" head="2" relation="OBJ"/>'
         '<word id="2" form="λέγει" lemma="λέγω" postag="v3spia---" head="0" relation="PRED"/>'
         "</sentence></treebank>",
         encoding="utf-8",
@@ -119,6 +120,44 @@ def test_extract_field_that_would_break_the_tsv_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "TSV layout" in err
     assert list(out_dir.iterdir()) == []  # no lexicon and no temp file
+
+
+def test_extract_skips_a_lemma_the_frame_format_reserves(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "comma.xml").write_text(
+        '<treebank author="Homer" title="Iliad">'
+        '<sentence id="1" subdoc="1.1">'
+        '<word id="1" form="ἄγει" lemma="ἄγω" postag="v3spia---" head="0" relation="PRED"/>'
+        '<word id="2" form="εἰς" lemma="εἰς,ἐς" postag="r--------" head="1" relation="AuxP"/>'
+        '<word id="3" form="ναῦν" lemma="ναῦς" postag="n-s---fa-" head="2" relation="OBJ"/>'
+        "</sentence>"
+        '<sentence id="2" subdoc="1.2">'
+        '<word id="1" form="ἄγει" lemma="ἄγω" postag="v3spia---" head="0" relation="PRED"/>'
+        '<word id="2" form="ναῦν" lemma="ναῦς" postag="n-s---fa-" head="1" relation="OBJ"/>'
+        "</sentence></treebank>",
+        encoding="utf-8",
+    )
+    lexicon = tmp_path / "lex.tsv"
+    assert main(["extract", str(corpus), "-o", str(lexicon)]) == 0
+    report = lexicon.with_name(lexicon.name + ".report.tsv").read_text(encoding="utf-8")
+    rows = [line.split("\t") for line in report.splitlines()[1:]]
+    assert rows[0][:3] == ["comma.xml", "1", "word_skipped"]
+    assert "εἰς,ἐς" in rows[0][3]
+    capsys.readouterr()
+    assert main(["query", str(lexicon), "--realization", "accusative"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[7] for line in out[1:]] == ["active_OBJ[accusative]"]
+
+
+def test_extract_and_casestudy_build_no_query_columns(tmp_path, monkeypatch):
+    def refuse(entries):
+        raise AssertionError("query columns built")
+
+    config_path = _write_case_files(tmp_path)
+    monkeypatch.setattr(lexicon_module, "_Columns", refuse)
+    assert main(["extract", str(tmp_path / "corpus"), "-o", str(tmp_path / "lex.tsv")]) == 0
+    assert main(["casestudy", "--config", str(config_path)]) == 0
 
 
 def test_extract_unreadable_path_is_usage_error(tmp_path, capsys):

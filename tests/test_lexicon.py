@@ -290,6 +290,47 @@ def test_frame_frequencies_against_brute_force(sample_lexicon):
     assert ranked[0] == ("active_SBJ[nominative]", 21)
 
 
+def _counter_aggregates(entries, top_k):
+    """stats_basic, stats_by_author and frame_frequencies by plain counting."""
+    frames = Counter(e.frame for e in entries)
+    ranked = sorted(frames.items(), key=lambda item: (-item[1], item[0]))
+    return (
+        {
+            "entries": len(entries),
+            "unique_verb_lemmas": len({e.verb for e in entries}),
+            "unique_frames": len(frames),
+            "unique_frame_fillers": len({e.frame_fillers for e in entries}),
+        },
+        sorted(Counter(e.author for e in entries).items()) + [("TOTAL", len(entries))],
+        ranked if top_k is None else ranked[:top_k],
+    )
+
+
+@pytest.mark.parametrize("size", [0, 1, 9, 80, 700])
+def test_aggregates_match_counters(size):
+    for seed in range(4):
+        lexicon = _random_lexicon(size, seed) if size else Lexicon([])
+        distinct = len({e.frame for e in lexicon.entries})
+        for top_k in (None, 0, 1, distinct + 5):
+            got = (
+                stats_basic(lexicon),
+                stats_by_author(lexicon),
+                frame_frequencies(lexicon, top_k),
+            )
+            assert got == _counter_aggregates(lexicon.entries, top_k), (seed, top_k)
+            counts = list(got[0].values()) + [n for _, n in got[1] + got[2]]
+            assert all(type(n) is int for n in counts)
+
+
+def test_reading_a_lexicon_builds_no_query_columns():
+    lexicon = read_lexicon(GOLDEN_LEXICON)
+    assert "_columns" not in lexicon.__dict__
+    constructions_for_verb(lexicon, "φέρω")
+    assert "_columns" not in lexicon.__dict__
+    query_entries(lexicon, verb="φέρω")
+    assert "_columns" in lexicon.__dict__
+
+
 def test_query_no_filters_returns_everything(sample_lexicon):
     assert query_entries(sample_lexicon) == sample_lexicon.entries
 
@@ -521,6 +562,41 @@ def test_query_raises_for_the_first_malformed_frame_it_must_parse():
     assert query_entries(lexicon, verb="φέρω", realization="accusative") == [first, third]
     assert query_entries(lexicon, verb="φέρω", author="Homer", mediator="εἰς") == [third]
     assert query_entries(lexicon, author="Hesiod", voice="middle", realization="dative") == []
+
+
+def test_a_malformed_frame_raises_the_same_message_on_every_query():
+    # the first malformed entry's frame sorts after the second's
+    lexicon = Lexicon(
+        [_entry("ἄγω", "Hesiod", "active_SBJ)"), _entry("ἄγω", "Homer", "active_OBJ[")]
+    )
+    raised = []
+    for _ in range(2):
+        with pytest.raises(LexiconFormatError) as info:
+            query_entries(lexicon, realization="accusative")
+        raised.append(info.value)
+    assert str(raised[0]) == str(raised[1]) == "malformed frame element: 'SBJ)' in 'active_SBJ)'"
+    assert raised[0] is not raised[1]
+    with pytest.raises(LexiconFormatError, match=r"'active_OBJ\['"):
+        query_entries(lexicon, author="Homer", realization="accusative")
+
+
+def test_each_frame_is_parsed_once_over_many_queries(monkeypatch):
+    lexicon = _random_lexicon(300, seed=3)
+    parsed = []
+
+    def counting(frame):
+        parsed.append(frame)
+        return parse_frame(frame)
+
+    monkeypatch.setattr(lexicon_module, "parse_frame", counting)
+    query_entries(lexicon, frame_contains="dative")
+    assert parsed == []
+    query_entries(lexicon, frame_contains="dative", mediator="ἐν")
+    dative = sorted({e.frame for e in lexicon.entries if "dative" in e.frame})
+    assert sorted(parsed) == dative
+    for realization in ("dative", "accusative", "genitive"):
+        query_entries(lexicon, realization=realization)
+    assert sorted(parsed) == sorted({e.frame for e in lexicon.entries})
 
 
 def test_frame_contains_alone_never_parses(monkeypatch):

@@ -94,3 +94,38 @@ def test_bad_length(bad):
 def test_encode_rejects_unknown_value():
     with pytest.raises(ValueError):
         encode_postag(PosTag(pos="gerund"))
+
+
+def test_fuzzed_tags_decode_or_raise_postag_error():
+    letters = sorted({letter for _, table in FIELDS for letter in table}) * 2 + list("xzQ9 \t-é")
+    rng = random.Random(6160)
+    decoded = 0
+    for _ in range(5000):
+        tag = "".join(rng.choice(letters) for _ in range(rng.randint(0, 11)))
+        try:
+            parsed = decode_postag(tag)
+        except PostagError as exc:
+            if 1 <= len(tag) <= 9:
+                assert tag.ljust(9, "-")[exc.position - 1] == exc.char, tag
+            continue
+        decoded += 1
+        assert encode_postag(parsed) == tag.ljust(9, "-")
+    assert decoded > 100
+
+
+def test_fuzzed_values_encode_or_raise_value_error():
+    pools = [list(table.values()) for _, table in FIELDS]
+    junk = ["", "gerund", "Noun", "nominative ", None, 3, "-", "v"]
+    rng = random.Random(6161)
+    encoded = 0
+    for _ in range(3000):
+        values = [rng.choice(pool) if rng.random() < 0.9 else rng.choice(junk) for pool in pools]
+        try:
+            tag = encode_postag(PosTag(*values))
+        except ValueError:
+            assert any(value not in pool for value, pool in zip(values, pools))
+            continue
+        encoded += 1
+        assert len(tag) == 9
+        assert decode_postag(tag) == PosTag(*values)
+    assert 500 < encoded < 2500

@@ -375,17 +375,3 @@ def test_insufficient_vocabulary_is_an_error(toy_space):
     with pytest.raises(InsufficientDataError):
         centroid_similarities(["ναῦς", "ἄγνωστος"], toy_space, "ἄγω", "baseline")
 
-
-def test_export_distributions(toy_space, tmp_path):
-    from grcvalency.semantics import export_distributions
-
-    dist = centroid_similarities(["ναῦς", "θάλασσα"], toy_space, "ἄγω", "baseline")
-    path = tmp_path / "dist.tsv"
-    byte_count = export_distributions([dist], path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert byte_count == path.stat().st_size
-    assert lines[0] == "verb\tgroup\tlemma\tsimilarity\tdistance"
-    assert len(lines) == 3
-    verb, group, lemma, similarity, distance = lines[1].split("\t")
-    assert (verb, group, lemma) == ("ἄγω", "baseline", "ναῦς")
-    assert float(similarity) + float(distance) == pytest.approx(1.0, abs=1e-12)

@@ -194,6 +194,15 @@ def test_normalize_lemma_propagates_transcode_errors():
         normalize_lemma("abc?1")
 
 
+@pytest.mark.parametrize("char", list(",()[]{}\t\n"))
+def test_normalize_lemma_rejects_what_the_frame_format_reserves(char):
+    before = normalize_lemma.cache_info().currsize
+    for _ in range(2):  # errors are not cached, so each bad word raises
+        with pytest.raises(ValueError, match="reserved character"):
+            normalize_lemma(f"εἰς{char}ἐς1")
+    assert normalize_lemma.cache_info().currsize == before
+
+
 def _tree(nodes):
     return SentenceTree(1, "", "", "", nodes)
 
