@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 usage or I/O failure, 2 partial data failure
 """
 
 import argparse
+import functools
+import gc
 import sys
 from operator import attrgetter
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 from . import __version__
 from .betacode import BetaCodeError, beta_to_unicode
 from .casestudy import load_config, run_case_study, write_case_study_outputs
-from .frames import extract_entries
+from .frames import ENTRY_ORDER, extract_entries
 from .lexicon import (
     COLUMNS,
     FORMAT_VERSION,
@@ -134,15 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_corpus(directory: Path, manifest_path):
-    """Parse and validate every ``*.xml`` file in ``directory``: the valid trees,
+def _load_corpus(directory: Path, manifest_path, report_rows, parsed_paths):
+    """Parse and validate the ``*.xml`` files in ``directory`` one at a time, in
+    name order, and yield the valid trees of each file that parsed.  Appends
     report rows ``(file, sentence_id, kind, detail)`` for unusable files, skipped
-    words and excluded sentences, and the paths that parsed.  Bad data is excluded
-    and reported, never repaired; only an unreadable metadata manifest raises."""
+    words and excluded sentences to ``report_rows``, and the paths that parsed to
+    ``parsed_paths``.  Bad data is excluded and reported, never repaired; only an
+    unreadable metadata manifest raises."""
     meta = load_manifest(manifest_path) if manifest_path else {}
-    trees = []
-    report_rows = []
-    parsed_paths = []
     for path in sorted(directory.glob("*.xml")):
         try:
             data = path.read_bytes()
@@ -155,6 +156,7 @@ def _load_corpus(directory: Path, manifest_path):
             report_rows.append(
                 (path.name, str(issue.sentence_id or ""), "word_skipped", issue.message)
             )
+        trees = []
         for tree in file_trees:
             validation = validate_sentence(tree)
             if validation.ok:
@@ -162,7 +164,30 @@ def _load_corpus(directory: Path, manifest_path):
             else:
                 detail = "; ".join(validation.messages())
                 report_rows.append((path.name, str(tree.sentence_id), "sentence_excluded", detail))
-    return trees, report_rows, parsed_paths
+        yield trees
+
+
+def _gc_paused(command):
+    """Run ``command`` with the cyclic garbage collector off, then restore the
+    caller's setting.  A batch run builds millions of objects and keeps most of
+    them until it ends, so each collection would rescan all it has kept and
+    find next to nothing to free.  Library functions leave the collector alone."""
+
+    @functools.wraps(command)
+    def run(args):
+        enabled = gc.isenabled()
+        if enabled:
+            # free the young garbage made so far (argument parsing leaves
+            # some), which the pause would keep until the command returns
+            gc.collect(1)
+        gc.disable()
+        try:
+            return command(args)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return run
 
 
 def _write_report(path: Path, rows) -> None:
@@ -174,16 +199,20 @@ def _failed_files(report_rows) -> int:
     return sum(row[2] == "file_error" for row in report_rows)
 
 
+@_gc_paused
 def cmd_extract(args) -> int:
     directory = Path(args.treebank_dir)
     if not directory.is_dir():
         return _fail(f"not a directory: {directory}")
+    report_rows, parsed_paths, entries = [], [], []
     try:
-        trees, report_rows, parsed_paths = _load_corpus(directory, args.manifest)
+        for trees in _load_corpus(directory, args.manifest, report_rows, parsed_paths):
+            entries += extract_entries(trees, include_participles=args.include_participles)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-
-    entries = extract_entries(trees, include_participles=args.include_participles)
+    # each file's entries are sorted; one stable sort of them, joined in file
+    # order, gives the order of one extract_entries call over the whole corpus
+    entries.sort(key=ENTRY_ORDER)
     output = Path(args.output)
     report_path = output.with_name(output.name + ".report.tsv")
     try:
@@ -304,6 +333,7 @@ def cmd_constructions(args) -> int:
     return EXIT_OK if records else EXIT_EMPTY
 
 
+@_gc_paused
 def cmd_casestudy(args) -> int:
     overrides = {
         "treebank_dir": args.treebank_dir,
@@ -325,8 +355,11 @@ def cmd_casestudy(args) -> int:
     directory = Path(config.treebank_dir)
     if not directory.is_dir():
         return _fail(f"not a directory: {directory}")
+    epic_works = {tuple(work) for work in config.epic_works}
+    report_rows, parsed_paths, corpus = [], [], []
     try:
-        corpus, report_rows, parsed_paths = _load_corpus(directory, config.manifest_path)
+        for trees in _load_corpus(directory, config.manifest_path, report_rows, parsed_paths):
+            corpus += [tree for tree in trees if (tree.author, tree.title) in epic_works]
         lexicon = read_lexicon(config.lexicon_path)
         space = load_vector_space(config.vector_space_path)
         result = run_case_study(config, corpus, lexicon, space)

@@ -13,6 +13,7 @@ Frame strings are written by :meth:`Frame.render` and read back by
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .postag import UNSPECIFIED
 from .treebank import SentenceTree, WordNode
@@ -153,6 +154,10 @@ class LexiconEntry:
     frame_fillers: str
 
 
+# the lexicon's row order; a stable sort by it keeps extraction order on ties
+ENTRY_ORDER = attrgetter("author", "title", "verb", "sentence_id", "root_id")
+
+
 def split_relation(relation: str) -> tuple[str, bool, bool]:
     """Split a relation label into (base, coord, apos), case-insensitively."""
     parts = relation.upper().split("_")
@@ -263,5 +268,5 @@ def extract_entries(
                     frame_fillers=frame_fillers,
                 )
             )
-    entries.sort(key=lambda e: (e.author, e.title, e.verb, e.sentence_id, e.root_id))
+    entries.sort(key=ENTRY_ORDER)
     return entries

@@ -6,23 +6,27 @@ repaired.  Sentences that fail validation are likewise excluded from
 extraction by the caller; the lexicon must mirror the annotation verbatim.
 """
 
+import io
 import re
 import unicodedata
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 
 from .betacode import BetaCodeError, beta_to_unicode
 from .postag import PosTag, PostagError, decode_postag
 
 _REQUIRED_ATTRIBUTES = ("id", "form", "lemma", "postag", "head", "relation")
+_required_values = itemgetter(*_REQUIRED_ATTRIBUTES)
 
 _TRAILING_DIGITS = re.compile(r"\d+$")
 _ASCII_LETTERS = re.compile(r"[A-Za-z*]")
 # the frame codec's delimiters and the TSV's separators: a lemma holding
 # one would render into a frame or a row that cannot be read back
 _RESERVED = re.compile(r"[,()\[\]{}\t\n]")
+_LINE_BREAK = re.compile(rb"\r\n?|\n")
 
 
 class TreebankParseError(ValueError):
@@ -33,7 +37,7 @@ class TreebankParseError(ValueError):
         self.byte_offset = byte_offset
 
 
-@dataclass
+@dataclass(slots=True)
 class WordNode:
     token_id: int
     form: str
@@ -123,8 +127,12 @@ def normalize_lemma(raw: str) -> str:
 
 
 def _byte_offset(data: bytes, line: int, column: int) -> int:
-    lines = data.split(b"\n")
-    return sum(len(l) + 1 for l in lines[: line - 1]) + column
+    # expat counts \r\n, \r and \n as one line break each, and the column
+    # in characters: the offset is exact up to multi-byte characters
+    line_start = 0
+    for _ in range(line - 1):
+        line_start = _LINE_BREAK.search(data, line_start).end()
+    return line_start + column
 
 
 def _document_meta(root, fallback_meta):
@@ -144,55 +152,76 @@ def parse_treebank_file(
     for skipped words.  Unknown attributes (``cid`` and friends) are
     ignored.  Structural validation is deferred to
     :func:`validate_sentence`.
+
+    The XML is read as a stream: each outermost ``sentence`` element is
+    dropped once its words are read, so a file's element tree is never
+    held whole.  The trees are built when the document has ended, so a
+    malformed file gives none.
     """
+    sentences = []  # (sentence_id, subdoc, nodes) until the document's metadata is known
+    issues = []
+    root = None
+    open_sentences = 0
     try:
-        root = ET.fromstring(data)
+        for event, element in ET.iterparse(io.BytesIO(data), ("start", "end")):
+            if root is None:
+                root = element
+            if element.tag != "sentence":
+                continue
+            if event == "start":
+                open_sentences += 1
+                continue
+            open_sentences -= 1
+            if open_sentences:
+                continue  # a nested sentence is read with its outermost one, in document order
+            for sentence in element.iter("sentence"):
+                _read_sentence(sentence, sentences, issues)
+            if element is not root:
+                element.clear()
     except ET.ParseError as exc:
         line, column = exc.position
         raise TreebankParseError(f"malformed XML: {exc.msg}", _byte_offset(data, line, column))
 
     author, title = _document_meta(root, fallback_meta)
-    trees = []
-    issues = []
-    for sentence in root.iter("sentence"):
-        raw_id = sentence.get("id")
-        try:
-            sentence_id = int(raw_id)
-        except (TypeError, ValueError):
-            issues.append(WordIssue(None, 0, f"sentence with unusable id {raw_id!r} skipped"))
-            continue
-        subdoc = sentence.get("subdoc", "")
-        nodes = []
-        for word_index, word in enumerate(sentence.iter("word"), start=1):
-            try:
-                nodes.append(_parse_word(word))
-            except (BetaCodeError, PostagError, ValueError) as exc:
-                issues.append(WordIssue(sentence_id, word_index, str(exc)))
-        trees.append(SentenceTree(sentence_id, subdoc, author, title, nodes))
+    trees = [
+        SentenceTree(sentence_id, subdoc, author, title, nodes)
+        for sentence_id, subdoc, nodes in sentences
+    ]
     return trees, issues
 
 
+def _read_sentence(sentence, sentences, issues) -> None:
+    raw_id = sentence.get("id")
+    try:
+        sentence_id = int(raw_id)
+    except (TypeError, ValueError):
+        issues.append(WordIssue(None, 0, f"sentence with unusable id {raw_id!r} skipped"))
+        return
+    nodes = []
+    for word_index, word in enumerate(sentence.iter("word"), start=1):
+        try:
+            nodes.append(_parse_word(word))
+        except (BetaCodeError, PostagError, ValueError) as exc:
+            issues.append(WordIssue(sentence_id, word_index, str(exc)))
+    sentences.append((sentence_id, sentence.get("subdoc", ""), nodes))
+
+
 def _parse_word(word) -> WordNode:
-    values = {}
-    for name in _REQUIRED_ATTRIBUTES:
-        attr = word.get(name)
-        if attr is None:
-            raise ValueError(f"missing attribute {name!r}")
-        values[name] = attr
-    token_id = int(values["id"])
-    head_id = int(values["head"])
+    attrib = word.attrib
+    try:
+        raw_id, form, raw_lemma, postag, raw_head, relation = _required_values(attrib)
+    except KeyError:
+        missing = next(name for name in _REQUIRED_ATTRIBUTES if name not in attrib)
+        raise ValueError(f"missing attribute {missing!r}") from None
+    token_id = int(raw_id)
+    head_id = int(raw_head)
     if token_id <= 0:
         raise ValueError(f"token id must be positive, got {token_id}")
     if head_id < 0:
         raise ValueError(f"head must be non-negative, got {head_id}")
     return WordNode(
-        token_id=token_id,
-        form=values["form"],
-        raw_lemma=values["lemma"],
-        lemma=normalize_lemma(values["lemma"]),
-        postag=decode_postag(values["postag"]),
-        head_id=head_id,
-        relation=values["relation"],
+        token_id, form, raw_lemma, normalize_lemma(raw_lemma), decode_postag(postag),
+        head_id, relation,
     )
 
 

@@ -1,11 +1,13 @@
+import gc
 import json
 import shutil
 import stat
 
 import pytest
 
+import grcvalency.cli as cli
 import grcvalency.lexicon as lexicon_module
-from grcvalency import __version__
+from grcvalency import Lexicon, __version__, extract_entries, parse_treebank_file, read_lexicon
 from grcvalency.cli import main
 from grcvalency.lexicon import write_lexicon
 
@@ -462,3 +464,109 @@ def test_casestudy_output_dir_under_a_file_is_an_error(tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert blocker.read_bytes() == b""
+
+
+def _sentence(sentence_id, subdoc, verb, obj):
+    return (
+        f'<sentence id="{sentence_id}" subdoc="{subdoc}">'
+        f'<word id="1" form="v" lemma="{verb}" postag="v3spia---" head="0" relation="PRED"/>'
+        f'<word id="2" form="o" lemma="{obj}" postag="n-s---ma-" head="1" relation="OBJ"/>'
+        "</sentence>"
+    )
+
+
+def test_extract_streams_files_and_keeps_the_order_of_one_pass(tmp_path):
+    # two files of one work: their λέγω entries tie on (author, title, verb,
+    # sentence_id, root_id), and the second file's βάλλω sorts before them
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    files = {
+        "a.xml": _sentence(1, "a.1", "λέγω", "λόγος") + _sentence(2, "a.2", "φέρω", "ναῦς"),
+        "b.xml": _sentence(1, "b.1", "λέγω", "μῦθος") + _sentence(3, "b.3", "βάλλω", "λίθος"),
+    }
+    for name, sentences in files.items():
+        (corpus / name).write_text(
+            f'<treebank author="Homer" title="Iliad">{sentences}</treebank>', encoding="utf-8"
+        )
+    out = tmp_path / "lex.tsv"
+    assert main(["extract", str(corpus), "-o", str(out)]) == 0
+
+    trees = []
+    for name in sorted(files):
+        trees += parse_treebank_file((corpus / name).read_bytes())[0]
+    one_pass = tmp_path / "one_pass.tsv"
+    write_lexicon(Lexicon(extract_entries(trees)), one_pass)
+    assert out.read_bytes() == one_pass.read_bytes()
+    assert [entry.subdoc for entry in read_lexicon(out).entries] == ["b.3", "a.1", "b.1", "a.2"]
+
+
+def test_casestudy_keeps_only_the_trees_of_its_epic_works(tmp_path, monkeypatch):
+    config_path = _write_case_files(tmp_path)
+    seen = []
+    real = cli.run_case_study
+
+    def spy(config, corpus, lexicon, space):
+        seen.extend(corpus)
+        return real(config, corpus, lexicon, space)
+
+    monkeypatch.setattr(cli, "run_case_study", spy)
+    assert main(["casestudy", "--config", str(config_path)]) == 0
+    expected = [
+        tree for tree in synthetic_case.build_corpus()[0]
+        if (tree.author, tree.title) == synthetic_case.EPIC_WORK
+    ]
+    assert [tree.sentence_id for tree in seen] == [tree.sentence_id for tree in expected]
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("stage failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_batch_commands_pause_the_gc_and_restore_the_callers_setting(
+    tmp_path, monkeypatch, enabled
+):
+    config_path = _write_case_files(tmp_path)
+    corpus = str(tmp_path / "corpus")
+    during = []
+    for name in ("extract_entries", "run_case_study"):
+        real = getattr(cli, name)
+
+        def spy(*args, real=real, **kwargs):
+            during.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    collections = []
+    collect = gc.collect
+    monkeypatch.setattr(gc, "collect", lambda *args: collections.append(args) or collect(*args))
+    runs = [
+        (["extract", corpus, "-o", str(tmp_path / "lex.tsv")], 0),
+        (["casestudy", "--config", str(config_path)], 0),
+        (["extract", str(tmp_path / "missing"), "-o", str(tmp_path / "x.tsv")], 1),
+        (["casestudy", "--config", str(tmp_path / "missing.conf")], 1),
+    ]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in runs:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        for name, argv in (("extract_entries", runs[0][0]), ("run_case_study", runs[1][0])):
+            monkeypatch.setattr(cli, name, _raise)
+            with pytest.raises(RuntimeError, match="stage failed"):
+                main(argv)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(during) > 1 and not any(during)
+    assert bool(collections) is enabled  # a caller that turned the collector off gets no collection
+
+
+def test_library_calls_leave_the_gc_alone(tmp_path, monkeypatch):
+    for name in ("enable", "disable", "freeze", "unfreeze", "collect"):
+        monkeypatch.setattr(gc, name, _raise)
+    trees, _ = parse_treebank_file((CORPUS_DIR / "iliad.xml").read_bytes())
+    lexicon = tmp_path / "lex.tsv"
+    write_lexicon(Lexicon(extract_entries(trees)), lexicon)
+    assert read_lexicon(lexicon).entries

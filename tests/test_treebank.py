@@ -1,3 +1,6 @@
+import random
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from grcvalency.betacode import BetaCodeError
@@ -140,6 +143,105 @@ def test_malformed_xml_raises_with_offset():
     with pytest.raises(TreebankParseError) as info:
         parse_treebank_file(b"<treebank><sentence id='1'></treebank>")
     assert info.value.byte_offset >= 0
+
+
+def test_byte_offset_counts_every_line_break_the_xml_parser_counts():
+    # expat ends a line at \r\n, \r or \n; the error sits just after the '&'
+    for newline in (b"\n", b"\r\n", b"\r"):
+        data = newline.join([b"<treebank>", b"<sentence id='1'>", b"</sentence>", b"& </treebank>"])
+        with pytest.raises(TreebankParseError) as info:
+            parse_treebank_file(data)
+        assert info.value.byte_offset == data.index(b"&") + 1
+
+
+def test_fuzzed_xml_parses_or_raises_with_an_offset_inside_the_data():
+    # truncated, overwritten and spliced bytes: a file either parses whole or
+    # raises, and the trees of a malformed file are never returned
+    rng = random.Random(20261018)
+    originals = [path.read_bytes() for path in sorted(CORPUS_DIR.glob("*.xml"))]
+    splices = [b"\r", b"\r\n", b"\n", b"<", b"&", b"\xff", b"\x00", b"]]>", b"<sentence>", b"</word>"]
+    outcomes = set()
+    for case in range(600):
+        data = bytearray(rng.choice(originals))
+        if case % 3 == 0:
+            del data[rng.randrange(len(data) + 1):]
+        elif case % 3 == 1:
+            for _ in range(rng.randint(1, 3)):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+        else:
+            at = rng.randrange(len(data) + 1)
+            data[at:at] = rng.choice(splices)
+        data = bytes(data)
+        try:
+            ET.fromstring(data)
+            well_formed = True
+        except ET.ParseError:
+            well_formed = False
+        try:
+            parse_treebank_file(data)
+        except TreebankParseError as exc:
+            assert not well_formed
+            assert 0 <= exc.byte_offset <= len(data)
+        else:
+            assert well_formed
+        outcomes.add(well_formed)
+    assert outcomes == {True, False}
+
+
+def test_nested_sentences_are_read_in_document_order():
+    # the parser drops each outermost sentence once it is read; a nested one
+    # keeps its place, and metadata after the sentences still applies
+    word = '<word id="{}" form="f" lemma="{}" postag="n-s---na-" head="{}" relation="OBJ"/>'
+    data = (
+        '<treebank><sentence id="1">' + word.format(1, "α", 0)
+        + '<sentence id="2">' + word.format(1, "β", 0) + "</sentence>"
+        + word.format(2, "γ", 1) + "</sentence>"
+        + '<sentence id="3"><phrase>' + word.format(1, "δ", 0) + "</phrase></sentence>"
+        + "<title>Ajax</title></treebank>"
+    ).encode("utf-8")
+    trees, issues = parse_treebank_file(data, fallback_meta=("Sophocles", "Nothing"))
+    assert not issues
+    assert [(t.sentence_id, t.author, t.title, [n.lemma for n in t.nodes]) for t in trees] == [
+        (1, "Sophocles", "Ajax", ["α", "β", "γ"]),
+        (2, "Sophocles", "Ajax", ["β"]),
+        (3, "Sophocles", "Ajax", ["δ"]),
+    ]
+
+
+_WORD = {
+    "id": "2", "form": "λόγον", "lemma": "lo/gos1", "postag": "n-s---ma-", "head": "1",
+    "relation": "OBJ",
+}
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        *[({name: None}, f"missing attribute {name!r}") for name in _WORD],
+        # the first missing name in the order id, form, lemma, postag, head, relation
+        ({"postag": None, "id": None}, "missing attribute 'id'"),
+        ({"relation": None, "lemma": None}, "missing attribute 'lemma'"),
+        ({"head": None, "form": None}, "missing attribute 'form'"),
+        ({"relation": None, "id": "x"}, "missing attribute 'relation'"),
+        ({"id": "x"}, "invalid literal for int() with base 10: 'x'"),
+        ({"id": "1.5"}, "invalid literal for int() with base 10: '1.5'"),
+        ({"id": ""}, "invalid literal for int() with base 10: ''"),
+        ({"head": " 1.5"}, "invalid literal for int() with base 10: ' 1.5'"),
+        ({"id": "x", "head": "y"}, "invalid literal for int() with base 10: 'x'"),
+        ({"id": "0", "head": "x"}, "invalid literal for int() with base 10: 'x'"),
+        ({"id": "0"}, "token id must be positive, got 0"),
+        ({"id": "-2"}, "token id must be positive, got -2"),
+        ({"head": "-1"}, "head must be non-negative, got -1"),
+        ({"id": "0", "head": "-1"}, "token id must be positive, got 0"),
+    ],
+)
+def test_word_errors_keep_their_messages(change, message):
+    attributes = {**_WORD, **change}
+    word = " ".join(f'{k}="{v}"' for k, v in attributes.items() if v is not None)
+    data = f"<treebank><sentence id='1'><word {word}/></sentence></treebank>".encode("utf-8")
+    trees, issues = parse_treebank_file(data)
+    assert trees[0].nodes == []
+    assert issues == [WordIssue(1, 1, message)]
 
 
 def test_unusable_sentence_id_is_reported_and_skipped():
