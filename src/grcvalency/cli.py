@@ -18,7 +18,6 @@ from .frames import ENTRY_ORDER, extract_entries
 from .lexicon import (
     COLUMNS,
     FORMAT_VERSION,
-    Lexicon,
     LexiconFormatError,
     constructions_for_verb,
     diff_constructions,
@@ -216,7 +215,7 @@ def cmd_extract(args) -> int:
     output = Path(args.output)
     report_path = output.with_name(output.name + ".report.tsv")
     try:
-        write_lexicon(Lexicon(entries), output, figure1_layout=args.figure1_layout)
+        write_lexicon(entries, output, figure1_layout=args.figure1_layout)
         _write_report(report_path, report_rows)
         manifest = build_manifest(
             command="extract",
@@ -281,21 +280,16 @@ def cmd_query(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     if lexicon is None:
         return EXIT_USAGE
-    try:
-        entries = query_entries(
-            lexicon,
-            verb=args.verb,
-            author=args.author,
-            title=args.title,
-            voice=args.voice,
-            frame_contains=args.frame_contains,
-            realization=args.realization,
-            mediator=args.mediator,
-        )
-    except LexiconFormatError as exc:
-        # realization/mediator filters parse frame strings and can trip
-        # over hand-edited files
-        return _fail(str(exc))
+    entries = query_entries(
+        lexicon,
+        verb=args.verb,
+        author=args.author,
+        title=args.title,
+        voice=args.voice,
+        frame_contains=args.frame_contains,
+        realization=args.realization,
+        mediator=args.mediator,
+    )
     _print_entries(entries)
     return EXIT_OK if entries else EXIT_EMPTY
 

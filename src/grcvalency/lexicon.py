@@ -45,7 +45,7 @@ class ConstructionRecord:
 
 
 class Lexicon:
-    """Entries, a by-verb index in entry order, and the rows a lenient read skipped.
+    """Entries and a by-verb index of them in entry order.
 
     Queries and aggregates read a columnar view of the entries that is built
     on the first of them; like ``by_verb``, it is not rebuilt, so ``entries``
@@ -54,7 +54,6 @@ class Lexicon:
 
     def __init__(self, entries):
         self.entries = list(entries)
-        self.row_errors = []
         self.by_verb = defaultdict(list)
         for entry in self.entries:
             self.by_verb[entry.verb].append(entry)
@@ -95,25 +94,20 @@ class _Columns:
             ([0], np.cumsum(np.bincount(self.codes["verb"], minlength=len(self.index["verb"]))))
         )
         self.unique_frame_fillers = len({e.frame_fillers for e in entries})
-        # per frame code: None until a query judges it, then its
-        # (realizations, mediators) or its LexiconFormatError
+        # per frame code: None until a query judges it, then (realizations, mediators)
         self.judged = [None] * len(self.frames)
 
     def verb_rows(self, code: int) -> np.ndarray:
         return self.verb_order[self.verb_starts[code] : self.verb_starts[code + 1]]
 
     def judge(self, code: int):
-        """A frame's (realizations, mediators) or its LexiconFormatError, parsed once."""
+        """A frame's (realizations, mediators), parsed once."""
         if self.judged[code] is None:
-            try:
-                _, elements = parse_frame(self.frames[code])
-            except LexiconFormatError as exc:
-                self.judged[code] = exc
-            else:
-                self.judged[code] = (
-                    {el.realization for el in elements},
-                    {el.mediator for el in elements},
-                )
+            _, elements = parse_frame(self.frames[code])
+            self.judged[code] = (
+                {el.realization for el in elements},
+                {el.mediator for el in elements},
+            )
         return self.judged[code]
 
 
@@ -165,11 +159,14 @@ def write_lexicon(lexicon, destination, figure1_layout: bool = False) -> int:
     return write_atomic(destination, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def read_lexicon(source, lenient: bool = False) -> Lexicon:
+def read_lexicon(source) -> Lexicon:
     """Read a nine-column lexicon TSV.
 
-    Any malformed row rejects the whole file unless ``lenient`` is set,
-    in which case bad rows are skipped and kept on ``Lexicon.row_errors``.
+    A malformed row rejects the whole file, and the error names each faulty
+    line in line order: a wrong column count, non-integer ids, or a ``frame``
+    that :func:`parse_frame` cannot read, parsed once and named at the first
+    line that holds it.  ``frame_fillers`` is parsed only where ``casestudy``
+    reads it.
     """
     text = Path(source).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -180,6 +177,7 @@ def read_lexicon(source, lenient: bool = False) -> Lexicon:
         raise LexiconFormatError(f"unexpected header {header!r}")
     entries = []
     row_errors = []
+    first_lines = {}  # frame -> the first line that holds it
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -206,11 +204,15 @@ def read_lexicon(source, lenient: bool = False) -> Lexicon:
                 frame_fillers=fields[8],
             )
         )
-    if row_errors and not lenient:
-        raise LexiconFormatError("lexicon file rejected", row_errors)
-    lexicon = Lexicon(entries)
-    lexicon.row_errors = row_errors
-    return lexicon
+        first_lines.setdefault(fields[7], lineno)
+    for frame, lineno in first_lines.items():
+        try:
+            parse_frame(frame)
+        except LexiconFormatError as exc:
+            row_errors.append((lineno, str(exc)))
+    if row_errors:
+        raise LexiconFormatError("lexicon file rejected", sorted(row_errors))
+    return Lexicon(entries)
 
 
 def stats_basic(lexicon) -> dict:
@@ -261,8 +263,7 @@ def query_entries(
 
     Rows start from all entries or the verb's and are narrowed by author,
     title and voice on their codes; the frame filters then judge each
-    distinct candidate frame once, substring test first.  A malformed
-    candidate frame raises the error of the first entry that has one.
+    distinct candidate frame once, substring test first.
     """
     columns = lexicon._columns
     rows = None  # every row
@@ -287,10 +288,6 @@ def query_entries(
             candidates = [code for code in candidates if frame_contains in columns.frames[code]]
         if realization is not None or mediator is not None:
             judged = [columns.judge(code) for code in candidates]
-            malformed = [c for c, j in zip(candidates, judged) if isinstance(j, LexiconFormatError)]
-            if malformed:
-                first = frame_codes[np.isin(frame_codes, malformed)][0]
-                raise LexiconFormatError(str(columns.judged[first]))  # a fresh one per query
             candidates = [
                 code
                 for code, (realizations, mediators) in zip(candidates, judged)

@@ -10,6 +10,7 @@ import io
 import re
 import unicodedata
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
@@ -30,7 +31,7 @@ _LINE_BREAK = re.compile(rb"\r\n?|\n")
 
 
 class TreebankParseError(ValueError):
-    """Malformed XML; carries the approximate byte offset of the fault."""
+    """Malformed XML; carries the byte offset of the fault, exact for UTF-8 data."""
 
     def __init__(self, message, byte_offset):
         super().__init__(f"{message} (byte offset {byte_offset})")
@@ -128,11 +129,14 @@ def normalize_lemma(raw: str) -> str:
 
 def _byte_offset(data: bytes, line: int, column: int) -> int:
     # expat counts \r\n, \r and \n as one line break each, and the column
-    # in characters: the offset is exact up to multi-byte characters
+    # in characters; a byte that is not UTF-8 counts as one character
     line_start = 0
     for _ in range(line - 1):
         line_start = _LINE_BREAK.search(data, line_start).end()
-    return line_start + column
+    line_end = _LINE_BREAK.search(data, line_start)
+    text = data[line_start : line_end.start() if line_end else len(data)]
+    head = text.decode("utf-8", "surrogateescape")[:column]
+    return line_start + len(head.encode("utf-8", "surrogateescape"))
 
 
 def _document_meta(root, fallback_meta):
@@ -227,44 +231,37 @@ def _parse_word(word) -> WordNode:
 
 def validate_sentence(tree: SentenceTree) -> ValidationReport:
     """Check token-id uniqueness, head resolution, and acyclicity."""
-    seen = set()
-    duplicates = set()
-    for node in tree.nodes:
-        if node.token_id in seen:
-            duplicates.add(node.token_id)
-        seen.add(node.token_id)
+    by_id = tree._by_id  # each token id once, so a shortfall means duplicates
+    duplicates = []
+    if len(by_id) < len(tree.nodes):
+        counts = Counter(node.token_id for node in tree.nodes)
+        duplicates = sorted(token_id for token_id, count in counts.items() if count > 1)
 
     dangling = sorted(
         {
             (node.token_id, node.head_id)
             for node in tree.nodes
-            if node.head_id != 0 and node.head_id not in seen
+            if node.head_id != 0 and node.head_id not in by_id
         }
     )
 
     # Walk head chains; dangling heads terminate a chain, repeats mean a cycle.
-    state = {}  # token_id -> "active" | "done" | "cyclic"
+    resolved = set()  # tokens whose chain has been walked to its end or its cycle
     cyclic = set()
     for node in tree.nodes:
         chain = []
         current = node.token_id
-        while True:
-            if current == 0 or current not in tree._by_id or state.get(current) in ("done", "cyclic"):
-                break
+        while current != 0 and current in by_id and current not in resolved:
             if current in chain:
-                loop = chain[chain.index(current):]
-                cyclic.update(loop)
-                for t in loop:
-                    state[t] = "cyclic"
+                cyclic.update(chain[chain.index(current):])
                 break
             chain.append(current)
-            current = tree._by_id[current].head_id
-        for t in chain:
-            state.setdefault(t, "done")
+            current = by_id[current].head_id
+        resolved.update(chain)
 
     return ValidationReport(
         sentence_id=tree.sentence_id,
-        duplicate_ids=sorted(duplicates),
+        duplicate_ids=duplicates,
         dangling_heads=dangling,
         cycle_token_ids=sorted(cyclic),
     )

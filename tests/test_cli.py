@@ -456,6 +456,53 @@ def test_casestudy_and_extract_report_the_same_rows(tmp_path):
     ]
 
 
+def _corrupt_lexicon(path, column, value, author="Athenaeus", verb="ἄγω"):
+    """Set ``column`` of the first row of ``author``'s ``verb``; returns its line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    index = lines[0].split("\t").index(column)
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if fields[0] == author and fields[3] == verb:
+            fields[index] = value
+            lines[lineno - 1] = "\t".join(fields)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return lineno
+    raise AssertionError(f"no {author} row for {verb}")
+
+
+def test_every_lexicon_command_rejects_a_file_with_a_bad_frame(tmp_path, capsys):
+    config_path = _write_case_files(tmp_path)
+    lexicon = tmp_path / "lexicon.tsv"
+    lineno = _corrupt_lexicon(lexicon, "frame", "active_OBJ[")
+    expected = (
+        f"error: lexicon file rejected: line {lineno}: "
+        "malformed frame element: 'OBJ[' in 'active_OBJ['\n"
+    )
+    for argv in (
+        ["stats", str(lexicon)],
+        ["query", str(lexicon)],
+        ["constructions", str(lexicon), "--verb", "ἔχω"],
+        ["casestudy", "--config", str(config_path)],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", expected), argv
+    assert not (tmp_path / "out").exists()
+
+
+def test_casestudy_rejects_a_bad_filler_frame_on_a_baseline_entry(tmp_path, capsys):
+    # frame_fillers is not judged at load; casestudy parses it where it reads it
+    config_path = _write_case_files(tmp_path)
+    lexicon = tmp_path / "lexicon.tsv"
+    _corrupt_lexicon(lexicon, "frame_fillers", "active_OBJ[accusative]{")
+    assert len(read_lexicon(lexicon)) > 0
+    assert main(["casestudy", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: malformed frame element: 'OBJ[accusative]{' in 'active_OBJ[accusative]{'\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_casestudy_output_dir_under_a_file_is_an_error(tmp_path, capsys):
     config_path = _write_case_files(tmp_path)
     blocker = tmp_path / "blocker"

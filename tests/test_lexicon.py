@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import errno
+import inspect
 import itertools
 import os
 import random
@@ -132,34 +133,42 @@ def test_figure1_layout_drops_root_id(tmp_path):
     ]
 
 
+def _write_rows(path, rows):
+    """A lexicon file of ``rows``: entries, or raw lines for rows that are not."""
+    lines = ["\t".join(COLUMNS)]
+    for row in rows:
+        if not isinstance(row, str):
+            row = "\t".join(str(getattr(row, column)) for column in COLUMNS)
+        lines.append(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def test_read_rejects_malformed_rows(tmp_path):
     path = tmp_path / "bad.tsv"
+    # a row whose ids are not integers is not also judged on its frame
     good = "\t".join(
         ["Homer", "Iliad", "1.1", "φέρω", "active", "7", "2", "active_OBJ))", "x"]
     )
-    path.write_text(
-        "\t".join(COLUMNS) + "\n" + "too\tfew\n" + good.replace("7", "seven", 1) + "\n",
-        encoding="utf-8",
-    )
+    _write_rows(path, ["too\tfew", good.replace("7", "seven", 1)])
     with pytest.raises(LexiconFormatError) as info:
         read_lexicon(path)
-    assert [lineno for lineno, _ in info.value.row_errors] == [2, 3]
-    lenient = read_lexicon(path, lenient=True)
-    assert lenient.entries == []
-    assert len(lenient.row_errors) == 2
+    assert info.value.row_errors == [
+        (2, "expected 9 columns, got 2"),
+        (3, "sentence_id and root_id must be integers"),
+    ]
+    assert list(inspect.signature(read_lexicon).parameters) == ["source"]
 
 
-def test_row_errors_exist_on_every_lexicon(tmp_path):
-    built = Lexicon([PUBLISHED_ENTRY])
-    assert Lexicon([]).row_errors == [] and built.row_errors == []
-    assert built.row_errors is not Lexicon([]).row_errors
+def test_a_good_file_reads_and_one_bad_row_rejects_it(tmp_path):
     path = tmp_path / "good.tsv"
-    write_lexicon(built, path)
-    assert read_lexicon(path).row_errors == []
+    write_lexicon(Lexicon([PUBLISHED_ENTRY]), path)
+    lexicon = read_lexicon(path)
+    assert lexicon.entries == [PUBLISHED_ENTRY]
+    assert not hasattr(lexicon, "row_errors")
     path.write_text(path.read_text(encoding="utf-8") + "too\tfew\n", encoding="utf-8")
-    lenient = read_lexicon(path, lenient=True)
-    assert lenient.entries == [PUBLISHED_ENTRY]
-    assert lenient.row_errors == [(3, "expected 9 columns, got 2")]
+    with pytest.raises(LexiconFormatError) as info:
+        read_lexicon(path)
+    assert info.value.row_errors == [(3, "expected 9 columns, got 2")]
 
 
 def test_write_rejects_fields_that_break_the_layout(tmp_path):
@@ -542,42 +551,57 @@ def _entry(verb, author, frame):
     )
 
 
-def test_query_raises_for_the_first_malformed_frame_it_must_parse():
-    lexicon = Lexicon(
+def test_read_names_each_malformed_frame_at_its_first_line(tmp_path):
+    path = tmp_path / "frames.tsv"
+    _write_rows(
+        path,
         [
             _entry("φέρω", "Homer", "active_OBJ[accusative]"),
             _entry("ἄγω", "Hesiod", "active_OBJ["),
+            "too\tfew",
             _entry("φέρω", "Homer", "active_(εἰς)OBJ[accusative]"),
             _entry("λύω", "Homer", "active_SBJ)"),
-        ]
+            _entry("ἄγω", "Homer", "active_OBJ["),
+            _entry("λύω", "Hesiod", "active_SBJ)"),
+        ],
     )
-    for filters in ({"realization": "accusative"}, {"mediator": "εἰς"}):
-        with pytest.raises(LexiconFormatError, match=r"'active_OBJ\['"):
-            query_entries(lexicon, **filters)
-    with pytest.raises(LexiconFormatError, match=r"'active_SBJ\)'"):
-        query_entries(lexicon, author="Homer", realization="dative")
-    with pytest.raises(LexiconFormatError, match=r"'active_SBJ\)'"):
-        query_entries(lexicon, frame_contains=")", mediator="εἰς")
-    first, _, third, _ = lexicon.entries
-    assert query_entries(lexicon, verb="φέρω", realization="accusative") == [first, third]
-    assert query_entries(lexicon, verb="φέρω", author="Homer", mediator="εἰς") == [third]
-    assert query_entries(lexicon, author="Hesiod", voice="middle", realization="dative") == []
+    with pytest.raises(LexiconFormatError) as info:
+        read_lexicon(path)
+    assert info.value.row_errors == [
+        (3, "malformed frame element: 'OBJ[' in 'active_OBJ['"),
+        (4, "expected 9 columns, got 2"),
+        (6, "malformed frame element: 'SBJ)' in 'active_SBJ)'"),
+    ]
+    assert str(info.value).startswith(
+        "lexicon file rejected: line 3: malformed frame element: 'OBJ[' in 'active_OBJ['; line 4"
+    )
 
 
-def test_a_malformed_frame_raises_the_same_message_on_every_query():
-    # the first malformed entry's frame sorts after the second's
-    lexicon = Lexicon(
-        [_entry("ἄγω", "Hesiod", "active_SBJ)"), _entry("ἄγω", "Homer", "active_OBJ[")]
+def test_a_malformed_frame_rejects_the_file_with_the_same_message_every_time(tmp_path):
+    # the first malformed entry's frame sorts after the second's; lines keep file order
+    path = tmp_path / "frames.tsv"
+    _write_rows(
+        path, [_entry("ἄγω", "Hesiod", "active_SBJ)"), _entry("ἄγω", "Homer", "active_OBJ[")]
     )
-    raised = []
+    messages = []
     for _ in range(2):
         with pytest.raises(LexiconFormatError) as info:
-            query_entries(lexicon, realization="accusative")
-        raised.append(info.value)
-    assert str(raised[0]) == str(raised[1]) == "malformed frame element: 'SBJ)' in 'active_SBJ)'"
-    assert raised[0] is not raised[1]
+            read_lexicon(path)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == (
+        "lexicon file rejected: line 2: malformed frame element: 'SBJ)' in 'active_SBJ)'; "
+        "line 3: malformed frame element: 'OBJ[' in 'active_OBJ['"
+    )
+
+
+def test_query_on_a_built_lexicon_raises_for_a_frame_it_cannot_parse():
+    # only a Lexicon built in memory can hold a frame that does not parse
+    lexicon = Lexicon(
+        [_entry("φέρω", "Homer", "active_OBJ[accusative]"), _entry("ἄγω", "Hesiod", "active_OBJ[")]
+    )
     with pytest.raises(LexiconFormatError, match=r"'active_OBJ\['"):
-        query_entries(lexicon, author="Homer", realization="accusative")
+        query_entries(lexicon, realization="accusative")
+    assert query_entries(lexicon, verb="φέρω", realization="accusative") == lexicon.entries[:1]
 
 
 def test_each_frame_is_parsed_once_over_many_queries(monkeypatch):

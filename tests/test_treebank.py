@@ -7,6 +7,7 @@ from grcvalency.betacode import BetaCodeError
 from grcvalency.treebank import (
     SentenceTree,
     TreebankParseError,
+    ValidationReport,
     WordIssue,
     WordNode,
     load_manifest,
@@ -152,6 +153,20 @@ def test_byte_offset_counts_every_line_break_the_xml_parser_counts():
         with pytest.raises(TreebankParseError) as info:
             parse_treebank_file(data)
         assert info.value.byte_offset == data.index(b"&") + 1
+
+
+def test_byte_offset_counts_the_bytes_of_multi_byte_characters():
+    # expat's column counts characters; each é before the fault is two bytes
+    with pytest.raises(TreebankParseError) as info:
+        parse_treebank_file(b"<a>\xc3\xa9\xc3\xa9<</a>")
+    assert info.value.byte_offset == 8
+
+
+def test_byte_offset_on_a_greek_line_after_a_crlf_break():
+    data = "<treebank>\r\n<word lemma='ἀνήρ'>ὁ ἀνὴρ & </word></treebank>".encode("utf-8")
+    with pytest.raises(TreebankParseError) as info:
+        parse_treebank_file(data)
+    assert info.value.byte_offset == data.index(b"&") + 1
 
 
 def test_fuzzed_xml_parses_or_raises_with_an_offset_inside_the_data():
@@ -348,6 +363,52 @@ def test_validate_two_node_cycle():
 def test_validate_duplicate_ids():
     report = validate_sentence(_tree([_word(1, 0, "PRED"), _word(1, 0, "PRED")]))
     assert report.duplicate_ids == [1]
+
+
+def _reference_validate(tree):
+    """The validator as it was before it read the tree's own id index."""
+    seen = set()
+    duplicates = set()
+    for node in tree.nodes:
+        if node.token_id in seen:
+            duplicates.add(node.token_id)
+        seen.add(node.token_id)
+    dangling = sorted(
+        {(n.token_id, n.head_id) for n in tree.nodes if n.head_id != 0 and n.head_id not in seen}
+    )
+    state = {}
+    cyclic = set()
+    for node in tree.nodes:
+        chain = []
+        current = node.token_id
+        while True:
+            if current == 0 or current not in tree._by_id or state.get(current) in ("done", "cyclic"):
+                break
+            if current in chain:
+                loop = chain[chain.index(current):]
+                cyclic.update(loop)
+                for t in loop:
+                    state[t] = "cyclic"
+                break
+            chain.append(current)
+            current = tree._by_id[current].head_id
+        for t in chain:
+            state.setdefault(t, "done")
+    return ValidationReport(tree.sentence_id, sorted(duplicates), dangling, sorted(cyclic))
+
+
+def test_validate_matches_the_reference_on_random_trees():
+    rng = random.Random(4242)
+    invalid = 0
+    for _ in range(3000):
+        size = rng.randint(1, 9)
+        nodes = [
+            _word(rng.randint(1, size + 1), rng.randint(0, size + 1)) for _ in range(size)
+        ]
+        report = validate_sentence(_tree(nodes))
+        assert report == _reference_validate(_tree(nodes))
+        invalid += not report.ok
+    assert 0 < invalid < 3000
 
 
 def test_parse_bookkeeping_under_random_attribute_loss():
