@@ -16,6 +16,7 @@ from .casestudy import (
     mark_formulaic,
     object_types,
     run_case_study,
+    select_case_study,
     select_verbs,
     write_case_study_outputs,
 )

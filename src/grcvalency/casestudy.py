@@ -69,7 +69,7 @@ class CaseStudyConfig:
     min_object_types: int = 10
     include_participles: bool = True
     ks_exact_limit: int = DEFAULT_EXACT_LIMIT
-    # CLI-level wiring; ignored by run_case_study itself.
+    # CLI-level wiring; ignored by select_case_study and run_case_study.
     treebank_dir: str = ""
     manifest_path: str = ""
     lexicon_path: str = ""
@@ -100,6 +100,36 @@ class LogEvent:
     verb: str = ""
     reason: str = ""
     detail: str = ""
+
+
+@dataclass
+class SelectedVerb:
+    verb: str
+    token_count: int  # formulaic pairs
+    epic_types: list[str]
+    baseline_types: list[str]
+    drop: LogEvent | None = None  # set when a type threshold drops the verb
+
+
+@dataclass
+class CaseStudySelection:
+    """The verbs that reach ``min_epic_tokens``, in report order, and the
+    log so far: the pair counts and the verbs below that threshold."""
+
+    verbs: list[SelectedVerb]
+    log: list[LogEvent]
+    pair_count: int
+    formulaic_count: int
+
+    def lemmas(self) -> set[str]:
+        """Every object lemma the comparison looks up: the types of the
+        verbs that pass both type thresholds."""
+        return {
+            lemma
+            for selected in self.verbs
+            if selected.drop is None
+            for lemma in (*selected.epic_types, *selected.baseline_types)
+        }
 
 
 @dataclass
@@ -208,8 +238,9 @@ def build_baseline(lexicon, verb: str, exclusions) -> list[str]:
     return sorted(fillers)
 
 
-def run_case_study(config: CaseStudyConfig, corpus, lexicon, space: VectorSpace) -> CaseStudyResult:
-    """Full pipeline: extract, mark, threshold, compare, and log drops."""
+def select_case_study(config: CaseStudyConfig, corpus, lexicon) -> CaseStudySelection:
+    """Everything before the vectors: extract and mark the pairs, apply the
+    token and type thresholds, and log the drops they cause."""
     spans = load_formula_spans(config.formula_span_path)
     pairs = mark_formulaic(
         extract_trv_obj(corpus, config.epic_works, config.include_participles), spans
@@ -237,38 +268,48 @@ def run_case_study(config: CaseStudyConfig, corpus, lexicon, space: VectorSpace)
                     detail=f"{count} < {config.min_epic_tokens}",
                 )
             )
-    selected = select_verbs(counts, config.min_epic_tokens)
 
     formulaic_by_verb = defaultdict(list)
     for pair in pairs:
         if pair.formulaic:
             formulaic_by_verb[pair.verb].append(pair)
 
-    comparisons = []
-    boxplot_rows = []
-    for verb, token_count in selected:
+    verbs = []
+    for verb, token_count in select_verbs(counts, config.min_epic_tokens):
         epic_types = object_types(formulaic_by_verb[verb])
         baseline_types = build_baseline(lexicon, verb, config.baseline_exclusions)
-        if len(epic_types) < config.min_object_types:
-            log.append(
-                LogEvent(
+        selected = SelectedVerb(verb, token_count, epic_types, baseline_types)
+        for reason, types in (
+            ("insufficient_epic_types", epic_types),
+            ("insufficient_baseline_types", baseline_types),
+        ):
+            if len(types) < config.min_object_types:
+                selected.drop = LogEvent(
                     event="drop",
                     verb=verb,
-                    reason="insufficient_epic_types",
-                    detail=f"{len(epic_types)} < {config.min_object_types}",
+                    reason=reason,
+                    detail=f"{len(types)} < {config.min_object_types}",
                 )
-            )
+                break
+        verbs.append(selected)
+    return CaseStudySelection(verbs, log, len(pairs), formulaic_count)
+
+
+def run_case_study(
+    config: CaseStudyConfig, selection: CaseStudySelection, space: VectorSpace
+) -> CaseStudyResult:
+    """Compare each selected verb's two distributions in ``space``, which
+    need hold only ``selection.lemmas()``, and log the drops and reports."""
+    log = list(selection.log)
+    comparisons = []
+    boxplot_rows = []
+    for selected in selection.verbs:
+        if selected.drop is not None:
+            log.append(selected.drop)
             continue
-        if len(baseline_types) < config.min_object_types:
-            log.append(
-                LogEvent(
-                    event="drop",
-                    verb=verb,
-                    reason="insufficient_baseline_types",
-                    detail=f"{len(baseline_types)} < {config.min_object_types}",
-                )
-            )
-            continue
+        verb, epic_types, baseline_types = (
+            selected.verb, selected.epic_types, selected.baseline_types
+        )
         try:
             formulaic_dist = centroid_similarities(epic_types, space, verb, FORMULAIC)
             baseline_dist = centroid_similarities(baseline_types, space, verb, BASELINE)
@@ -309,7 +350,7 @@ def run_case_study(config: CaseStudyConfig, corpus, lexicon, space: VectorSpace)
             LogEvent(
                 event="report",
                 verb=verb,
-                detail=f"epic_tokens={token_count} epic_types={len(epic_types)} "
+                detail=f"epic_tokens={selected.token_count} epic_types={len(epic_types)} "
                 f"baseline_types={len(baseline_types)} p={_fmt(ks.p_value)}",
             )
         )
@@ -321,8 +362,8 @@ def run_case_study(config: CaseStudyConfig, corpus, lexicon, space: VectorSpace)
         comparisons=comparisons,
         boxplot_rows=boxplot_rows,
         log=log,
-        pair_count=len(pairs),
-        formulaic_count=formulaic_count,
+        pair_count=selection.pair_count,
+        formulaic_count=selection.formulaic_count,
     )
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .betacode import BetaCodeError, beta_to_unicode
-from .casestudy import load_config, run_case_study, write_case_study_outputs
+from .casestudy import load_config, run_case_study, select_case_study, write_case_study_outputs
 from .frames import ENTRY_ORDER, extract_entries
 from .lexicon import (
     COLUMNS,
@@ -352,11 +352,12 @@ def cmd_casestudy(args) -> int:
     epic_works = {tuple(work) for work in config.epic_works}
     report_rows, parsed_paths, corpus = [], [], []
     try:
+        lexicon = read_lexicon(config.lexicon_path)
         for trees in _load_corpus(directory, config.manifest_path, report_rows, parsed_paths):
             corpus += [tree for tree in trees if (tree.author, tree.title) in epic_works]
-        lexicon = read_lexicon(config.lexicon_path)
-        space = load_vector_space(config.vector_space_path)
-        result = run_case_study(config, corpus, lexicon, space)
+        selection = select_case_study(config, corpus, lexicon)
+        space = load_vector_space(config.vector_space_path, selection.lemmas())
+        result = run_case_study(config, selection, space)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
 

@@ -68,22 +68,35 @@ def _parse_components(lines):
     return np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
 
 
-def load_vector_space(source) -> VectorSpace:
+def load_vector_space(source, lemmas=None) -> VectorSpace:
     """Load whitespace-separated text vectors, optionally preceded by a
     ``<rows> <dims>`` header line.  Lemmas are NFC-normalized; a duplicate
     lemma overwrites the previous one and is counted.
 
-    The file is streamed into one float64 matrix whose rows are the
-    vectors.  Any fault raises a ``VectorSpaceError`` naming the first
-    faulty line."""
-    lemmas = []
+    Every line is decoded, and every row must hold a lemma and at least one
+    component.  The components of the rows whose lemma is in ``lemmas``
+    (all rows when it is None) are streamed into one float64 matrix whose
+    rows are the vectors; only those rows are checked for width, numeric
+    and finite components.  Any fault raises a ``VectorSpaceError`` naming
+    the first faulty line."""
+    wanted = None if lemmas is None else {unicodedata.normalize("NFC", lemma) for lemma in lemmas}
+    names = []  # the lemma of every row
+    kept = []  # the lemma of every row parsed
+    bare = False
 
     def bodies(lines):
+        nonlocal bare
         for line in lines:
             parts = line.split(None, 1)
-            if parts:
-                lemmas.append(unicodedata.normalize("NFC", parts[0]))
-                yield parts[1] if len(parts) == 2 else ""
+            if not parts:
+                continue
+            lemma = unicodedata.normalize("NFC", parts[0])
+            names.append(lemma)
+            if len(parts) == 1:
+                bare = True
+            elif wanted is None or lemma in wanted:
+                kept.append(lemma)
+                yield parts[1]
 
     declared = None
     matrix = None
@@ -98,27 +111,33 @@ def load_vector_space(source) -> VectorSpace:
                 lines = itertools.chain([first], handle)
             rows = bodies(lines)
             # an empty input would make numpy warn, not raise
-            head = next(rows, "")
-            if head:
+            head = next(rows, None)
+            if head is None:
+                matrix = np.empty((0, declared or 0))
+            else:
                 matrix = _parse_components(itertools.chain([head], rows))
     except ValueError:  # numpy's parse errors and UnicodeDecodeError
         matrix = None  # the line-by-line pass below names the fault
     if (
         matrix is None
-        or len(matrix) != len(lemmas)
+        or bare
+        or not names
+        or len(matrix) != len(kept)
         or (declared is not None and matrix.shape[1] != declared)
         or not np.isfinite(matrix).all()
     ):
-        _raise_first_fault(source)
-    vectors = dict(zip(lemmas, matrix))
+        _raise_first_fault(source, wanted)
     return VectorSpace(
-        dimension=matrix.shape[1], vectors=vectors, duplicate_count=len(lemmas) - len(vectors)
+        dimension=matrix.shape[1],
+        vectors=dict(zip(kept, matrix)),
+        duplicate_count=len(names) - len(set(names)),
     )
 
 
-def _raise_first_fault(source):
+def _raise_first_fault(source, wanted):
     """Re-read a vector file that failed to load, line by line, and raise
-    its first fault in file order."""
+    its first fault in file order; the components of a row whose lemma is
+    not in ``wanted`` (when it is not None) are not read."""
     dimension = None
     with open(source, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -136,6 +155,8 @@ def _raise_first_fault(source):
                     continue
             if len(parts) == 1:
                 raise VectorSpaceError(f"line {lineno}: lemma without components")
+            if wanted is not None and unicodedata.normalize("NFC", parts[0]) not in wanted:
+                continue
             try:
                 vector = _parse_components([parts[1]])[0]
             except ValueError:

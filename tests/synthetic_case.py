@@ -13,7 +13,15 @@ Verb profiles:
 
 import math
 
-from grcvalency import Lexicon, SentenceTree, VectorSpace, WordNode, extract_entries
+from grcvalency import (
+    Lexicon,
+    SentenceTree,
+    VectorSpace,
+    WordNode,
+    extract_entries,
+    run_case_study,
+    select_case_study,
+)
 from grcvalency.postag import decode_postag
 
 import numpy as np
@@ -135,3 +143,8 @@ def build_case(tmp_path):
         "spans_path": spans_path,
         "vectors_path": vectors_path,
     }
+
+
+def run(config, corpus, lexicon, space):
+    """The case study's two steps: select the verbs, then compare them in ``space``."""
+    return run_case_study(config, select_case_study(config, corpus, lexicon), space)

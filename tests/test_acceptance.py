@@ -31,7 +31,7 @@ from grcvalency import (
     validate_sentence,
     write_lexicon,
 )
-from grcvalency.casestudy import CaseStudyConfig, run_case_study
+from grcvalency.casestudy import CaseStudyConfig
 from grcvalency.postag import FIELDS
 
 import synthetic_case
@@ -210,7 +210,7 @@ def test_criterion_7_synthetic_case_study(tmp_path):
         vector_space_path=str(case["vectors_path"]),
         formula_span_path=str(case["spans_path"]),
     )
-    result = run_case_study(config, case["corpus"], case["lexicon"], case["space"])
+    result = synthetic_case.run(config, case["corpus"], case["lexicon"], case["space"])
 
     by_verb = {c.verb: c for c in result.comparisons}
     tight = by_verb[synthetic_case.TIGHT_VERB]

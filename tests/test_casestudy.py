@@ -14,6 +14,7 @@ from grcvalency.casestudy import (
     mark_formulaic,
     object_types,
     run_case_study,
+    select_case_study,
     select_verbs,
     write_case_study_outputs,
 )
@@ -151,7 +152,7 @@ def test_run_case_study_synthetic(tmp_path):
         formula_span_path=str(case["spans_path"]),
         output_dir=str(tmp_path / "out"),
     )
-    result = run_case_study(config, case["corpus"], case["lexicon"], case["space"])
+    result = synthetic_case.run(config, case["corpus"], case["lexicon"], case["space"])
     assert "_columns" not in case["lexicon"].__dict__  # the query view is never built
 
     assert [c.verb for c in result.comparisons] == [
@@ -188,8 +189,8 @@ def test_run_case_study_is_deterministic(tmp_path):
         vector_space_path=str(case["vectors_path"]),
         formula_span_path=str(case["spans_path"]),
     )
-    first = run_case_study(config, case["corpus"], case["lexicon"], case["space"])
-    second = run_case_study(config, case["corpus"], case["lexicon"], case["space"])
+    first = synthetic_case.run(config, case["corpus"], case["lexicon"], case["space"])
+    second = synthetic_case.run(config, case["corpus"], case["lexicon"], case["space"])
     assert first.comparisons == second.comparisons
     assert first.boxplot_rows == second.boxplot_rows
 
@@ -205,10 +206,58 @@ def test_full_baseline_exclusion_drops_everything(tmp_path):
             ("Homer", "Odyssey"),
         ),
     )
-    result = run_case_study(config, case["corpus"], case["lexicon"], case["space"])
+    result = synthetic_case.run(config, case["corpus"], case["lexicon"], case["space"])
     assert result.comparisons == []
     reasons = {e.reason for e in result.log if e.event == "drop"}
     assert "insufficient_baseline_types" in reasons
+
+
+class _RecordingVectors(dict):
+    """A vector mapping that records every lemma looked up in it."""
+
+    def __init__(self, vectors):
+        super().__init__(vectors)
+        self.looked_up = set()
+
+    def __contains__(self, lemma):
+        self.looked_up.add(lemma)
+        return super().__contains__(lemma)
+
+    def __getitem__(self, lemma):
+        self.looked_up.add(lemma)
+        return super().__getitem__(lemma)
+
+
+@pytest.mark.parametrize("min_object_types", [10, 9])  # 9 adds an insufficient_vector_data drop
+def test_the_comparison_reads_only_the_selected_lemmas(tmp_path, min_object_types):
+    import numpy as np
+
+    from grcvalency import VectorSpace, load_vector_space
+
+    case = synthetic_case.build_case(tmp_path)
+    # rows the study never reads: the objects of verbs that no threshold lets through
+    unused = dict.fromkeys(synthetic_case.RARE_TYPES + synthetic_case.NARROW_TYPES, np.ones(4))
+    padded = synthetic_case.write_vectors(
+        tmp_path / "padded.txt", VectorSpace(4, {**case["space"].vectors, **unused})
+    )
+    config = CaseStudyConfig(
+        vector_space_path=str(padded),
+        formula_span_path=str(case["spans_path"]),
+        min_object_types=min_object_types,
+    )
+    selection = select_case_study(config, case["corpus"], case["lexicon"])
+    full = load_vector_space(padded)
+    recording = VectorSpace(full.dimension, _RecordingVectors(full.vectors))
+    expected = run_case_study(config, selection, recording)
+    assert recording.vectors.looked_up <= selection.lemmas()
+    assert not selection.lemmas() & set(unused)
+
+    selective = load_vector_space(padded, selection.lemmas())
+    assert len(selective) < len(full)
+    result = run_case_study(config, selection, selective)
+    assert result == expected
+    reasons = [event.reason for event in result.log if event.event == "drop"]
+    assert ("insufficient_vector_data" in reasons) == (min_object_types == 9)
 
 
 def test_outputs_are_written(tmp_path):
@@ -217,7 +266,7 @@ def test_outputs_are_written(tmp_path):
         vector_space_path=str(case["vectors_path"]),
         formula_span_path=str(case["spans_path"]),
     )
-    result = run_case_study(config, case["corpus"], case["lexicon"], case["space"])
+    result = synthetic_case.run(config, case["corpus"], case["lexicon"], case["space"])
     paths = write_case_study_outputs(result, tmp_path / "out")
     table5 = paths["table5"].read_text(encoding="utf-8").splitlines()
     assert table5[0] == "verb\tepic_types\tbaseline_types"
@@ -328,7 +377,7 @@ def test_small_pooled_sizes_use_the_exact_method(tmp_path):
         min_epic_tokens=2,
         min_object_types=2,
     )
-    result = run_case_study(config, trees, Lexicon(extract_entries(trees)), space)
+    result = synthetic_case.run(config, trees, Lexicon(extract_entries(trees)), space)
     assert len(result.comparisons) == 1
     assert result.comparisons[0].ks.method == "exact"  # pooled size 10 <= 20
 
@@ -371,7 +420,7 @@ def test_vector_failures_drop_verbs_with_logged_reasons(tmp_path):
         min_epic_tokens=2,
         min_object_types=2,
     )
-    result = run_case_study(config, trees, Lexicon(extract_entries(trees)), space)
+    result = synthetic_case.run(config, trees, Lexicon(extract_entries(trees)), space)
     assert result.comparisons == []
     drops = {(e.verb, e.reason) for e in result.log if e.event == "drop"}
     assert ("λύω", "insufficient_vector_data") in drops

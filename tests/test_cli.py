@@ -470,10 +470,12 @@ def _corrupt_lexicon(path, column, value, author="Athenaeus", verb="ἄγω"):
     raise AssertionError(f"no {author} row for {verb}")
 
 
-def test_every_lexicon_command_rejects_a_file_with_a_bad_frame(tmp_path, capsys):
+def test_every_lexicon_command_rejects_a_file_with_a_bad_frame(tmp_path, capsys, monkeypatch):
     config_path = _write_case_files(tmp_path)
     lexicon = tmp_path / "lexicon.tsv"
     lineno = _corrupt_lexicon(lexicon, "frame", "active_OBJ[")
+    # casestudy reads the lexicon before it parses a treebank file
+    monkeypatch.setattr(cli, "parse_treebank_file", _raise)
     expected = (
         f"error: lexicon file rejected: line {lineno}: "
         "malformed frame element: 'OBJ[' in 'active_OBJ['\n"
@@ -550,13 +552,13 @@ def test_extract_streams_files_and_keeps_the_order_of_one_pass(tmp_path):
 def test_casestudy_keeps_only_the_trees_of_its_epic_works(tmp_path, monkeypatch):
     config_path = _write_case_files(tmp_path)
     seen = []
-    real = cli.run_case_study
+    real = cli.select_case_study
 
-    def spy(config, corpus, lexicon, space):
+    def spy(config, corpus, lexicon):
         seen.extend(corpus)
-        return real(config, corpus, lexicon, space)
+        return real(config, corpus, lexicon)
 
-    monkeypatch.setattr(cli, "run_case_study", spy)
+    monkeypatch.setattr(cli, "select_case_study", spy)
     assert main(["casestudy", "--config", str(config_path)]) == 0
     expected = [
         tree for tree in synthetic_case.build_corpus()[0]

@@ -3,6 +3,7 @@ import math
 import random
 import unicodedata
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from grcvalency.semantics import (
     UndefinedSimilarityError,
     VectorSpace,
     VectorSpaceError,
+    _is_header,
     centroid,
     centroid_similarities,
     cosine_similarity,
@@ -271,6 +273,85 @@ def test_fuzzed_files_load_or_raise_vector_space_error(tmp_path):
         loaded += 1
         _assert_same_as_reference(space, path)
     assert loaded > 20 and failed > 20
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_a_selective_load_judges_components_only_in_the_rows_it_reads(tmp_path, fault):
+    good = b"\xce\xb1 0.5 1 2"
+    line1 = b"6 3" if fault == "header_width" else good
+    path = tmp_path / "faults.txt"
+    path.write_bytes(b"\n".join([line1, good, _FAULTS[fault][0], b"\xce\xb4 1 2 3"]) + b"\n")
+    if fault in ("lemma_only", "invalid_utf8"):  # judged on every line
+        with pytest.raises(VectorSpaceError, match=f"^line 3: {_FAULTS[fault][1]}$"):
+            load_vector_space(path, {"α"})
+    else:
+        space = load_vector_space(path, {"α", "δ"})
+        assert list(space.vectors) == ["α", "δ"] and space.dimension == 3
+    with pytest.raises(VectorSpaceError, match=f"^line 3: {_FAULTS[fault][1]}$"):
+        load_vector_space(path, {"α", "γ"})
+
+
+def _blank_unselected(data, wanted):
+    """``data`` with each row whose lemma is not in ``wanted`` made blank,
+    except the rows judged on every line: undecodable ones and lemmas
+    without components.  A selective load must read it as a full load."""
+    lines = data.splitlines(keepends=True)
+    for index, line in enumerate(lines):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            continue
+        parts = text.split(None, 1)
+        if len(parts) == 2 and not (index == 0 and _is_header(text.split())):
+            if unicodedata.normalize("NFC", parts[0]) not in wanted:
+                lines[index] = b"\n"
+    return b"".join(lines)
+
+
+def _outcome(path, lemmas=None):
+    try:
+        return load_vector_space(path, lemmas)
+    except VectorSpaceError as exc:
+        return str(exc)
+
+
+def test_selective_load_is_the_full_load_of_its_rows(tmp_path):
+    rng = random.Random(9002)
+    path, blanked = tmp_path / "space.txt", tmp_path / "blanked.txt"
+    seen = Counter()
+    for _ in range(600):
+        data = _random_vector_file(rng)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            if data:
+                data = _mutate(rng, data)
+        path.write_bytes(data)
+        chosen = rng.sample(_LEMMAS, rng.randint(0, len(_LEMMAS)))
+        lemmas = {unicodedata.normalize(rng.choice(("NFC", "NFD")), lemma) for lemma in chosen}
+        wanted = {unicodedata.normalize("NFC", lemma) for lemma in lemmas}
+        blanked.write_bytes(_blank_unselected(data, wanted))
+        full, selective, reference = _outcome(path), _outcome(path, lemmas), _outcome(blanked)
+        if isinstance(selective, str):
+            seen["raised"] += 1
+            assert selective == reference  # the same fault at the same line
+            continue
+        if isinstance(reference, str):  # no row selected
+            assert reference == "no vectors found" and len(selective) == 0
+            seen["empty"] += 1
+        else:
+            assert selective.dimension == reference.dimension
+            assert list(selective.vectors) == list(reference.vectors)
+            for lemma, vector in reference.vectors.items():
+                assert selective.vectors[lemma].tobytes() == vector.tobytes()
+        if isinstance(full, str):
+            seen["fault only in rows not read"] += 1
+            continue
+        seen["loaded"] += 1
+        assert list(selective.vectors) == [lemma for lemma in full.vectors if lemma in wanted]
+        for lemma, vector in selective.vectors.items():
+            assert vector.tobytes() == full.vectors[lemma].tobytes()  # the last duplicate wins
+        assert selective.duplicate_count == full.duplicate_count  # counted over every row
+    kinds = ("raised", "empty", "fault only in rows not read", "loaded")
+    assert all(seen[kind] > 20 for kind in kinds), seen
 
 
 def test_cosine_basics():
