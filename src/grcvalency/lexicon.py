@@ -5,14 +5,21 @@ the root_id column to match the eight-column published layout.  Queries
 that need slot-level detail (realization, mediator) parse the frame
 strings rather than re-deriving anything from the source treebank, so a
 lexicon file is self-sufficient.
+
+Entry filters, construction inventories and aggregates read one columnar
+view of the entries (``_Columns``), built on the first of them: interned
+numpy codes, each verb's rows, a (verb, frame) group table ranked per verb
+for the inventories, and per-value masks over frame codes for the
+realization and mediator filters.
 """
 
 import os
 import tempfile
 import unicodedata
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +54,10 @@ class ConstructionRecord:
 class Lexicon:
     """Entries and a by-verb index of them in entry order.
 
-    Queries and aggregates read a columnar view of the entries that is built
-    on the first of them; like ``by_verb``, it is not rebuilt, so ``entries``
-    must not change after that.
+    Queries, construction inventories and aggregates read a columnar view of
+    the entries that is built on the first of them; the by-verb index serves
+    only ``casestudy.build_baseline``.  Neither is rebuilt, so ``entries``
+    must not change after the first use.
     """
 
     def __init__(self, entries):
@@ -76,8 +84,29 @@ def _intern(values) -> tuple[np.ndarray, dict[str, int]]:
     return np.fromiter(map(index.__getitem__, values), np.intp, len(values)), index
 
 
+@dataclass
+class _Groups:
+    """One row per distinct (verb, frame), each verb's rows ranked by
+    (-count, frame); rows ``bounds[v]:bounds[v + 1]`` are verb code ``v``'s.
+    A row's distinct authors are ``authors[author_lo:author_hi]``."""
+
+    bounds: list[int]
+    frames: list[str]
+    counts: list[int]
+    author_lo: list[int]
+    author_hi: list[int]
+    authors: list[str]
+
+
 class _Columns:
-    """Interned numpy columns of a lexicon's entries, for queries and aggregates."""
+    """Interned numpy columns of a lexicon's entries, for queries, construction
+    inventories and aggregates.
+
+    The (verb, frame) group table is built on the first construction query.
+    Frames are parsed only when a realization or mediator filter first needs
+    them; each parsed frame sets its bit in one mask over frame codes per
+    realization value and per mediator value.
+    """
 
     INTERNED = ("author", "title", "voice", "frame", "verb")
 
@@ -86,29 +115,66 @@ class _Columns:
         self.entries[:] = entries
         self.codes, self.index = {}, {}
         for name in self.INTERNED:
-            self.codes[name], self.index[name] = _intern([getattr(e, name) for e in entries])
+            self.codes[name], self.index[name] = _intern(list(map(attrgetter(name), entries)))
         self.frames = list(self.index["frame"])
         # one stable sort groups each verb's rows, in entry order
         self.verb_order = np.argsort(self.codes["verb"], kind="stable")
         self.verb_starts = np.concatenate(
             ([0], np.cumsum(np.bincount(self.codes["verb"], minlength=len(self.index["verb"]))))
         )
-        self.unique_frame_fillers = len({e.frame_fillers for e in entries})
-        # per frame code: None until a query judges it, then (realizations, mediators)
-        self.judged = [None] * len(self.frames)
+        self.judged = np.zeros(len(self.frames), dtype=bool)
+        self.masks = {"realization": {}, "mediator": {}}  # slot -> value -> frame-code mask
 
     def verb_rows(self, code: int) -> np.ndarray:
         return self.verb_order[self.verb_starts[code] : self.verb_starts[code + 1]]
 
-    def judge(self, code: int):
-        """A frame's (realizations, mediators), parsed once."""
-        if self.judged[code] is None:
+    @cached_property
+    def unique_frame_fillers(self) -> int:
+        return len(set(map(attrgetter("frame_fillers"), self.entries)))
+
+    @cached_property
+    def groups(self) -> _Groups:
+        verb, frame, author = (self.codes[name] for name in ("verb", "frame", "author"))
+        order = np.lexsort((author, frame, verb))
+        verb, frame, author = verb[order], frame[order], author[order]
+        size = len(order)
+        new_group = np.ones(size, dtype=bool)
+        new_group[1:] = (verb[1:] != verb[:-1]) | (frame[1:] != frame[:-1])
+        new_author = new_group.copy()
+        new_author[1:] |= author[1:] != author[:-1]
+        starts = np.flatnonzero(new_group)
+        ends = np.append(starts[1:], size)
+        # each distinct (verb, frame, author) once, in sorted order
+        author_rows = np.flatnonzero(new_author)
+        author_lo = np.searchsorted(author_rows, starts)
+        author_hi = np.searchsorted(author_rows, ends)
+        counts = ends - starts
+        group_verb, group_frame = verb[starts], frame[starts]
+        # frame codes follow string order, so this ranks by (-count, frame)
+        rank = np.lexsort((group_frame, -counts, group_verb))
+        bounds = np.searchsorted(group_verb[rank], np.arange(len(self.index["verb"]) + 1))
+        author_names = list(self.index["author"])
+        return _Groups(
+            bounds=bounds.tolist(),
+            frames=[self.frames[code] for code in group_frame[rank].tolist()],
+            counts=counts[rank].tolist(),
+            author_lo=author_lo[rank].tolist(),
+            author_hi=author_hi[rank].tolist(),
+            authors=[author_names[code] for code in author[author_rows].tolist()],
+        )
+
+    def judge(self, candidates: np.ndarray):
+        """Parse the candidate frames (a mask over frame codes) not judged
+        yet, in code order, and set their bits in the slot masks."""
+        for code in np.flatnonzero(candidates & ~self.judged).tolist():
             _, elements = parse_frame(self.frames[code])
-            self.judged[code] = (
-                {el.realization for el in elements},
-                {el.mediator for el in elements},
-            )
-        return self.judged[code]
+            for element in elements:
+                for slot, masks in self.masks.items():
+                    value = getattr(element, slot)
+                    if value not in masks:
+                        masks[value] = np.zeros(len(self.frames), dtype=bool)
+                    masks[value][code] = True
+            self.judged[code] = True
 
 
 def _nfc(value: str) -> str:
@@ -262,8 +328,10 @@ def query_entries(
     """Conjunctive filtering into a new, order-preserving list.
 
     Rows start from all entries or the verb's and are narrowed by author,
-    title and voice on their codes; the frame filters then judge each
-    distinct candidate frame once, substring test first.
+    title and voice on their codes.  The frame filters then narrow the
+    distinct frames of those rows: the substring test first, then the
+    realization and mediator masks, which parse a candidate frame the first
+    time any query needs it.
     """
     columns = lexicon._columns
     rows = None  # every row
@@ -282,20 +350,20 @@ def query_entries(
         rows = np.flatnonzero(codes == code) if rows is None else rows[codes[rows] == code]
     if frame_contains is not None or realization is not None or mediator is not None:
         frame_codes = columns.codes["frame"] if rows is None else columns.codes["frame"][rows]
-        counts = np.bincount(frame_codes, minlength=len(columns.frames))
-        candidates = np.flatnonzero(counts).tolist()
+        # the candidate frames: those of the rows left
+        keep = np.bincount(frame_codes, minlength=len(columns.frames)) > 0
         if frame_contains is not None:
-            candidates = [code for code in candidates if frame_contains in columns.frames[code]]
+            frames = columns.frames
+            candidates = np.flatnonzero(keep).tolist()
+            keep[[code for code in candidates if frame_contains not in frames[code]]] = False
         if realization is not None or mediator is not None:
-            judged = [columns.judge(code) for code in candidates]
-            candidates = [
-                code
-                for code, (realizations, mediators) in zip(candidates, judged)
-                if (realization is None or realization in realizations)
-                and (mediator is None or mediator in mediators)
-            ]
-        keep = np.zeros(len(columns.frames), dtype=bool)
-        keep[candidates] = True
+            columns.judge(keep)
+            for slot, value in (("realization", realization), ("mediator", mediator)):
+                if value is not None:
+                    mask = columns.masks[slot].get(value)
+                    if mask is None:
+                        return []
+                    keep &= mask
         hits = keep[frame_codes]
         rows = np.flatnonzero(hits) if rows is None else rows[hits]
     return (columns.entries if rows is None else columns.entries[rows]).tolist()
@@ -307,19 +375,21 @@ def constructions_for_verb(
     min_count: int = 1,
     min_authors: int = 1,
 ) -> list[ConstructionRecord]:
-    """Distinct frames of a verb with counts and author sets, thresholded."""
-    counts = Counter()
-    authors = defaultdict(set)
-    for entry in lexicon.by_verb.get(verb, ()):
-        counts[entry.frame] += 1
-        authors[entry.frame].add(entry.author)
-    records = [
-        ConstructionRecord(verb=verb, frame=frame, count=count, authors=authors[frame])
-        for frame, count in counts.items()
-        if count >= min_count and len(authors[frame]) >= min_authors
+    """Distinct frames of a verb with counts and author sets, thresholded,
+    ranked by descending count and then frame."""
+    columns = lexicon._columns
+    code = columns.index["verb"].get(verb)
+    if code is None:
+        return []
+    groups = columns.groups
+    rows = slice(groups.bounds[code], groups.bounds[code + 1])
+    return [
+        ConstructionRecord(verb, frame, count, set(groups.authors[lo:hi]))
+        for frame, count, lo, hi in zip(
+            groups.frames[rows], groups.counts[rows], groups.author_lo[rows], groups.author_hi[rows]
+        )
+        if count >= min_count and hi - lo >= min_authors
     ]
-    records.sort(key=lambda r: (-r.count, r.frame))
-    return records
 
 
 def diff_constructions(
