@@ -9,15 +9,9 @@ from .casestudy import (
     FormulaSpanSet,
     TrVObjPair,
     VerbComparison,
-    build_baseline,
-    extract_trv_obj,
     load_config,
-    load_formula_spans,
-    mark_formulaic,
-    object_types,
     run_case_study,
     select_case_study,
-    select_verbs,
     write_case_study_outputs,
 )
 from .frames import (
@@ -27,8 +21,6 @@ from .frames import (
     Mediator,
     collect_arguments,
     extract_entries,
-    identify_predicates,
-    realization_of,
 )
 from .lexicon import (
     ConstructionRecord,
@@ -52,7 +44,6 @@ from .semantics import (
     UndefinedSimilarityError,
     VectorSpace,
     VectorSpaceError,
-    centroid,
     centroid_similarities,
     cosine_similarity,
     load_vector_space,
@@ -60,7 +51,6 @@ from .semantics import (
 from .stats import (
     KSResult,
     boxplot_stats,
-    kolmogorov_sf,
     ks_two_sample,
     significance_stars,
     summarize,

@@ -223,7 +223,8 @@ def build_baseline(lexicon, verb: str, exclusions) -> list[str]:
     skipping entries from the excluded works."""
     excluded = {tuple(w) for w in exclusions}
     fillers = set()
-    for entry in lexicon.by_verb.get(verb, ()):
+    for row in lexicon.verb_rows(verb).tolist():
+        entry = lexicon.entries[row]
         if (entry.author, entry.title) in excluded:
             continue
         _, elements = parse_frame(entry.frame_fillers)
@@ -269,14 +270,14 @@ def select_case_study(config: CaseStudyConfig, corpus, lexicon) -> CaseStudySele
                 )
             )
 
-    formulaic_by_verb = defaultdict(list)
+    formulaic_pairs = defaultdict(list)  # verb -> its formulaic pairs
     for pair in pairs:
         if pair.formulaic:
-            formulaic_by_verb[pair.verb].append(pair)
+            formulaic_pairs[pair.verb].append(pair)
 
     verbs = []
     for verb, token_count in select_verbs(counts, config.min_epic_tokens):
-        epic_types = object_types(formulaic_by_verb[verb])
+        epic_types = object_types(formulaic_pairs[verb])
         baseline_types = build_baseline(lexicon, verb, config.baseline_exclusions)
         selected = SelectedVerb(verb, token_count, epic_types, baseline_types)
         for reason, types in (

@@ -5,20 +5,19 @@ Exit codes: 0 success, 1 usage or I/O failure, 2 partial data failure
 """
 
 import argparse
-import functools
+import contextlib
 import gc
 import sys
 from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
-from .betacode import BetaCodeError, beta_to_unicode
+from .betacode import beta_to_unicode
 from .casestudy import load_config, run_case_study, select_case_study, write_case_study_outputs
 from .frames import ENTRY_ORDER, extract_entries
 from .lexicon import (
     COLUMNS,
     FORMAT_VERSION,
-    LexiconFormatError,
     constructions_for_verb,
     diff_constructions,
     frame_frequencies,
@@ -166,27 +165,23 @@ def _load_corpus(directory: Path, manifest_path, report_rows, parsed_paths):
         yield trees
 
 
-def _gc_paused(command):
-    """Run ``command`` with the cyclic garbage collector off, then restore the
+@contextlib.contextmanager
+def _gc_paused():
+    """Turn the cyclic garbage collector off for the block, then restore the
     caller's setting.  A batch run builds millions of objects and keeps most of
     them until it ends, so each collection would rescan all it has kept and
     find next to nothing to free.  Library functions leave the collector alone."""
-
-    @functools.wraps(command)
-    def run(args):
-        enabled = gc.isenabled()
+    enabled = gc.isenabled()
+    if enabled:
+        # free the young garbage made so far (argument parsing leaves
+        # some), which the pause would keep until the command returns
+        gc.collect(1)
+    gc.disable()
+    try:
+        yield
+    finally:
         if enabled:
-            # free the young garbage made so far (argument parsing leaves
-            # some), which the pause would keep until the command returns
-            gc.collect(1)
-        gc.disable()
-        try:
-            return command(args)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return run
+            gc.enable()
 
 
 def _write_report(path: Path, rows) -> None:
@@ -198,7 +193,6 @@ def _failed_files(report_rows) -> int:
     return sum(row[2] == "file_error" for row in report_rows)
 
 
-@_gc_paused
 def cmd_extract(args) -> int:
     directory = Path(args.treebank_dir)
     if not directory.is_dir():
@@ -243,7 +237,7 @@ def cmd_extract(args) -> int:
 def _load_lexicon(path):
     try:
         return read_lexicon(path)
-    except (OSError, LexiconFormatError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
 
@@ -305,7 +299,7 @@ def cmd_constructions(args) -> int:
                 for line in Path(args.known_frames).read_text(encoding=_ENCODING).splitlines()
                 if line.strip()
             ]
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             return _fail(str(exc))
         only_lexicon, only_known = diff_constructions(lexicon, args.verb, known)
         only_lexicon = [
@@ -327,7 +321,6 @@ def cmd_constructions(args) -> int:
     return EXIT_OK if records else EXIT_EMPTY
 
 
-@_gc_paused
 def cmd_casestudy(args) -> int:
     overrides = {
         "treebank_dir": args.treebank_dir,
@@ -408,7 +401,7 @@ def cmd_betacode(args) -> int:
         )
         for line in lines:
             print(beta_to_unicode(line))
-    except (OSError, BetaCodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     return EXIT_OK
 
@@ -416,7 +409,8 @@ def cmd_betacode(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    with _gc_paused():
+        return args.func(args)
 
 
 def entry_point() -> None:

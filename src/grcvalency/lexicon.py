@@ -6,17 +6,16 @@ that need slot-level detail (realization, mediator) parse the frame
 strings rather than re-deriving anything from the source treebank, so a
 lexicon file is self-sufficient.
 
-Entry filters, construction inventories and aggregates read one columnar
-view of the entries (``_Columns``), built on the first of them: interned
-numpy codes, each verb's rows, a (verb, frame) group table ranked per verb
-for the inventories, and per-value masks over frame codes for the
+Entry filters, construction inventories and aggregates read columns that
+every ``Lexicon`` builds with its entries: interned numpy codes and each
+verb's rows, then on first use a (verb, frame) group table ranked per verb
+for the inventories and per-value masks over frame codes for the
 realization and mediator filters.
 """
 
 import os
 import tempfile
 import unicodedata
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -51,32 +50,6 @@ class ConstructionRecord:
     authors: set[str]
 
 
-class Lexicon:
-    """Entries and a by-verb index of them in entry order.
-
-    Queries, construction inventories and aggregates read a columnar view of
-    the entries that is built on the first of them; the by-verb index serves
-    only ``casestudy.build_baseline``.  Neither is rebuilt, so ``entries``
-    must not change after the first use.
-    """
-
-    def __init__(self, entries):
-        self.entries = list(entries)
-        self.by_verb = defaultdict(list)
-        for entry in self.entries:
-            self.by_verb[entry.verb].append(entry)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    @cached_property
-    def _columns(self):
-        return _Columns(self.entries)
-
-
 def _intern(values) -> tuple[np.ndarray, dict[str, int]]:
     """Codes of ``values`` and the value→code dict; codes follow the sorted
     distinct values, so code order is string order."""
@@ -98,24 +71,29 @@ class _Groups:
     authors: list[str]
 
 
-class _Columns:
-    """Interned numpy columns of a lexicon's entries, for queries, construction
-    inventories and aggregates.
+class Lexicon:
+    """Entries and the columns that queries, construction inventories and
+    aggregates read, all built with the lexicon: interned numpy codes of
+    author, title, voice, frame and verb, and each verb's rows in entry
+    order.
 
     The (verb, frame) group table is built on the first construction query.
     Frames are parsed only when a realization or mediator filter first needs
     them; each parsed frame sets its bit in one mask over frame codes per
-    realization value and per mediator value.
+    realization value and per mediator value.  Nothing is rebuilt, so
+    ``entries`` must not change after construction.
     """
 
     INTERNED = ("author", "title", "voice", "frame", "verb")
 
     def __init__(self, entries):
-        self.entries = np.empty(len(entries), dtype=object)
-        self.entries[:] = entries
+        self.entries = list(entries)
+        # an object array, so a query takes its rows with one numpy index
+        self.entry_array = np.empty(len(self.entries), dtype=object)
+        self.entry_array[:] = self.entries
         self.codes, self.index = {}, {}
         for name in self.INTERNED:
-            self.codes[name], self.index[name] = _intern(list(map(attrgetter(name), entries)))
+            self.codes[name], self.index[name] = _intern(list(map(attrgetter(name), self.entries)))
         self.frames = list(self.index["frame"])
         # one stable sort groups each verb's rows, in entry order
         self.verb_order = np.argsort(self.codes["verb"], kind="stable")
@@ -125,7 +103,18 @@ class _Columns:
         self.judged = np.zeros(len(self.frames), dtype=bool)
         self.masks = {"realization": {}, "mediator": {}}  # slot -> value -> frame-code mask
 
-    def verb_rows(self, code: int) -> np.ndarray:
+    def __len__(self):
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def verb_rows(self, verb: str) -> np.ndarray:
+        """Positions in ``entries`` of the verb's entries, in entry order;
+        empty for a verb the lexicon does not hold."""
+        code = self.index["verb"].get(verb)
+        if code is None:
+            return self.verb_order[:0]
         return self.verb_order[self.verb_starts[code] : self.verb_starts[code + 1]]
 
     @cached_property
@@ -185,13 +174,17 @@ def _nfc(value: str) -> str:
 
 def write_atomic(destination, payload: bytes) -> int:
     """Write ``payload`` to a temp file beside ``destination`` and rename it
-    over ``destination``; returns the bytes written.  On any failure the old
+    over ``destination``; returns the bytes written.  The file is fsynced
+    before the rename and its directory after it, so the new file survives
+    a crash once this returns.  On any failure up to the rename the old
     file, if there was one, stays as it was and the temp file is removed."""
     destination = Path(destination)
     fd, temp_path = tempfile.mkstemp(dir=destination.parent, prefix=destination.name)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -200,6 +193,11 @@ def write_atomic(destination, payload: bytes) -> int:
     except BaseException:
         os.unlink(temp_path)
         raise
+    directory = os.open(destination.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
     return len(payload)
 
 
@@ -282,25 +280,23 @@ def read_lexicon(source) -> Lexicon:
 
 
 def stats_basic(lexicon) -> dict:
-    columns = lexicon._columns
     return {
-        "entries": len(columns.entries),
-        "unique_verb_lemmas": len(columns.index["verb"]),
-        "unique_frames": len(columns.frames),
-        "unique_frame_fillers": columns.unique_frame_fillers,
+        "entries": len(lexicon.entries),
+        "unique_verb_lemmas": len(lexicon.index["verb"]),
+        "unique_frames": len(lexicon.frames),
+        "unique_frame_fillers": lexicon.unique_frame_fillers,
     }
 
 
-def _counts(columns, name) -> np.ndarray:
+def _counts(lexicon, name) -> np.ndarray:
     """Entry count per code of an interned column."""
-    return np.bincount(columns.codes[name], minlength=len(columns.index[name]))
+    return np.bincount(lexicon.codes[name], minlength=len(lexicon.index[name]))
 
 
 def stats_by_author(lexicon) -> list[tuple[str, int]]:
     """Per-author entry counts sorted by author, with a TOTAL row appended."""
-    columns = lexicon._columns
-    rows = list(zip(columns.index["author"], _counts(columns, "author").tolist()))
-    rows.append(("TOTAL", len(columns.entries)))
+    rows = list(zip(lexicon.index["author"], _counts(lexicon, "author").tolist()))
+    rows.append(("TOTAL", len(lexicon.entries)))
     return rows
 
 
@@ -308,11 +304,10 @@ def frame_frequencies(lexicon, top_k: int | None = None) -> list[tuple[str, int]
     """Most frequent frames, descending; ties broken lexicographically."""
     if top_k is not None and top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {top_k}")
-    columns = lexicon._columns
-    counts = _counts(columns, "frame")
+    counts = _counts(lexicon, "frame")
     # frame codes are in string order, so a stable sort breaks ties by frame
     ranked = np.argsort(-counts, kind="stable")[:top_k]
-    return list(zip([columns.frames[code] for code in ranked.tolist()], counts[ranked].tolist()))
+    return list(zip([lexicon.frames[code] for code in ranked.tolist()], counts[ranked].tolist()))
 
 
 def query_entries(
@@ -333,40 +328,38 @@ def query_entries(
     realization and mediator masks, which parse a candidate frame the first
     time any query needs it.
     """
-    columns = lexicon._columns
     rows = None  # every row
     if verb is not None:
-        code = columns.index["verb"].get(verb)
-        if code is None:
+        rows = lexicon.verb_rows(verb)
+        if not len(rows):
             return []
-        rows = columns.verb_rows(code)
     for name, value in (("author", author), ("title", title), ("voice", voice)):
         if value is None:
             continue
-        code = columns.index[name].get(value)
+        code = lexicon.index[name].get(value)
         if code is None:
             return []
-        codes = columns.codes[name]
+        codes = lexicon.codes[name]
         rows = np.flatnonzero(codes == code) if rows is None else rows[codes[rows] == code]
     if frame_contains is not None or realization is not None or mediator is not None:
-        frame_codes = columns.codes["frame"] if rows is None else columns.codes["frame"][rows]
+        frame_codes = lexicon.codes["frame"] if rows is None else lexicon.codes["frame"][rows]
         # the candidate frames: those of the rows left
-        keep = np.bincount(frame_codes, minlength=len(columns.frames)) > 0
+        keep = np.bincount(frame_codes, minlength=len(lexicon.frames)) > 0
         if frame_contains is not None:
-            frames = columns.frames
+            frames = lexicon.frames
             candidates = np.flatnonzero(keep).tolist()
             keep[[code for code in candidates if frame_contains not in frames[code]]] = False
         if realization is not None or mediator is not None:
-            columns.judge(keep)
+            lexicon.judge(keep)
             for slot, value in (("realization", realization), ("mediator", mediator)):
                 if value is not None:
-                    mask = columns.masks[slot].get(value)
+                    mask = lexicon.masks[slot].get(value)
                     if mask is None:
                         return []
                     keep &= mask
         hits = keep[frame_codes]
         rows = np.flatnonzero(hits) if rows is None else rows[hits]
-    return (columns.entries if rows is None else columns.entries[rows]).tolist()
+    return list(lexicon.entries) if rows is None else lexicon.entry_array[rows].tolist()
 
 
 def constructions_for_verb(
@@ -377,11 +370,10 @@ def constructions_for_verb(
 ) -> list[ConstructionRecord]:
     """Distinct frames of a verb with counts and author sets, thresholded,
     ranked by descending count and then frame."""
-    columns = lexicon._columns
-    code = columns.index["verb"].get(verb)
+    code = lexicon.index["verb"].get(verb)
     if code is None:
         return []
-    groups = columns.groups
+    groups = lexicon.groups
     rows = slice(groups.bounds[code], groups.bounds[code + 1])
     return [
         ConstructionRecord(verb, frame, count, set(groups.authors[lo:hi]))

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from collections import Counter
 
 import pytest
@@ -18,10 +20,12 @@ from grcvalency.casestudy import (
     select_verbs,
     write_case_study_outputs,
 )
+from grcvalency.frames import parse_frame
 from grcvalency.lexicon import Lexicon
 
 import synthetic_case
 from conftest import SPANS_FILE
+from test_lexicon import _random_lexicon
 
 EPIC_WORKS = (("Homer", "Iliad"), ("Hesiod", "Theogony"))
 
@@ -145,6 +149,54 @@ def test_baseline_never_contains_excluded_only_lemmas(sample_lexicon):
     assert included == ["ναῦς", "ἵππος"]
 
 
+# slots no baseline may take (a mediated OBJ, a non-accusative OBJ, an
+# accusative non-OBJ, an OBJ without a filler), and one coordinated OBJ it must
+_BASELINE_DECOYS = (
+    "(εἰς)OBJ[accusative]{ἀσπίς}",
+    "OBJ[dative]{ξίφος}",
+    "SBJ[accusative]{ἔγχος}",
+    "OBJ[accusative]",
+    "OBJ_CO[accusative]{κύων}",
+)
+
+
+def _scan_baseline(lexicon, verb, exclusions):
+    fillers = set()
+    for entry in lexicon.entries:
+        if entry.verb != verb or (entry.author, entry.title) in set(exclusions):
+            continue
+        for element in parse_frame(entry.frame_fillers)[1]:
+            if (
+                element.label.split("_")[0] == "OBJ"
+                and element.realization == "accusative"
+                and element.mediator is None
+                and element.filler is not None
+            ):
+                fillers.add(element.filler)
+    return sorted(fillers)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9, 80, 700])
+def test_build_baseline_matches_a_scan_of_the_entries(seed):
+    rng = random.Random(seed)
+    for size in (0, 1, 7, 60, 300):
+        entries = [
+            dataclasses.replace(
+                entry,
+                frame_fillers=",".join(
+                    [entry.frame_fillers] + rng.sample(_BASELINE_DECOYS, rng.randint(0, 3))
+                ),
+            )
+            for entry in _random_lexicon(size, seed + size).entries
+        ]
+        lexicon = Lexicon(rng.sample(entries, len(entries)))  # verbs interleaved
+        for exclusions in ([], [("Homer", "Iliad")], [("Homer", "Iliad"), ("Plato", "Euthyphro")]):
+            for verb in ("φέρω", "ἄγω", "λύω", "ἔχω", "τίθημι", "οὐδαμός"):
+                assert build_baseline(lexicon, verb, exclusions) == _scan_baseline(
+                    lexicon, verb, exclusions
+                ), (size, exclusions, verb)
+
+
 def test_run_case_study_synthetic(tmp_path):
     case = synthetic_case.build_case(tmp_path)
     config = CaseStudyConfig(
@@ -153,7 +205,6 @@ def test_run_case_study_synthetic(tmp_path):
         output_dir=str(tmp_path / "out"),
     )
     result = synthetic_case.run(config, case["corpus"], case["lexicon"], case["space"])
-    assert "_columns" not in case["lexicon"].__dict__  # the query view is never built
 
     assert [c.verb for c in result.comparisons] == [
         synthetic_case.TIGHT_VERB,

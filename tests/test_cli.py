@@ -152,14 +152,13 @@ def test_extract_skips_a_lemma_the_frame_format_reserves(tmp_path, capsys):
     assert [line.split("\t")[7] for line in out[1:]] == ["active_OBJ[accusative]"]
 
 
-def test_extract_and_casestudy_build_no_query_columns(tmp_path, monkeypatch):
+def test_extract_builds_no_lexicon(tmp_path, monkeypatch):
     def refuse(entries):
-        raise AssertionError("query columns built")
+        raise AssertionError("Lexicon built")
 
-    config_path = _write_case_files(tmp_path)
-    monkeypatch.setattr(lexicon_module, "_Columns", refuse)
+    _write_case_files(tmp_path)
+    monkeypatch.setattr(lexicon_module, "Lexicon", refuse)
     assert main(["extract", str(tmp_path / "corpus"), "-o", str(tmp_path / "lex.tsv")]) == 0
-    assert main(["casestudy", "--config", str(config_path)]) == 0
 
 
 def test_extract_unreadable_path_is_usage_error(tmp_path, capsys):
@@ -492,6 +491,36 @@ def test_every_lexicon_command_rejects_a_file_with_a_bad_frame(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_undecodable_input_exits_one_with_the_decode_error(tmp_path, capsys, monkeypatch):
+    config_path = _write_case_files(tmp_path)
+    lexicon = tmp_path / "lexicon.tsv"
+    good = tmp_path / "good.tsv"
+    shutil.copy(lexicon, good)
+    lexicon.write_bytes(lexicon.read_bytes() + b"Homer\t\xff\n")
+    undecodable = tmp_path / "lines.txt"
+    undecodable.write_bytes(b"de/os\n\xff\n")
+    # casestudy reads the lexicon before it parses a treebank file
+    monkeypatch.setattr(cli, "parse_treebank_file", _raise)
+    assert main(["casestudy", "--config", str(config_path)]) == 1
+    expected = capsys.readouterr().err
+    assert expected.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    for argv in (
+        ["stats", str(lexicon)],
+        ["query", str(lexicon)],
+        ["constructions", str(lexicon), "--verb", "ἔχω"],
+        ["constructions", str(good), "--verb", "ἔχω", "--known-frames", str(undecodable)],
+        ["betacode", "--file", str(undecodable)],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        if argv[1] == str(lexicon):
+            assert captured.err == expected, argv
+        else:
+            assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff"), argv
+    assert not (tmp_path / "out").exists()
+
+
 def test_casestudy_rejects_a_bad_filler_frame_on_a_baseline_entry(tmp_path, capsys):
     # frame_fillers is not judged at load; casestudy parses it where it reads it
     config_path = _write_case_files(tmp_path)
@@ -577,8 +606,9 @@ def test_batch_commands_pause_the_gc_and_restore_the_callers_setting(
 ):
     config_path = _write_case_files(tmp_path)
     corpus = str(tmp_path / "corpus")
+    lexicon = str(tmp_path / "lexicon.tsv")
     during = []
-    for name in ("extract_entries", "run_case_study"):
+    for name in ("extract_entries", "run_case_study", "read_lexicon"):
         real = getattr(cli, name)
 
         def spy(*args, real=real, **kwargs):
@@ -594,6 +624,9 @@ def test_batch_commands_pause_the_gc_and_restore_the_callers_setting(
         (["casestudy", "--config", str(config_path)], 0),
         (["extract", str(tmp_path / "missing"), "-o", str(tmp_path / "x.tsv")], 1),
         (["casestudy", "--config", str(tmp_path / "missing.conf")], 1),
+        (["stats", lexicon, "--basic"], 0),
+        (["query", lexicon, "--verb", synthetic_case.TIGHT_VERB], 0),
+        (["constructions", lexicon, "--verb", synthetic_case.TIGHT_VERB], 0),
     ]
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()

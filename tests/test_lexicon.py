@@ -220,7 +220,7 @@ def _refuse(*args):
     raise OSError(errno.EXDEV, "Invalid cross-device link")
 
 
-@pytest.mark.parametrize("stage", ["write", "chmod", "replace"])
+@pytest.mark.parametrize("stage", ["write", "fsync", "chmod", "replace"])
 def test_write_atomic_failure_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch, stage):
     target = tmp_path / "out.tsv"
     target.write_bytes(b"old\n")
@@ -235,6 +235,36 @@ def test_write_atomic_failure_keeps_the_old_file_and_no_temp_file(tmp_path, monk
     assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
 
 
+def test_write_atomic_syncs_the_file_then_renames_then_syncs_the_directory(
+    tmp_path, monkeypatch
+):
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def record_fsync(fd):
+        info = os.fstat(fd)
+        calls.append(("directory fsync" if stat.S_ISDIR(info.st_mode) else "file fsync", info.st_ino))
+        fsync(fd)
+
+    def record_replace(source, destination):
+        calls.append(("replace", os.stat(source).st_ino))
+        replace(source, destination)
+
+    monkeypatch.setattr(lexicon_module.os, "fsync", record_fsync)
+    monkeypatch.setattr(lexicon_module.os, "replace", record_replace)
+    target = tmp_path / "out.tsv"
+    target.write_bytes(b"old\n")
+    assert write_atomic(target, b"new\n") == 4
+    monkeypatch.undo()
+    written = target.stat().st_ino
+    assert calls == [
+        ("file fsync", written),
+        ("replace", written),
+        ("directory fsync", tmp_path.stat().st_ino),
+    ]
+    assert target.read_bytes() == b"new\n"
+
+
 def test_read_rejects_wrong_header(tmp_path):
     path = tmp_path / "hdr.tsv"
     path.write_text("a\tb\n", encoding="utf-8")
@@ -247,8 +277,15 @@ def test_read_rejects_wrong_header(tmp_path):
 
 
 def test_indexes_are_consistent(sample_lexicon):
-    total = len(sample_lexicon)
-    assert sum(len(v) for v in sample_lexicon.by_verb.values()) == total
+    entries = sample_lexicon.entries
+    verbs = sorted({e.verb for e in entries})
+    rows = {verb: sample_lexicon.verb_rows(verb).tolist() for verb in verbs}
+    # every entry sits in its own verb's rows, each verb's rows in entry order
+    assert sorted(itertools.chain.from_iterable(rows.values())) == list(range(len(entries)))
+    for verb in verbs:
+        assert rows[verb] == [i for i, e in enumerate(entries) if e.verb == verb]
+        assert query_entries(sample_lexicon, verb=verb) == [entries[i] for i in rows[verb]]
+    assert sample_lexicon.verb_rows("οὐδαμός").tolist() == []
 
 
 def test_stats_basic_against_brute_force(sample_lexicon):
@@ -373,15 +410,6 @@ def test_constructions_match_counters(size):
             assert [(r.frame, r.count, r.authors) for r in got] == everything
 
 
-def test_reading_a_lexicon_builds_no_query_columns():
-    lexicon = read_lexicon(GOLDEN_LEXICON)
-    assert "_columns" not in lexicon.__dict__
-    constructions_for_verb(lexicon, "φέρω")
-    assert "_columns" in lexicon.__dict__
-    query_entries(lexicon, verb="φέρω")
-    assert "_columns" in lexicon.__dict__
-
-
 def test_query_no_filters_returns_everything(sample_lexicon):
     assert query_entries(sample_lexicon) == sample_lexicon.entries
 
@@ -413,7 +441,7 @@ def test_query_conjunction_equals_intersection(sample_lexicon):
 
 def test_constructions_counts_and_authors(sample_lexicon):
     records = constructions_for_verb(sample_lexicon, "φέρω")
-    assert sum(r.count for r in records) == len(sample_lexicon.by_verb["φέρω"]) == 10
+    assert sum(r.count for r in records) == len(sample_lexicon.verb_rows("φέρω")) == 10
     counts = {r.frame: r.count for r in records}
     assert counts["active_OBJ[accusative],SBJ[nominative]"] == 3
     assert counts["active_OBJ[accusative]"] == 2
@@ -573,7 +601,11 @@ def test_query_matches_brute_force_for_every_filter_subset():
     rng = random.Random(20260418)
     for _ in range(200):
         lexicon, frames, verbs = _frame_lexicon(rng)
-        indexed_verbs = set(lexicon.by_verb)
+        verb_rows = {verb: lexicon.verb_rows(verb).tolist() for verb in verbs}
+        assert verb_rows == {
+            verb: [i for i, e in enumerate(lexicon.entries) if e.verb == verb] for verb in verbs
+        }
+        by_verb = {verb: query_entries(lexicon, verb=verb) for verb in verbs}
         # one verb's frames are judged first, so the all-rows slot queries
         # after it read masks that an earlier query filled in part
         partly_judged = [
@@ -590,8 +622,11 @@ def test_query_matches_brute_force_for_every_filter_subset():
             want = _reference_query(lexicon.entries, frames, **filters)
             assert [id(e) for e in got] == [id(e) for e in want], filters
             assert got is not lexicon.entries
-            assert all(got is not hits for hits in lexicon.by_verb.values())
-        assert set(lexicon.by_verb) == indexed_verbs
+            assert all(got is not hits for hits in by_verb.values())
+        assert {verb: lexicon.verb_rows(verb).tolist() for verb in verbs} == verb_rows
+        for verb in verbs:
+            again = query_entries(lexicon, verb=verb)
+            assert [id(e) for e in again] == [id(e) for e in by_verb[verb]]
 
 
 def _entry(verb, author, frame):
