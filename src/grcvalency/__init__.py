@@ -6,7 +6,7 @@ from .betacode import BetaCodeError, beta_to_unicode
 from .casestudy import (
     CaseStudyConfig,
     CaseStudyResult,
-    FormulaSpanSet,
+    CaseStudySelection,
     TrVObjPair,
     VerbComparison,
     load_config,
@@ -16,9 +16,8 @@ from .casestudy import (
 )
 from .frames import (
     ArgumentSlot,
-    Frame,
+    FrameElement,
     LexiconEntry,
-    Mediator,
     collect_arguments,
     extract_entries,
 )

@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .frames import collect_arguments, identify_predicates, parse_frame
+from .frames import collect_arguments, identify_predicates, is_plain_object, parse_frame
 from .lexicon import write_atomic
 from .semantics import (
     DegenerateCentroidError,
@@ -165,8 +165,8 @@ def load_formula_spans(source) -> FormulaSpanSet:
 
 
 def extract_trv_obj(corpus, epic_works, include_participles: bool = True) -> list[TrVObjPair]:
-    """One pair per (verb token, OBJ slot) with a plain accusative object:
-    unmediated, base relation OBJ, inside the selected works."""
+    """One pair per (verb token, plain object slot) inside the selected
+    works; see :func:`~grcvalency.frames.is_plain_object`."""
     works = {tuple(w) for w in epic_works}
     pairs = []
     for tree in corpus:
@@ -175,15 +175,11 @@ def extract_trv_obj(corpus, epic_works, include_participles: bool = True) -> lis
             continue
         for verb in identify_predicates(tree, include_participles):
             for slot in collect_arguments(tree, verb):
-                if (
-                    slot.base_relation == "OBJ"
-                    and slot.realization == "accusative"
-                    and slot.mediator is None
-                ):
+                if is_plain_object(slot):
                     pairs.append(
                         TrVObjPair(
                             verb=verb.lemma,
-                            object=slot.filler_lemma,
+                            object=slot.filler,
                             sentence_id=tree.sentence_id,
                             verb_token_id=verb.token_id,
                             object_token_id=slot.filler_token_id,
@@ -219,8 +215,8 @@ def object_types(pairs) -> list[str]:
 
 
 def build_baseline(lexicon, verb: str, exclusions) -> list[str]:
-    """Unique filler lemmas of unmediated accusative OBJ slots for the verb,
-    skipping entries from the excluded works."""
+    """Unique filler lemmas of the verb's plain objects, skipping entries
+    from the excluded works."""
     excluded = {tuple(w) for w in exclusions}
     fillers = set()
     for row in lexicon.verb_rows(verb).tolist():
@@ -229,12 +225,7 @@ def build_baseline(lexicon, verb: str, exclusions) -> list[str]:
             continue
         _, elements = parse_frame(entry.frame_fillers)
         for element in elements:
-            if (
-                element.base_relation == "OBJ"
-                and element.realization == "accusative"
-                and element.mediator is None
-                and element.filler is not None
-            ):
+            if is_plain_object(element) and element.filler is not None:
                 fillers.add(element.filler)
     return sorted(fillers)
 

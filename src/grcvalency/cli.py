@@ -399,10 +399,16 @@ def cmd_betacode(args) -> int:
             if args.text is not None
             else Path(args.path).read_text(encoding=_ENCODING).splitlines()
         )
-        for line in lines:
-            print(beta_to_unicode(line))
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
+    converted = []  # every line, before any is printed
+    for number, line in enumerate(lines, start=1):
+        try:
+            converted.append(beta_to_unicode(line))
+        except ValueError as exc:
+            return _fail(f"line {number}: {exc}" if args.path else str(exc))
+    for line in converted:
+        print(line)
     return EXIT_OK
 
 

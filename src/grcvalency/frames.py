@@ -6,8 +6,9 @@ either directly or through chains of preposition (AuxP), conjunction
 token with at least one argument yields one lexicon entry; nothing is
 ever reconstructed for unexpressed arguments.
 
-Frame strings are written by :meth:`Frame.render` and read back by
-:func:`parse_frame`; both directions of the format live here.
+A frame is a voice plus :class:`FrameElement`s, written by
+:func:`render_frame` and read back by :func:`parse_frame`; both
+directions of the format live here.
 """
 
 import re
@@ -20,9 +21,6 @@ from .treebank import SentenceTree, WordNode
 
 ARGUMENT_RELATIONS = frozenset({"SBJ", "OBJ", "PNOM", "OCOMP"})
 BRIDGE_RELATIONS = frozenset({"AUXP", "AUXC", "COORD", "APOS"})
-
-PREPOSITION = "preposition"
-CONJUNCTION = "conjunction"
 
 _ELEMENT_RE = re.compile(
     r"^(?:\((?P<mediator>[^()]*)\))?"
@@ -44,70 +42,13 @@ class LexiconFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Mediator:
-    kind: str  # PREPOSITION or CONJUNCTION
-    lemma: str
+class FrameElement:
+    """One element of a frame, ``(mediator)LABEL[realization]{filler}``.
 
-
-@dataclass(frozen=True)
-class ArgumentSlot:
-    base_relation: str
-    coord_suffix: bool
-    apos_suffix: bool
-    mediator: Mediator | None
-    realization: str
-    filler_lemma: str
-    filler_token_id: int
-    surface_position: int
-
-    @property
-    def label(self) -> str:
-        """Relation label with canonical suffixes, e.g. ``OBJ_CO``."""
-        label = self.base_relation
-        if self.coord_suffix:
-            label += "_CO"
-        if self.apos_suffix:
-            label += "_AP"
-        return label
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Voice plus argument slots, held in canonical order.
-
-    Slots are ordered by full relation label, then by surface position;
-    that reproduces both the label-major published layout and the
-    distinct orderings of repeated labels.
+    The mediator is the lemma of the first preposition or conjunction on
+    the path to the argument; the filler is None in a bare frame string.
     """
 
-    voice: str
-    slots: tuple[ArgumentSlot, ...]
-
-    def __post_init__(self):
-        if not self.slots:
-            raise ValueError("a frame needs at least one argument slot")
-        ordered = tuple(
-            sorted(self.slots, key=lambda slot: (slot.label, slot.surface_position))
-        )
-        object.__setattr__(self, "slots", ordered)
-
-    def render(self) -> tuple[str, str]:
-        """The canonical frame and frame_fillers strings."""
-        elements = []
-        filler_elements = []
-        for slot in self.slots:
-            prefix = f"({slot.mediator.lemma})" if slot.mediator else ""
-            element = f"{prefix}{slot.label}[{slot.realization}]"
-            elements.append(element)
-            filler_elements.append(element + "{" + slot.filler_lemma + "}")
-        return (
-            self.voice + "_" + ",".join(elements),
-            self.voice + "_" + ",".join(filler_elements),
-        )
-
-
-@dataclass(frozen=True)
-class FrameElement:
     mediator: str | None
     label: str
     realization: str
@@ -116,6 +57,46 @@ class FrameElement:
     @property
     def base_relation(self) -> str:
         return self.label.split("_")[0]
+
+    def render(self) -> str:
+        """The element text without its filler, e.g. ``(εἰς)OBJ[accusative]``."""
+        prefix = "" if self.mediator is None else f"({self.mediator})"
+        return f"{prefix}{self.label}[{self.realization}]"
+
+
+@dataclass(frozen=True)
+class ArgumentSlot(FrameElement):
+    """A frame element found in a tree, with where its filler sits."""
+
+    filler_token_id: int
+    surface_position: int
+
+
+def is_plain_object(element: FrameElement) -> bool:
+    """The case study's plain object: an unmediated accusative OBJ."""
+    return (
+        element.mediator is None
+        and element.realization == "accusative"
+        and element.base_relation == "OBJ"
+    )
+
+
+def render_frame(voice: str, slots) -> tuple[str, str]:
+    """The canonical frame and frame_fillers strings of a voice and slots.
+
+    Slots are ordered by full relation label, then by surface position;
+    that reproduces both the label-major published layout and the
+    distinct orderings of repeated labels.
+    """
+    if not slots:
+        raise ValueError("a frame needs at least one argument slot")
+    elements = []
+    filler_elements = []
+    for slot in sorted(slots, key=attrgetter("label", "surface_position")):
+        element = slot.render()
+        elements.append(element)
+        filler_elements.append(element + "{" + slot.filler + "}")
+    return voice + "_" + ",".join(elements), voice + "_" + ",".join(filler_elements)
 
 
 @lru_cache(maxsize=None)
@@ -130,14 +111,7 @@ def parse_frame(frame: str) -> tuple[str, tuple[FrameElement, ...]]:
         match = _ELEMENT_RE.match(chunk)
         if match is None:
             raise LexiconFormatError(f"malformed frame element: {chunk!r} in {frame!r}")
-        elements.append(
-            FrameElement(
-                mediator=match["mediator"],
-                label=match["label"],
-                realization=match["realization"],
-                filler=match["filler"],
-            )
-        )
+        elements.append(FrameElement(**match.groupdict()))
     return voice, tuple(elements)
 
 
@@ -214,23 +188,18 @@ def collect_arguments(tree: SentenceTree, verb: WordNode) -> list[ArgumentSlot]:
         if base in ARGUMENT_RELATIONS:
             slots.append(
                 ArgumentSlot(
-                    base_relation=base,
-                    coord_suffix=coord,
-                    apos_suffix=apos,
                     mediator=mediator,
+                    label=base + ("_CO" if coord else "") + ("_AP" if apos else ""),
                     realization=realization_of(node),
-                    filler_lemma=node.lemma,
+                    filler=node.lemma,
                     filler_token_id=node.token_id,
                     surface_position=tree.position(node.token_id),
                 )
             )
             continue
         if base in BRIDGE_RELATIONS:
-            if mediator is None:
-                if base == "AUXP":
-                    mediator = Mediator(PREPOSITION, node.lemma)
-                elif base == "AUXC":
-                    mediator = Mediator(CONJUNCTION, node.lemma)
+            if mediator is None and base in ("AUXP", "AUXC"):
+                mediator = node.lemma
             if base == "COORD":
                 coord = True
             elif base == "APOS":
@@ -254,7 +223,7 @@ def extract_entries(
             slots = collect_arguments(tree, verb)
             if not slots:
                 continue
-            frame, frame_fillers = Frame(verb.postag.voice, tuple(slots)).render()
+            frame, frame_fillers = render_frame(verb.postag.voice, slots)
             entries.append(
                 LexiconEntry(
                     author=tree.author,

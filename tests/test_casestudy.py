@@ -1,6 +1,6 @@
 import dataclasses
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -195,6 +195,21 @@ def test_build_baseline_matches_a_scan_of_the_entries(seed):
                 assert build_baseline(lexicon, verb, exclusions) == _scan_baseline(
                     lexicon, verb, exclusions
                 ), (size, exclusions, verb)
+
+
+def test_both_sides_of_the_case_study_agree_on_the_plain_object(corpus_trees, sample_lexicon):
+    # the epic pairs come from the trees, the baseline from the lexicon's
+    # frame_fillers; over the same trees the two must name the same objects
+    works = {(tree.author, tree.title) for tree in corpus_trees}
+    pairs = extract_trv_obj(corpus_trees, works)
+    objects = defaultdict(set)
+    for pair in pairs:
+        objects[pair.verb].add(pair.object)
+    verbs = {entry.verb for entry in sample_lexicon.entries}
+    assert (len(pairs), len(verbs), len(objects)) == (30, 14, 10)
+    assert set(objects) < verbs and sum(map(len, objects.values())) == 21
+    for verb in sorted(verbs):
+        assert build_baseline(sample_lexicon, verb, ()) == sorted(objects[verb]), verb
 
 
 def test_run_case_study_synthetic(tmp_path):

@@ -240,7 +240,9 @@ def test_betacode_command(capsys):
     assert main(["betacode", ""]) == 0
     assert capsys.readouterr().out == "\n"
     assert main(["betacode", "de?os"]) == 1
-    assert "Beta Code" in capsys.readouterr().err or True
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: character outside the Beta Code alphabet: '?' at offset 2\n"
 
 
 def test_betacode_file_batch(tmp_path, capsys):
@@ -248,6 +250,14 @@ def test_betacode_file_batch(tmp_path, capsys):
     batch.write_text("de/os\nfrenw=n\n", encoding="utf-8")
     assert main(["betacode", "--file", str(batch)]) == 0
     assert capsys.readouterr().out == "δέος\nφρενῶν\n"
+    # a bad line converts nothing and is named by its number
+    batch.write_text("de/os\nde?os\nfrenw=n\n", encoding="utf-8")
+    assert main(["betacode", "--file", str(batch)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 2: character outside the Beta Code alphabet: '?' at offset 2\n"
+    )
     assert main(["betacode"]) == 1
     assert main(["betacode", "de/os", "--file", str(batch)]) == 1
 

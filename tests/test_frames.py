@@ -5,16 +5,14 @@ import pytest
 
 from grcvalency.frames import (
     ARGUMENT_RELATIONS,
-    CONJUNCTION,
-    PREPOSITION,
     ArgumentSlot,
-    Frame,
-    Mediator,
+    FrameElement,
     collect_arguments,
     extract_entries,
     identify_predicates,
     parse_frame,
     realization_of,
+    render_frame,
     split_relation,
 )
 from grcvalency.lexicon import read_lexicon
@@ -71,7 +69,7 @@ def test_tree_without_verbs_has_no_predicates(iliad):
 def test_excerpt_arguments(persians):
     tree = persians[2901046]
     slots = collect_arguments(tree, tree.node(7))
-    assert [(s.base_relation, s.filler_lemma, s.realization) for s in slots] == [
+    assert [(s.base_relation, s.filler, s.realization) for s in slots] == [
         ("SBJ", "δέος", "nominative"),
         ("OBJ", "σύ", "dative"),
     ]
@@ -86,25 +84,24 @@ def test_prepositional_argument_records_mediator(iliad):
     slots = collect_arguments(tree, tree.node(2))
     mediated = [s for s in slots if s.mediator is not None]
     assert len(mediated) == 1
-    assert mediated[0].mediator == Mediator("preposition", "εἰς")
+    assert mediated[0].mediator == "εἰς"
     assert mediated[0].realization == "accusative"
-    assert mediated[0].filler_lemma == "ναῦς"
+    assert mediated[0].filler == "ναῦς"
 
 
 def test_conjunction_argument_realizes_as_mood(theogony):
     tree = theogony[2001]
     slots = collect_arguments(tree, tree.node(1))
     assert len(slots) == 1
-    assert slots[0].mediator == Mediator("conjunction", "ὅτι")
+    assert slots[0].mediator == "ὅτι"
     assert slots[0].realization == "indicative"
-    assert slots[0].filler_lemma == "φέρω"
+    assert slots[0].filler == "φέρω"
 
 
 def test_coordination_yields_one_slot_per_conjunct(iliad):
     tree = iliad[1047]
     slots = collect_arguments(tree, tree.node(1))
-    assert [s.filler_lemma for s in slots] == ["δῶρον", "ξίφος"]
-    assert all(s.coord_suffix and not s.apos_suffix for s in slots)
+    assert [s.filler for s in slots] == ["δῶρον", "ξίφος"]
     assert all(s.label == "OBJ_CO" for s in slots)
 
 
@@ -117,11 +114,11 @@ def test_apposition_yields_suffixed_slots(theogony):
 def test_chained_coordination_of_prepositional_phrases(theogony):
     tree = theogony[2006]
     slots = collect_arguments(tree, tree.node(1))
-    assert [(s.mediator.lemma, s.realization) for s in slots] == [
+    assert [(s.mediator, s.realization) for s in slots] == [
         ("εἰς", "accusative"),
         ("ἐν", "dative"),
     ]
-    assert all(s.coord_suffix for s in slots)
+    assert all(s.label == "OBJ_CO" for s in slots)
 
 
 def test_coordination_suffix_comes_from_the_path_too():
@@ -131,7 +128,7 @@ def test_coordination_suffix_comes_from_the_path_too():
     first = WordNode(3, "δῶρον", "δῶρον", "δῶρον", decode_postag("n-s---na-"), 2, "OBJ")
     second = WordNode(4, "ξίφος", "ξίφος", "ξίφος", decode_postag("n-s---na-"), 2, "OBJ")
     tree = SentenceTree(1, "", "", "", [verb, conj, first, second])
-    frame, _ = Frame("active", tuple(collect_arguments(tree, verb))).render()
+    frame, _ = render_frame("active", collect_arguments(tree, verb))
     assert frame == "active_OBJ_CO[accusative],OBJ_CO[accusative]"
 
 
@@ -144,7 +141,7 @@ def test_only_the_first_mediator_is_recorded():
     tree = SentenceTree(1, "", "", "", [verb, outer, inner, noun])
     slots = collect_arguments(tree, verb)
     assert len(slots) == 1
-    assert slots[0].mediator == Mediator("preposition", "εἰς")
+    assert slots[0].mediator == "εἰς"
 
 
 def test_relation_matching_is_case_insensitive(theogony):
@@ -157,12 +154,10 @@ def test_relation_matching_is_case_insensitive(theogony):
 
 def _skeleton(**overrides):
     defaults = dict(
-        base_relation="OBJ",
-        coord_suffix=False,
-        apos_suffix=False,
         mediator=None,
+        label="OBJ",
         realization="",
-        filler_lemma="",
+        filler="",
         filler_token_id=1,
         surface_position=0,
     )
@@ -185,54 +180,55 @@ def test_realize_slot_case_mood_and_fallback():
 def test_compose_frame_reproduces_published_entry():
     slots = [
         _skeleton(
-            base_relation="SBJ",
+            label="SBJ",
             realization="nominative",
-            filler_lemma="δέος",
+            filler="δέος",
             surface_position=2,
         ),
-        _skeleton(realization="dative", filler_lemma="σύ", surface_position=4),
+        _skeleton(realization="dative", filler="σύ", surface_position=4),
     ]
-    frame, fillers = Frame("medio-passive", tuple(slots)).render()
+    frame, fillers = render_frame("medio-passive", slots)
     assert frame == "medio-passive_OBJ[dative],SBJ[nominative]"
     assert fillers == "medio-passive_OBJ[dative]{σύ},SBJ[nominative]{δέος}"
 
 
 def test_compose_frame_single_object():
-    frame, fillers = Frame(
-        "active", (_skeleton(realization="accusative", filler_lemma="τέλος"),)
-    ).render()
+    frame, fillers = render_frame(
+        "active", [_skeleton(realization="accusative", filler="τέλος")]
+    )
     assert frame == "active_OBJ[accusative]"
     assert fillers == "active_OBJ[accusative]{τέλος}"
 
 
 def test_compose_frame_keeps_surface_order_of_equal_labels():
-    dative = _skeleton(realization="dative", filler_lemma="ἀνήρ", surface_position=1)
-    accusative = _skeleton(realization="accusative", filler_lemma="δῶρον", surface_position=5)
-    frame, _ = Frame("active", (dative, accusative)).render()
+    dative = _skeleton(realization="dative", filler="ἀνήρ", surface_position=1)
+    accusative = _skeleton(realization="accusative", filler="δῶρον", surface_position=5)
+    frame, _ = render_frame("active", [dative, accusative])
     assert frame == "active_OBJ[dative],OBJ[accusative]"
-    swapped_dative = _skeleton(realization="dative", filler_lemma="ἀνήρ", surface_position=5)
+    swapped_dative = _skeleton(realization="dative", filler="ἀνήρ", surface_position=5)
     swapped_accusative = _skeleton(
-        realization="accusative", filler_lemma="δῶρον", surface_position=1
+        realization="accusative", filler="δῶρον", surface_position=1
     )
-    frame, _ = Frame("active", (swapped_dative, swapped_accusative)).render()
+    frame, _ = render_frame("active", [swapped_dative, swapped_accusative])
     assert frame == "active_OBJ[accusative],OBJ[dative]"
 
 
 def test_compose_frame_rejects_empty_slots():
     with pytest.raises(ValueError):
-        Frame("active", ()).render()
+        render_frame("active", [])
 
 
 def test_frame_type_sorts_and_validates():
     subject = _skeleton(
-        base_relation="SBJ", realization="nominative", filler_lemma="δέος", surface_position=0
+        label="SBJ", realization="nominative", filler="δέος", surface_position=0
     )
-    obj = _skeleton(realization="dative", filler_lemma="σύ", surface_position=4)
-    frame = Frame("medio-passive", (subject, obj))
-    assert [s.base_relation for s in frame.slots] == ["OBJ", "SBJ"]
-    assert frame.render()[0] == "medio-passive_OBJ[dative],SBJ[nominative]"
+    obj = _skeleton(realization="dative", filler="σύ", surface_position=4)
+    assert render_frame("medio-passive", [subject, obj]) == (
+        "medio-passive_OBJ[dative],SBJ[nominative]",
+        "medio-passive_OBJ[dative]{σύ},SBJ[nominative]{δέος}",
+    )
     with pytest.raises(ValueError):
-        Frame("active", ())
+        render_frame("active", ())
 
 
 _VOICES = ("active", "middle", "passive", "medio-passive", "unspecified")
@@ -251,16 +247,15 @@ def _random_lemma(rng):
 
 
 def _random_slot(rng, token_id):
-    mediator = None
-    if rng.random() < 0.3:
-        mediator = Mediator(rng.choice((PREPOSITION, CONJUNCTION)), _random_lemma(rng))
+    mediator = _random_lemma(rng) if rng.random() < 0.3 else None
+    label = rng.choice(sorted(ARGUMENT_RELATIONS))
+    label += "_CO" if rng.random() < 0.3 else ""
+    label += "_AP" if rng.random() < 0.2 else ""
     return ArgumentSlot(
-        base_relation=rng.choice(sorted(ARGUMENT_RELATIONS)),
-        coord_suffix=rng.random() < 0.3,
-        apos_suffix=rng.random() < 0.2,
         mediator=mediator,
+        label=label,
         realization=rng.choice(_REALIZATIONS),
-        filler_lemma=_random_lemma(rng),
+        filler=_random_lemma(rng),
         filler_token_id=token_id,
         surface_position=rng.randrange(30),
     )
@@ -279,41 +274,41 @@ def test_render_then_parse_gives_back_every_slot_in_frame_order():
     rng = random.Random(5151)
     round_trips = rejected = 0
     for _ in range(1000):
-        slots = tuple(_random_slot(rng, token_id) for token_id in range(1, rng.randint(2, 7)))
-        frame = Frame(rng.choice(_VOICES), slots)
-        lemmas = [slot.filler_lemma for slot in slots]
-        lemmas += [slot.mediator.lemma for slot in slots if slot.mediator]
+        slots = [_random_slot(rng, token_id) for token_id in range(1, rng.randint(2, 7))]
+        frame_voice = rng.choice(_VOICES)
+        lemmas = [slot.filler for slot in slots]
+        lemmas += [slot.mediator for slot in slots if slot.mediator is not None]
         if any(map(_rejected_at_ingest, lemmas)):
             rejected += 1
             continue
         round_trips += 1
-        for index, text in enumerate(frame.render()):
+        in_frame_order = sorted(slots, key=lambda slot: (slot.label, slot.surface_position))
+        for index, text in enumerate(render_frame(frame_voice, slots)):
             voice, elements = parse_frame(text)
-            assert voice == frame.voice
-            assert len(elements) == len(frame.slots)
-            for slot, element in zip(frame.slots, elements):
-                assert element.mediator == (slot.mediator.lemma if slot.mediator else None)
-                assert element.label == slot.label
+            assert voice == frame_voice
+            assert len(elements) == len(slots)
+            for slot, element in zip(in_frame_order, elements):
+                filler = slot.filler if index == 1 else None
+                assert element == FrameElement(slot.mediator, slot.label, slot.realization, filler)
                 assert element.base_relation == slot.base_relation
-                assert element.realization == slot.realization
-                assert element.filler == (slot.filler_lemma if index == 1 else None)
     assert round_trips > 300 and rejected > 300
 
 
 def test_mediated_element_sorts_by_bare_label():
     mediated = _skeleton(
-        mediator=Mediator("preposition", "εἰς"),
+        mediator="εἰς",
         realization="accusative",
-        filler_lemma="ναῦς",
+        filler="ναῦς",
         surface_position=3,
     )
     subject = _skeleton(
-        base_relation="SBJ",
+        label="SBJ",
         realization="nominative",
-        filler_lemma="ἀνήρ",
+        filler="ἀνήρ",
         surface_position=0,
     )
-    frame, _ = Frame("active", (subject, mediated)).render()
+    assert mediated.render() == "(εἰς)OBJ[accusative]"
+    frame, _ = render_frame("active", [subject, mediated])
     assert frame == "active_(εἰς)OBJ[accusative],SBJ[nominative]"
 
 
