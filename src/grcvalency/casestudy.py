@@ -11,8 +11,8 @@ which every dropped verb carries a machine-readable reason.
 import csv
 import io
 import unicodedata
-from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 from .frames import collect_arguments, identify_predicates, is_plain_object, parse_frame
@@ -46,17 +46,6 @@ class TrVObjPair:
     verb_token_id: int
     object_token_id: int
     work: tuple[str, str]
-    formulaic: bool = False
-
-
-@dataclass
-class FormulaSpanSet:
-    """Token ids marked formulaic, per sentence; absent sentence = empty."""
-
-    spans: dict[int, frozenset[int]]
-
-    def contains(self, sentence_id: int, token_id: int) -> bool:
-        return token_id in self.spans.get(sentence_id, frozenset())
 
 
 @dataclass
@@ -137,12 +126,11 @@ class CaseStudyResult:
     comparisons: list[VerbComparison]
     boxplot_rows: list[dict]
     log: list[LogEvent]
-    pair_count: int = 0
-    formulaic_count: int = 0
 
 
-def load_formula_spans(source) -> FormulaSpanSet:
-    """Read ``sentence_id<TAB>token_ids`` (token ids comma-separated)."""
+def load_formula_spans(source) -> dict[int, frozenset[int]]:
+    """Read ``sentence_id<TAB>token_ids`` (token ids comma-separated) into
+    the token ids marked formulaic per sentence; a sentence's lines merge."""
     text = Path(source).read_text(encoding="utf-8")
     spans = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -161,7 +149,7 @@ def load_formula_spans(source) -> FormulaSpanSet:
         if any(t <= 0 for t in token_ids):
             raise ValueError(f"span file line {lineno}: token ids must be positive")
         spans[sentence_id] = spans.get(sentence_id, frozenset()) | token_ids
-    return FormulaSpanSet(spans)
+    return spans
 
 
 def extract_trv_obj(corpus, epic_works, include_participles: bool = True) -> list[TrVObjPair]:
@@ -189,31 +177,6 @@ def extract_trv_obj(corpus, epic_works, include_participles: bool = True) -> lis
     return pairs
 
 
-def mark_formulaic(pairs, spans: FormulaSpanSet) -> list[TrVObjPair]:
-    """A pair is formulaic only when both its tokens sit in marked spans;
-    a repeated phrase means the phrase, not one word of it."""
-    marked = []
-    for pair in pairs:
-        flag = spans.contains(pair.sentence_id, pair.verb_token_id) and spans.contains(
-            pair.sentence_id, pair.object_token_id
-        )
-        marked.append(replace(pair, formulaic=flag))
-    return marked
-
-
-def select_verbs(counts, min_epic_tokens: int) -> list[tuple[str, int]]:
-    """Verbs whose formulaic pair count (``counts``: verb -> count)
-    reaches the threshold, descending."""
-    selected = [(verb, count) for verb, count in counts.items() if count >= min_epic_tokens]
-    selected.sort(key=lambda item: (-item[1], item[0]))
-    return selected
-
-
-def object_types(pairs) -> list[str]:
-    """Unique object lemmas, sorted."""
-    return sorted({pair.object for pair in pairs})
-
-
 def build_baseline(lexicon, verb: str, exclusions) -> list[str]:
     """Unique filler lemmas of the verb's plain objects, skipping entries
     from the excluded works."""
@@ -231,16 +194,19 @@ def build_baseline(lexicon, verb: str, exclusions) -> list[str]:
 
 
 def select_case_study(config: CaseStudyConfig, corpus, lexicon) -> CaseStudySelection:
-    """Everything before the vectors: extract and mark the pairs, apply the
-    token and type thresholds, and log the drops they cause."""
+    """Everything before the vectors: extract the pairs, keep the formulaic
+    ones, apply the token and type thresholds, and log the drops they cause."""
     spans = load_formula_spans(config.formula_span_path)
-    pairs = mark_formulaic(
-        extract_trv_obj(corpus, config.epic_works, config.include_participles), spans
-    )
-    log = []
-    counts = Counter(pair.verb for pair in pairs if pair.formulaic)
-    formulaic_count = counts.total()
-    log.append(
+    pairs = extract_trv_obj(corpus, config.epic_works, config.include_participles)
+    objects = defaultdict(list)  # verb -> the objects of its formulaic pairs
+    for pair in pairs:
+        marked = spans.get(pair.sentence_id, frozenset())
+        # formulaic only when both tokens sit in marked spans: a repeated
+        # phrase means the phrase, not one word of it
+        if pair.verb_token_id in marked and pair.object_token_id in marked:
+            objects[pair.verb].append(pair.object)
+    formulaic_count = sum(map(len, objects.values()))
+    log = [
         LogEvent(
             event="pairs",
             detail=(
@@ -248,27 +214,24 @@ def select_case_study(config: CaseStudyConfig, corpus, lexicon) -> CaseStudySele
                 f"non_formulaic={len(pairs) - formulaic_count}"
             ),
         )
-    )
-
-    for verb, count in sorted(counts.items()):
-        if count < config.min_epic_tokens:
+    ]
+    for verb in sorted(objects):
+        if len(objects[verb]) < config.min_epic_tokens:
             log.append(
                 LogEvent(
                     event="drop",
                     verb=verb,
                     reason="below_min_epic_tokens",
-                    detail=f"{count} < {config.min_epic_tokens}",
+                    detail=f"{len(objects[verb])} < {config.min_epic_tokens}",
                 )
             )
 
-    formulaic_pairs = defaultdict(list)  # verb -> its formulaic pairs
-    for pair in pairs:
-        if pair.formulaic:
-            formulaic_pairs[pair.verb].append(pair)
-
     verbs = []
-    for verb, token_count in select_verbs(counts, config.min_epic_tokens):
-        epic_types = object_types(formulaic_pairs[verb])
+    for verb in sorted(objects, key=lambda verb: (-len(objects[verb]), verb)):
+        token_count = len(objects[verb])
+        if token_count < config.min_epic_tokens:
+            continue
+        epic_types = sorted(set(objects[verb]))
         baseline_types = build_baseline(lexicon, verb, config.baseline_exclusions)
         selected = SelectedVerb(verb, token_count, epic_types, baseline_types)
         for reason, types in (
@@ -350,13 +313,7 @@ def run_case_study(
             box = boxplot_stats(dist.similarities)
             boxplot_rows.append({"verb": verb, "group": group, **box})
 
-    return CaseStudyResult(
-        comparisons=comparisons,
-        boxplot_rows=boxplot_rows,
-        log=log,
-        pair_count=selection.pair_count,
-        formulaic_count=selection.formulaic_count,
-    )
+    return CaseStudyResult(comparisons=comparisons, boxplot_rows=boxplot_rows, log=log)
 
 
 def _fmt(value: float) -> str:

@@ -8,6 +8,7 @@ import argparse
 import contextlib
 import gc
 import sys
+import unicodedata
 from operator import attrgetter
 from pathlib import Path
 
@@ -198,33 +199,27 @@ def cmd_extract(args) -> int:
     if not directory.is_dir():
         return _fail(f"not a directory: {directory}")
     report_rows, parsed_paths, entries = [], [], []
-    try:
-        for trees in _load_corpus(directory, args.manifest, report_rows, parsed_paths):
-            entries += extract_entries(trees, include_participles=args.include_participles)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    for trees in _load_corpus(directory, args.manifest, report_rows, parsed_paths):
+        entries += extract_entries(trees, include_participles=args.include_participles)
     # each file's entries are sorted; one stable sort of them, joined in file
     # order, gives the order of one extract_entries call over the whole corpus
     entries.sort(key=ENTRY_ORDER)
     output = Path(args.output)
     report_path = output.with_name(output.name + ".report.tsv")
-    try:
-        write_lexicon(entries, output, figure1_layout=args.figure1_layout)
-        _write_report(report_path, report_rows)
-        manifest = build_manifest(
-            command="extract",
-            config={
-                "treebank_dir": str(directory),
-                "include_participles": args.include_participles,
-                "figure1_layout": args.figure1_layout,
-                "manifest": args.manifest or "",
-                "output": str(output),
-            },
-            input_paths=parsed_paths,
-        )
-        write_manifest(manifest, output.with_name(output.name + ".manifest.json"))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    write_lexicon(entries, output, figure1_layout=args.figure1_layout)
+    _write_report(report_path, report_rows)
+    manifest = build_manifest(
+        command="extract",
+        config={
+            "treebank_dir": str(directory),
+            "include_participles": args.include_participles,
+            "figure1_layout": args.figure1_layout,
+            "manifest": args.manifest or "",
+            "output": str(output),
+        },
+        input_paths=parsed_paths,
+    )
+    write_manifest(manifest, output.with_name(output.name + ".manifest.json"))
 
     failed_files = _failed_files(report_rows)
     print(
@@ -234,18 +229,8 @@ def cmd_extract(args) -> int:
     return EXIT_PARTIAL if failed_files else EXIT_OK
 
 
-def _load_lexicon(path):
-    try:
-        return read_lexicon(path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
 def cmd_stats(args) -> int:
-    lexicon = _load_lexicon(args.lexicon)
-    if lexicon is None:
-        return EXIT_USAGE
+    lexicon = read_lexicon(args.lexicon)
     if args.by_author:
         print("author\tentries")
         for author, count in stats_by_author(lexicon):
@@ -270,38 +255,26 @@ def _print_entries(entries) -> None:
         print("\t".join(map(str, fields(entry))))
 
 
+def _nfc(value):
+    """A user's value in the NFC form of the lexicon's fields; None stays None."""
+    return None if value is None else unicodedata.normalize("NFC", value)
+
+
 def cmd_query(args) -> int:
-    lexicon = _load_lexicon(args.lexicon)
-    if lexicon is None:
-        return EXIT_USAGE
-    entries = query_entries(
-        lexicon,
-        verb=args.verb,
-        author=args.author,
-        title=args.title,
-        voice=args.voice,
-        frame_contains=args.frame_contains,
-        realization=args.realization,
-        mediator=args.mediator,
-    )
+    lexicon = read_lexicon(args.lexicon)
+    filters = ("verb", "author", "title", "voice", "frame_contains", "realization", "mediator")
+    entries = query_entries(lexicon, **{name: _nfc(getattr(args, name)) for name in filters})
     _print_entries(entries)
     return EXIT_OK if entries else EXIT_EMPTY
 
 
 def cmd_constructions(args) -> int:
-    lexicon = _load_lexicon(args.lexicon)
-    if lexicon is None:
-        return EXIT_USAGE
+    lexicon = read_lexicon(args.lexicon)
+    verb = _nfc(args.verb)
     if args.known_frames:
-        try:
-            known = [
-                line.strip()
-                for line in Path(args.known_frames).read_text(encoding=_ENCODING).splitlines()
-                if line.strip()
-            ]
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc))
-        only_lexicon, only_known = diff_constructions(lexicon, args.verb, known)
+        lines = Path(args.known_frames).read_text(encoding=_ENCODING).splitlines()
+        known = [_nfc(line.strip()) for line in lines if line.strip()]
+        only_lexicon, only_known = diff_constructions(lexicon, verb, known)
         only_lexicon = [
             r for r in only_lexicon
             if r.count >= args.min_count and len(r.authors) >= args.min_authors
@@ -313,7 +286,7 @@ def cmd_constructions(args) -> int:
             print(f"known\t{frame}\t\t")
         return EXIT_OK if (only_lexicon or only_known) else EXIT_EMPTY
     records = constructions_for_verb(
-        lexicon, args.verb, min_count=args.min_count, min_authors=args.min_authors
+        lexicon, verb, min_count=args.min_count, min_authors=args.min_authors
     )
     print("verb\tframe\tcount\tauthors")
     for record in records:
@@ -331,10 +304,7 @@ def cmd_casestudy(args) -> int:
         "min_epic_tokens": args.min_epic_tokens,
         "min_object_types": args.min_object_types,
     }
-    try:
-        config = load_config(args.config, overrides=overrides)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    config = load_config(args.config, overrides=overrides)
     for key in ("treebank_dir", "lexicon_path", "vector_space_path", "formula_span_path"):
         if not getattr(config, key):
             return _fail(f"config is missing {key}")
@@ -344,39 +314,33 @@ def cmd_casestudy(args) -> int:
         return _fail(f"not a directory: {directory}")
     epic_works = {tuple(work) for work in config.epic_works}
     report_rows, parsed_paths, corpus = [], [], []
-    try:
-        lexicon = read_lexicon(config.lexicon_path)
-        for trees in _load_corpus(directory, config.manifest_path, report_rows, parsed_paths):
-            corpus += [tree for tree in trees if (tree.author, tree.title) in epic_works]
-        selection = select_case_study(config, corpus, lexicon)
-        space = load_vector_space(config.vector_space_path, selection.lemmas())
-        result = run_case_study(config, selection, space)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    lexicon = read_lexicon(config.lexicon_path)
+    for trees in _load_corpus(directory, config.manifest_path, report_rows, parsed_paths):
+        corpus += [tree for tree in trees if (tree.author, tree.title) in epic_works]
+    selection = select_case_study(config, corpus, lexicon)
+    space = load_vector_space(config.vector_space_path, selection.lemmas())
+    result = run_case_study(config, selection, space)
 
     output_dir = Path(config.output_dir)
     report_path = output_dir / "report.tsv"
-    try:
-        paths = write_case_study_outputs(result, output_dir)
-        _write_report(report_path, report_rows)
-        manifest = build_manifest(
-            command="casestudy",
-            config={
-                "epic_works": ["|".join(w) for w in config.epic_works],
-                "baseline_exclusions": ["|".join(w) for w in config.baseline_exclusions],
-                "min_epic_tokens": config.min_epic_tokens,
-                "min_object_types": config.min_object_types,
-                "include_participles": config.include_participles,
-                "ks_exact_limit": config.ks_exact_limit,
-                "variance_convention": "sample (n-1)",
-                "quartile_convention": "midpoint-inclusive",
-            },
-            input_paths=parsed_paths
-            + [config.lexicon_path, config.vector_space_path, config.formula_span_path],
-        )
-        write_manifest(manifest, output_dir / "manifest.json")
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    paths = write_case_study_outputs(result, output_dir)
+    _write_report(report_path, report_rows)
+    manifest = build_manifest(
+        command="casestudy",
+        config={
+            "epic_works": ["|".join(w) for w in config.epic_works],
+            "baseline_exclusions": ["|".join(w) for w in config.baseline_exclusions],
+            "min_epic_tokens": config.min_epic_tokens,
+            "min_object_types": config.min_object_types,
+            "include_participles": config.include_participles,
+            "ks_exact_limit": config.ks_exact_limit,
+            "variance_convention": "sample (n-1)",
+            "quartile_convention": "midpoint-inclusive",
+        },
+        input_paths=parsed_paths
+        + [config.lexicon_path, config.vector_space_path, config.formula_span_path],
+    )
+    write_manifest(manifest, output_dir / "manifest.json")
 
     failed_files = _failed_files(report_rows)
     print(
@@ -393,14 +357,11 @@ def cmd_betacode(args) -> int:
         return _fail("provide TEXT or --file")
     if args.text is not None and args.path:
         return _fail("provide either TEXT or --file, not both")
-    try:
-        lines = (
-            [args.text]
-            if args.text is not None
-            else Path(args.path).read_text(encoding=_ENCODING).splitlines()
-        )
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    lines = (
+        [args.text]
+        if args.text is not None
+        else Path(args.path).read_text(encoding=_ENCODING).splitlines()
+    )
     converted = []  # every line, before any is printed
     for number, line in enumerate(lines, start=1):
         try:
@@ -415,8 +376,13 @@ def cmd_betacode(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the one error boundary: any OSError or ValueError a command lets out,
+    # a closed stdout included, is reported on one line and exits 1
     with _gc_paused():
-        return args.func(args)
+        try:
+            return args.func(args)
+        except (OSError, ValueError) as exc:
+            return _fail(str(exc))
 
 
 def entry_point() -> None:

@@ -7,10 +7,10 @@ strings rather than re-deriving anything from the source treebank, so a
 lexicon file is self-sufficient.
 
 Entry filters, construction inventories and aggregates read columns that
-every ``Lexicon`` builds with its entries: interned numpy codes and each
-verb's rows, then on first use a (verb, frame) group table ranked per verb
-for the inventories and per-value masks over frame codes for the
-realization and mediator filters.
+every ``Lexicon`` builds with its entries: interned numpy codes, each verb's
+rows and per-value masks over frame codes for the realization and mediator
+filters, then on first use a (verb, frame) group table ranked per verb for
+the inventories.
 """
 
 import os
@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .frames import LexiconEntry, LexiconFormatError, parse_frame
+from .treebank import LAYOUT_BREAK
 
 FORMAT_VERSION = "1"
 
@@ -74,14 +75,13 @@ class _Groups:
 class Lexicon:
     """Entries and the columns that queries, construction inventories and
     aggregates read, all built with the lexicon: interned numpy codes of
-    author, title, voice, frame and verb, and each verb's rows in entry
-    order.
+    author, title, voice, frame and verb, each verb's rows in entry order,
+    and one mask over frame codes per realization value and per mediator
+    value, for which every distinct frame is parsed; a frame that does not
+    parse raises :class:`LexiconFormatError`.
 
     The (verb, frame) group table is built on the first construction query.
-    Frames are parsed only when a realization or mediator filter first needs
-    them; each parsed frame sets its bit in one mask over frame codes per
-    realization value and per mediator value.  Nothing is rebuilt, so
-    ``entries`` must not change after construction.
+    Nothing is rebuilt, so ``entries`` must not change after construction.
     """
 
     INTERNED = ("author", "title", "voice", "frame", "verb")
@@ -100,8 +100,15 @@ class Lexicon:
         self.verb_starts = np.concatenate(
             ([0], np.cumsum(np.bincount(self.codes["verb"], minlength=len(self.index["verb"]))))
         )
-        self.judged = np.zeros(len(self.frames), dtype=bool)
         self.masks = {"realization": {}, "mediator": {}}  # slot -> value -> frame-code mask
+        for code, frame in enumerate(self.frames):
+            _, elements = parse_frame(frame)
+            for element in elements:
+                for slot, masks in self.masks.items():
+                    value = getattr(element, slot)
+                    if value not in masks:
+                        masks[value] = np.zeros(len(self.frames), dtype=bool)
+                    masks[value][code] = True
 
     def __len__(self):
         return len(self.entries)
@@ -152,22 +159,9 @@ class Lexicon:
             authors=[author_names[code] for code in author[author_rows].tolist()],
         )
 
-    def judge(self, candidates: np.ndarray):
-        """Parse the candidate frames (a mask over frame codes) not judged
-        yet, in code order, and set their bits in the slot masks."""
-        for code in np.flatnonzero(candidates & ~self.judged).tolist():
-            _, elements = parse_frame(self.frames[code])
-            for element in elements:
-                for slot, masks in self.masks.items():
-                    value = getattr(element, slot)
-                    if value not in masks:
-                        masks[value] = np.zeros(len(self.frames), dtype=bool)
-                    masks[value][code] = True
-            self.judged[code] = True
-
 
 def _nfc(value: str) -> str:
-    if "\t" in value or "\n" in value:
+    if LAYOUT_BREAK.search(value):
         raise ValueError(f"field would corrupt the TSV layout: {value!r}")
     return unicodedata.normalize("NFC", value)
 
@@ -325,8 +319,7 @@ def query_entries(
     Rows start from all entries or the verb's and are narrowed by author,
     title and voice on their codes.  The frame filters then narrow the
     distinct frames of those rows: the substring test first, then the
-    realization and mediator masks, which parse a candidate frame the first
-    time any query needs it.
+    realization and mediator masks.
     """
     rows = None  # every row
     if verb is not None:
@@ -349,14 +342,12 @@ def query_entries(
             frames = lexicon.frames
             candidates = np.flatnonzero(keep).tolist()
             keep[[code for code in candidates if frame_contains not in frames[code]]] = False
-        if realization is not None or mediator is not None:
-            lexicon.judge(keep)
-            for slot, value in (("realization", realization), ("mediator", mediator)):
-                if value is not None:
-                    mask = lexicon.masks[slot].get(value)
-                    if mask is None:
-                        return []
-                    keep &= mask
+        for slot, value in (("realization", realization), ("mediator", mediator)):
+            if value is not None:
+                mask = lexicon.masks[slot].get(value)
+                if mask is None:
+                    return []
+                keep &= mask
         hits = keep[frame_codes]
         rows = np.flatnonzero(hits) if rows is None else rows[hits]
     return list(lexicon.entries) if rows is None else lexicon.entry_array[rows].tolist()

@@ -24,9 +24,13 @@ _required_values = itemgetter(*_REQUIRED_ATTRIBUTES)
 
 _TRAILING_DIGITS = re.compile(r"\d+$")
 _ASCII_LETTERS = re.compile(r"[A-Za-z*]")
-# the frame codec's delimiters and the TSV's separators: a lemma holding
-# one would render into a frame or a row that cannot be read back
-_RESERVED = re.compile(r"[,()\[\]{}\t\n]")
+# the TSV's separators: a tab and every character str.splitlines breaks
+# on, which splits a row where read_lexicon reads it back
+_LAYOUT_BREAKS = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+LAYOUT_BREAK = re.compile(f"[{_LAYOUT_BREAKS}]")
+# those and the frame codec's delimiters: a lemma holding one would render
+# into a frame or a row that cannot be read back
+_RESERVED = re.compile(rf"[,()\[\]{{}}{_LAYOUT_BREAKS}]")
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
 
 
@@ -112,7 +116,7 @@ def normalize_lemma(raw: str) -> str:
     """Strip sense-numbering digits; transcode ASCII-Greek to Unicode; NFC.
 
     Raises ``ValueError`` when the result holds a frame delimiter
-    (``, ( ) [ ] { }``), a tab or a newline.  Cached per process: a corpus
+    (``, ( ) [ ] { }``), a tab or a line break.  Cached per process: a corpus
     repeats a small vocabulary of lemmas.  Errors are not cached, so every
     bad word is still reported.
     """

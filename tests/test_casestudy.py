@@ -8,16 +8,12 @@ from grcvalency.casestudy import (
     BASELINE,
     FORMULAIC,
     CaseStudyConfig,
-    TrVObjPair,
     build_baseline,
     extract_trv_obj,
     load_config,
     load_formula_spans,
-    mark_formulaic,
-    object_types,
     run_case_study,
     select_case_study,
-    select_verbs,
     write_case_study_outputs,
 )
 from grcvalency.frames import parse_frame
@@ -43,9 +39,9 @@ FORMULAIC_KEYS = {(1021, 2, 3), (1022, 2, 3), (1036, 1, 2), (1047, 1, 3), (2002,
 
 def test_span_file_parses(tmp_path):
     spans = load_formula_spans(SPANS_FILE)
-    assert spans.contains(1021, 2) and spans.contains(1021, 3)
-    assert spans.contains(1023, 2) and not spans.contains(1023, 3)
-    assert not spans.contains(999999, 1)
+    assert {2, 3} <= spans[1021]
+    assert 2 in spans[1023] and 3 not in spans[1023]
+    assert 999999 not in spans
     bad = tmp_path / "bad.tsv"
     bad.write_text("12\t1,0\n", encoding="utf-8")
     with pytest.raises(ValueError):
@@ -60,8 +56,7 @@ def test_span_file_header_comments_and_merging(tmp_path):
     path.write_text(
         "sentence_id\ttoken_ids\n# a note\n7\t1,2\n7\t5\n", encoding="utf-8"
     )
-    spans = load_formula_spans(path)
-    assert spans.spans[7] == frozenset({1, 2, 5})
+    assert load_formula_spans(path) == {7: frozenset({1, 2, 5})}
 
 
 def test_extraction_matches_hand_scan(corpus_trees):
@@ -90,41 +85,69 @@ def test_work_filter_excludes_other_authors(corpus_trees):
     assert {p.work for p in pairs} == {("Homer", "Iliad")}
 
 
+def _selection(corpus, spans_path, **thresholds):
+    """The selection over ``corpus`` with an empty baseline lexicon."""
+    config = CaseStudyConfig(formula_span_path=str(spans_path), epic_works=EPIC_WORKS,
+                             **thresholds)
+    return select_case_study(config, corpus, Lexicon([]))
+
+
 def test_mark_formulaic_needs_both_tokens(corpus_trees):
+    pairs = extract_trv_obj(corpus_trees, EPIC_WORKS)
+    selection = _selection(corpus_trees, SPANS_FILE, min_epic_tokens=1)
+    by_key = {(p.sentence_id, p.verb_token_id, p.object_token_id): p for p in pairs}
+    want = Counter(by_key[key].verb for key in FORMULAIC_KEYS)
+    assert {s.verb: s.token_count for s in selection.verbs} == want
+    assert sorted(o for s in selection.verbs for o in s.epic_types) == sorted(
+        {by_key[key].object for key in FORMULAIC_KEYS}
+    )
+    assert selection.log[0].detail == (
+        f"total={len(pairs)} formulaic={len(FORMULAIC_KEYS)} "
+        f"non_formulaic={len(pairs) - len(FORMULAIC_KEYS)}"
+    )
+    # 1021: both tokens marked; 1023: verb marked, object not; 1024: object
+    # marked, verb not; 1030: sentence absent from spans
     spans = load_formula_spans(SPANS_FILE)
-    pairs = mark_formulaic(extract_trv_obj(corpus_trees, EPIC_WORKS), spans)
-    flagged = {
-        (p.sentence_id, p.verb_token_id, p.object_token_id) for p in pairs if p.formulaic
-    }
-    assert flagged == FORMULAIC_KEYS
-    by_sentence = {p.sentence_id: p for p in pairs}
-    assert not by_sentence[1023].formulaic  # verb marked, object not
-    assert not by_sentence[1024].formulaic  # object marked, verb not
-    assert not by_sentence[1030].formulaic  # sentence absent from spans
-    # the flags partition the pairs, per verb and overall
-    verbs = {p.verb for p in pairs}
-    for verb in verbs:
-        of_verb = [p for p in pairs if p.verb == verb]
-        formulaic = sum(1 for p in of_verb if p.formulaic)
-        non_formulaic = sum(1 for p in of_verb if not p.formulaic)
-        assert formulaic + non_formulaic == len(of_verb)
-    assert sum(1 for p in pairs if p.formulaic) == len(FORMULAIC_KEYS)
+    assert (2 in spans[1023], 3 in spans[1023]) == (True, False)
+    assert (2 in spans[1024], 3 in spans[1024]) == (False, True)
+    assert 1030 not in spans
+    four = [t for t in corpus_trees if t.sentence_id in (1021, 1023, 1024, 1030)]
+    selection = _selection(four, SPANS_FILE, min_epic_tokens=1)
+    assert [(s.verb, s.token_count) for s in selection.verbs] == [(by_key[1021, 2, 3].verb, 1)]
+    assert selection.log[0].detail == "total=4 formulaic=1 non_formulaic=3"
 
 
-def _pair(verb, obj, sid, formulaic):
-    return TrVObjPair(verb, obj, sid, 1, 2, ("Homer", "Iliad"), formulaic)
+def _marked(tmp_path, pairs):
+    """One epic tree per (verb, object) pair and a span file marking each."""
+    trees = [
+        synthetic_case._pair_sentence(sentence_id, verb, obj, EPIC_WORKS[0])
+        for sentence_id, (verb, obj) in enumerate(pairs, start=1)
+    ]
+    spans = tmp_path / "spans.tsv"
+    spans.write_text("".join(f"{t.sentence_id}\t1,2\n" for t in trees), encoding="utf-8")
+    return trees, spans
 
 
-def test_select_verbs_threshold_boundary():
-    counts = Counter({"ἄγω": 50, "φέρω": 49, "δίδωμι": 50, "λαμβάνω": 51})
-    selected = select_verbs(counts, 50)
-    assert selected == [("λαμβάνω", 51), ("δίδωμι", 50), ("ἄγω", 50)]
+def test_select_verbs_threshold_boundary(tmp_path):
+    counts = {"ἄγω": 50, "φέρω": 49, "δίδωμι": 50, "λαμβάνω": 51}
+    trees, spans = _marked(
+        tmp_path, [(verb, f"obj{i}") for verb, count in counts.items() for i in range(count)]
+    )
+    selection = _selection(trees, spans, min_epic_tokens=50)
+    assert [(s.verb, s.token_count) for s in selection.verbs] == [
+        ("λαμβάνω", 51), ("δίδωμι", 50), ("ἄγω", 50)
+    ]
+    assert [(e.verb, e.reason, e.detail) for e in selection.log[1:]] == [
+        ("φέρω", "below_min_epic_tokens", "49 < 50")
+    ]
 
 
-def test_object_types_are_unique_and_sorted():
-    pairs = [_pair("ἄγω", "ναῦς", 1, True), _pair("ἄγω", "ναῦς", 2, True)]
-    assert object_types(pairs) == ["ναῦς"]
-    assert object_types([]) == []
+def test_object_types_are_unique_and_sorted(tmp_path):
+    objects = ["ναῦς", "ἵππος", "ναῦς", "ἀνήρ", "ἵππος"]
+    trees, spans = _marked(tmp_path, [("ἄγω", obj) for obj in objects])
+    (selected,) = _selection(trees, spans, min_epic_tokens=5).verbs
+    assert selected.token_count == 5
+    assert selected.epic_types == ["ναῦς", "ἀνήρ", "ἵππος"]  # code-point order
 
 
 def test_build_baseline_hand_set(sample_lexicon):
@@ -244,9 +267,7 @@ def test_run_case_study_synthetic(tmp_path):
     reports = {e.verb: e.detail for e in result.log if e.event == "report"}
     assert reports[synthetic_case.TIGHT_VERB].startswith("epic_tokens=60 ")
 
-    formulaic = result.formulaic_count
-    assert formulaic + (result.pair_count - formulaic) == result.pair_count
-    assert result.pair_count == 285 and formulaic == 284
+    assert result.log[0].detail == "total=285 formulaic=284 non_formulaic=1"
 
 
 def test_run_case_study_is_deterministic(tmp_path):

@@ -1,7 +1,10 @@
+import errno
 import gc
 import json
 import shutil
 import stat
+import sys
+import unicodedata
 
 import pytest
 
@@ -106,22 +109,32 @@ def test_extract_partial_failure(tmp_path):
     assert "file_error" in report.read_text(encoding="utf-8")
 
 
+# the characters that split a TSV row and that XML 1.0 can carry, as
+# character references: a tab, every line break str.splitlines knows but
+# the C0 controls \x0b, \x0c and \x1c-\x1e, which XML forbids
+_XML_LAYOUT_BREAKS = ("&#9;", "&#10;", "&#13;", "&#x85;", "&#x2028;", "&#x2029;")
+
+
 def test_extract_field_that_would_break_the_tsv_is_an_error(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    (corpus / "tab.xml").write_text(
-        '<treebank author="Homer" title="Iliad"><sentence id="1" subdoc="1.1&#9;">'
-        '<word id="1" form="λόγον" lemma="λόγος" postag="n-s---ma-" head="2" relation="OBJ"/>'
-        '<word id="2" form="λέγει" lemma="λέγω" postag="v3spia---" head="0" relation="PRED"/>'
-        "</sentence></treebank>",
-        encoding="utf-8",
-    )
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    assert main(["extract", str(corpus), "-o", str(out_dir / "lex.tsv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "TSV layout" in err
-    assert list(out_dir.iterdir()) == []  # no lexicon and no temp file
+    for reference in _XML_LAYOUT_BREAKS:
+        for field in ("author", "title", "subdoc"):
+            values = {"author": "Homer", "title": "Iliad", "subdoc": "1.1", field: reference}
+            (corpus / "tab.xml").write_text(
+                f'<treebank author="{values["author"]}" title="{values["title"]}">'
+                f'<sentence id="1" subdoc="{values["subdoc"]}">'
+                '<word id="1" form="λόγον" lemma="λόγος" postag="n-s---ma-" head="2" relation="OBJ"/>'
+                '<word id="2" form="λέγει" lemma="λέγω" postag="v3spia---" head="0" relation="PRED"/>'
+                "</sentence></treebank>",
+                encoding="utf-8",
+            )
+            assert main(["extract", str(corpus), "-o", str(out_dir / "lex.tsv")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "TSV layout" in err, (reference, field)
+            assert list(out_dir.iterdir()) == []  # no lexicon and no temp file
 
 
 def test_extract_skips_a_lemma_the_frame_format_reserves(tmp_path, capsys):
@@ -137,7 +150,15 @@ def test_extract_skips_a_lemma_the_frame_format_reserves(tmp_path, capsys):
         '<sentence id="2" subdoc="1.2">'
         '<word id="1" form="ἄγει" lemma="ἄγω" postag="v3spia---" head="0" relation="PRED"/>'
         '<word id="2" form="ναῦν" lemma="ναῦς" postag="n-s---fa-" head="1" relation="OBJ"/>'
-        "</sentence></treebank>",
+        "</sentence>"
+        + "".join(
+            f'<sentence id="{sentence_id}" subdoc="2.1">'
+            '<word id="1" form="ἄγει" lemma="ἄγω" postag="v3spia---" head="0" relation="PRED"/>'
+            f'<word id="2" form="ναῦν" lemma="ναῦς{reference}" postag="n-s---fa-" head="1" '
+            'relation="OBJ"/></sentence>'
+            for sentence_id, reference in enumerate(_XML_LAYOUT_BREAKS, start=3)
+        )
+        + "</treebank>",
         encoding="utf-8",
     )
     lexicon = tmp_path / "lex.tsv"
@@ -146,6 +167,14 @@ def test_extract_skips_a_lemma_the_frame_format_reserves(tmp_path, capsys):
     rows = [line.split("\t") for line in report.splitlines()[1:]]
     assert rows[0][:3] == ["comma.xml", "1", "word_skipped"]
     assert "εἰς,ἐς" in rows[0][3]
+    skipped = [row for row in rows if row[1] not in ("1", "2")]
+    assert [row[:3] for row in skipped] == [
+        ["comma.xml", str(sentence_id), "word_skipped"]
+        for sentence_id in range(3, 3 + len(_XML_LAYOUT_BREAKS))
+    ]
+    assert all("reserved character" in row[3] for row in skipped)
+    capsys.readouterr()
+    assert main(["stats", str(lexicon)]) == 0
     capsys.readouterr()
     assert main(["query", str(lexicon), "--realization", "accusative"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -232,6 +261,35 @@ def test_constructions_and_diff(extracted, tmp_path, capsys):
     assert not any("active_OBJ[accusative]\t2" in line for line in out if line.startswith("known"))
 
     assert main(["constructions", str(extracted), "--verb", "οὐδαμός"]) == 3
+
+
+def test_query_and_constructions_read_their_arguments_as_nfc(extracted, tmp_path, capsysbinary):
+    def nfd(value):
+        return unicodedata.normalize("NFD", value)
+
+    known = tmp_path / "known.txt"
+    known.write_text("active_(εἰς)OBJ[accusative]\nmiddle_OBJ[genitive]\n", encoding="utf-8")
+    known_nfd = tmp_path / "known-nfd.txt"
+    known_nfd.write_text(nfd(known.read_text(encoding="utf-8")), encoding="utf-8")
+    lexicon = str(extracted)
+    runs = [
+        (["query", lexicon, "--verb", "φέρω"], 0),
+        (["query", lexicon, "--mediator", "εἰς"], 0),
+        (["query", lexicon, "--verb", "ἄγω", "--realization", "accusative"], 0),
+        (["query", lexicon, "--frame-contains", "(εἰς)", "--realization", "accusative"], 0),
+        (["constructions", lexicon, "--verb", "φέρω"], 0),
+        (["constructions", lexicon, "--verb", "ἄγω", "--known-frames", str(known)], 0),
+    ]
+    for argv, code in runs:
+        assert main(argv) == code, argv
+        want = capsysbinary.readouterr()
+        assert want.out.count(b"\n") > 1, argv
+        spelled = argv[:2] + [nfd(arg) for arg in argv[2:]]  # the paths as they are
+        if "--known-frames" in argv:
+            spelled[-1] = str(known_nfd)
+        assert spelled != argv
+        assert main(spelled) == code, spelled
+        assert capsysbinary.readouterr() == want, argv
 
 
 def test_betacode_command(capsys):
@@ -529,6 +587,51 @@ def test_undecodable_input_exits_one_with_the_decode_error(tmp_path, capsys, mon
         else:
             assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff"), argv
     assert not (tmp_path / "out").exists()
+
+
+def test_a_missing_input_exits_one_with_the_error(tmp_path, capsys):
+    config_path = _write_case_files(tmp_path)
+    corpus = str(tmp_path / "corpus")
+    lexicon = str(tmp_path / "lexicon.tsv")
+    missing = str(tmp_path / "missing")
+    for argv in (
+        ["extract", corpus, "--manifest", missing, "-o", str(tmp_path / "lex.tsv")],
+        ["casestudy", "--config", missing],
+        ["stats", missing],
+        ["query", missing],
+        ["constructions", missing, "--verb", "ἔχω"],
+        ["constructions", lexicon, "--verb", "ἔχω", "--known-frames", missing],
+        ["betacode", "--file", missing],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n", argv
+    assert not (tmp_path / "lex.tsv").exists() and not (tmp_path / "out").exists()
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_stdout_exits_one_with_the_error(tmp_path, capsys, monkeypatch):
+    config_path = _write_case_files(tmp_path)
+    lexicon = str(tmp_path / "lexicon.tsv")
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    for argv in (
+        ["extract", str(tmp_path / "corpus"), "-o", str(tmp_path / "lex.tsv")],
+        ["casestudy", "--config", str(config_path)],
+        ["stats", lexicon],
+        ["query", lexicon],
+        ["constructions", lexicon, "--verb", synthetic_case.TIGHT_VERB],
+        ["betacode", "de/os"],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n", argv
 
 
 def test_casestudy_rejects_a_bad_filler_frame_on_a_baseline_entry(tmp_path, capsys):

@@ -172,13 +172,19 @@ def test_a_good_file_reads_and_one_bad_row_rejects_it(tmp_path):
 
 
 def test_write_rejects_fields_that_break_the_layout(tmp_path):
-    broken = dataclasses.replace(PUBLISHED_ENTRY, title="Per\tsians")
-    with pytest.raises(ValueError, match="TSV"):
-        write_lexicon(Lexicon([broken]), tmp_path / "broken.tsv")
+    # a tab and every character that str.splitlines, and so read_lexicon, breaks a row on
+    splitting = [chr(i) for i in range(0x110000) if len(f"a{chr(i)}b".splitlines()) > 1]
+    assert len(splitting) == 10
+    for character in ["\t", *splitting]:
+        for field in ("author", "title", "subdoc", "verb", "frame", "frame_fillers"):
+            broken = dataclasses.replace(PUBLISHED_ENTRY, **{field: f"Per{character}sians"})
+            with pytest.raises(ValueError, match="TSV"):
+                write_lexicon([broken], tmp_path / "broken.tsv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lexicon_reads_frames_with_the_frame_codec():
-    # query_entries looks parse_frame up in lexicon; both names are one codec
+    # Lexicon looks parse_frame up in lexicon; both names are one codec
     assert lexicon_module.parse_frame is frames_module.parse_frame
     assert lexicon_module.LexiconFormatError is frames_module.LexiconFormatError
 
@@ -606,18 +612,12 @@ def test_query_matches_brute_force_for_every_filter_subset():
             verb: [i for i, e in enumerate(lexicon.entries) if e.verb == verb] for verb in verbs
         }
         by_verb = {verb: query_entries(lexicon, verb=verb) for verb in verbs}
-        # one verb's frames are judged first, so the all-rows slot queries
-        # after it read masks that an earlier query filled in part
-        partly_judged = [
-            {name: _filter_value(rng, name, lexicon, frames, verbs) for name in names}
-            for names in (("verb", "realization"), ("realization",), ("mediator",))
-        ]
         every_subset = (
             {name: _filter_value(rng, name, lexicon, frames, verbs) for name in names}
             for size in range(len(_QUERY_FILTERS) + 1)
             for names in itertools.combinations(_QUERY_FILTERS, size)
         )
-        for filters in itertools.chain(partly_judged, every_subset):
+        for filters in every_subset:
             got = query_entries(lexicon, **filters)
             want = _reference_query(lexicon.entries, frames, **filters)
             assert [id(e) for e in got] == [id(e) for e in want], filters
@@ -678,18 +678,7 @@ def test_a_malformed_frame_rejects_the_file_with_the_same_message_every_time(tmp
     )
 
 
-def test_query_on_a_built_lexicon_raises_for_a_frame_it_cannot_parse():
-    # only a Lexicon built in memory can hold a frame that does not parse
-    lexicon = Lexicon(
-        [_entry("φέρω", "Homer", "active_OBJ[accusative]"), _entry("ἄγω", "Hesiod", "active_OBJ[")]
-    )
-    with pytest.raises(LexiconFormatError, match=r"'active_OBJ\['"):
-        query_entries(lexicon, realization="accusative")
-    assert query_entries(lexicon, verb="φέρω", realization="accusative") == lexicon.entries[:1]
-
-
 def test_each_frame_is_parsed_once_over_many_queries(monkeypatch):
-    lexicon = _random_lexicon(300, seed=3)
     parsed = []
 
     def counting(frame):
@@ -697,44 +686,24 @@ def test_each_frame_is_parsed_once_over_many_queries(monkeypatch):
         return parse_frame(frame)
 
     monkeypatch.setattr(lexicon_module, "parse_frame", counting)
-    query_entries(lexicon, frame_contains="dative")
-    assert parsed == []
-    query_entries(lexicon, frame_contains="dative", mediator="ἐν")
-    dative = sorted({e.frame for e in lexicon.entries if "dative" in e.frame})
-    assert sorted(parsed) == dative
-    for realization in ("dative", "accusative", "genitive"):
-        query_entries(lexicon, realization=realization)
-    assert sorted(parsed) == sorted({e.frame for e in lexicon.entries})
-
-
-def test_frame_contains_alone_never_parses(monkeypatch):
-    def refuse(frame):
-        raise AssertionError(f"parsed {frame!r}")
-
-    lexicon = Lexicon(
-        [
-            _entry("φέρω", "Homer", "active_OBJ["),
-            _entry("ἄγω", "Homer", "active_SBJ[nominative]"),
-        ]
-    )
-    monkeypatch.setattr(lexicon_module, "parse_frame", refuse)
-    assert query_entries(lexicon, frame_contains="OBJ[") == lexicon.entries[:1]
-    assert query_entries(lexicon, frame_contains="active", verb="ἄγω") == lexicon.entries[1:]
-
-
-def test_query_parses_each_distinct_candidate_frame_once(monkeypatch):
     lexicon = _random_lexicon(1000, seed=11)
-    parsed = []
-
-    def counting(frame):
-        parsed.append(frame)
-        return parse_frame(frame)
-
-    monkeypatch.setattr(lexicon_module, "parse_frame", counting)
+    # building the lexicon parses each distinct frame once ...
+    assert sorted(parsed) == sorted({e.frame for e in lexicon.entries})
+    parsed.clear()
+    # ... and no query parses one again
     hits = query_entries(lexicon, frame_contains="εἰς", realization="dative")
-    candidates = [e.frame for e in lexicon.entries if "εἰς" in e.frame]
-    assert sorted(parsed) == sorted(set(candidates))
-    assert len(candidates) > 10 * len(parsed)
     assert hits == [
         e for e in lexicon.entries if e.frame.endswith("OBJ[dative]") and "εἰς" in e.frame
     ]
+    query_entries(lexicon, frame_contains="dative")
+    query_entries(lexicon, frame_contains="dative", mediator="ἐν")
+    for realization in ("dative", "accusative", "genitive", "vocative"):
+        query_entries(lexicon, realization=realization)
+    query_entries(lexicon, verb="φέρω", author="Homer", mediator="εἰς")
+    constructions_for_verb(lexicon, "φέρω")
+    assert parsed == []
+    # so a frame that does not parse fails the build, not a later query
+    with pytest.raises(LexiconFormatError, match=r"'active_OBJ\['"):
+        Lexicon(
+            [_entry("φέρω", "Homer", "active_OBJ[accusative]"), _entry("ἄγω", "Hesiod", "active_OBJ[")]
+        )
