@@ -678,6 +678,17 @@ def test_a_malformed_frame_rejects_the_file_with_the_same_message_every_time(tmp
     )
 
 
+def test_query_on_a_built_lexicon_raises_for_a_frame_it_cannot_parse():
+    # only a Lexicon built in memory can hold a frame that does not parse;
+    # building it parses every frame, so it raises before any query runs
+    with pytest.raises(LexiconFormatError, match=r"'active_OBJ\['"):
+        Lexicon(
+            [_entry("φέρω", "Homer", "active_OBJ[accusative]"), _entry("ἄγω", "Hesiod", "active_OBJ[")]
+        )
+    lexicon = Lexicon([_entry("φέρω", "Homer", "active_OBJ[accusative]")])
+    assert query_entries(lexicon, verb="φέρω", realization="accusative") == lexicon.entries
+
+
 def test_each_frame_is_parsed_once_over_many_queries(monkeypatch):
     parsed = []
 
@@ -686,15 +697,11 @@ def test_each_frame_is_parsed_once_over_many_queries(monkeypatch):
         return parse_frame(frame)
 
     monkeypatch.setattr(lexicon_module, "parse_frame", counting)
-    lexicon = _random_lexicon(1000, seed=11)
+    lexicon = _random_lexicon(300, seed=3)
     # building the lexicon parses each distinct frame once ...
     assert sorted(parsed) == sorted({e.frame for e in lexicon.entries})
     parsed.clear()
     # ... and no query parses one again
-    hits = query_entries(lexicon, frame_contains="εἰς", realization="dative")
-    assert hits == [
-        e for e in lexicon.entries if e.frame.endswith("OBJ[dative]") and "εἰς" in e.frame
-    ]
     query_entries(lexicon, frame_contains="dative")
     query_entries(lexicon, frame_contains="dative", mediator="ἐν")
     for realization in ("dative", "accusative", "genitive", "vocative"):
@@ -702,8 +709,40 @@ def test_each_frame_is_parsed_once_over_many_queries(monkeypatch):
     query_entries(lexicon, verb="φέρω", author="Homer", mediator="εἰς")
     constructions_for_verb(lexicon, "φέρω")
     assert parsed == []
-    # so a frame that does not parse fails the build, not a later query
-    with pytest.raises(LexiconFormatError, match=r"'active_OBJ\['"):
-        Lexicon(
-            [_entry("φέρω", "Homer", "active_OBJ[accusative]"), _entry("ἄγω", "Hesiod", "active_OBJ[")]
-        )
+
+
+def test_frame_contains_alone_never_parses(monkeypatch):
+    def refuse(frame):
+        raise AssertionError(f"parsed {frame!r}")
+
+    lexicon = Lexicon(
+        [
+            _entry("φέρω", "Homer", "active_OBJ[accusative]"),
+            _entry("ἄγω", "Homer", "active_SBJ[nominative]"),
+        ]
+    )
+    monkeypatch.setattr(lexicon_module, "parse_frame", refuse)
+    assert query_entries(lexicon, frame_contains="OBJ[") == lexicon.entries[:1]
+    assert query_entries(lexicon, frame_contains="active", verb="ἄγω") == lexicon.entries[1:]
+
+
+def test_query_parses_each_distinct_candidate_frame_once(monkeypatch):
+    parsed = []
+
+    def counting(frame):
+        parsed.append(frame)
+        return parse_frame(frame)
+
+    monkeypatch.setattr(lexicon_module, "parse_frame", counting)
+    lexicon = _random_lexicon(1000, seed=11)
+    candidates = [e.frame for e in lexicon.entries if "εἰς" in e.frame]
+    assert sorted(set(candidates)) == sorted(set(parsed) & set(candidates))
+    assert len(parsed) == len(set(parsed))
+    assert len(candidates) > 10 * len(set(candidates))
+    # the build parsed each candidate once; the query parses none again
+    parsed.clear()
+    hits = query_entries(lexicon, frame_contains="εἰς", realization="dative")
+    assert parsed == []
+    assert hits == [
+        e for e in lexicon.entries if e.frame.endswith("OBJ[dative]") and "εἰς" in e.frame
+    ]
