@@ -32,6 +32,7 @@ from .lexicon import (
 from .manifest import build_manifest, write_manifest
 from .semantics import load_vector_space
 from .treebank import (
+    LAYOUT_BREAK,
     TreebankParseError,
     load_manifest,
     parse_treebank_file,
@@ -140,8 +141,10 @@ def _load_corpus(directory: Path, manifest_path, report_rows, parsed_paths):
     name order, and yield the valid trees of each file that parsed.  Appends
     report rows ``(file, sentence_id, kind, detail)`` for unusable files, skipped
     words and excluded sentences to ``report_rows``, and the paths that parsed to
-    ``parsed_paths``.  Bad data is excluded and reported, never repaired; only an
-    unreadable metadata manifest raises."""
+    ``parsed_paths``.  A document author or title holding a tab or line break
+    fails its file, and such a subdoc excludes its sentence: the lexicon's TSV
+    could not hold them.  Bad data is excluded and reported, never repaired; only
+    an unreadable metadata manifest raises."""
     meta = load_manifest(manifest_path) if manifest_path else {}
     for path in sorted(directory.glob("*.xml")):
         try:
@@ -149,6 +152,11 @@ def _load_corpus(directory: Path, manifest_path, report_rows, parsed_paths):
             file_trees, issues = parse_treebank_file(data, fallback_meta=meta.get(path.name))
         except (OSError, TreebankParseError) as exc:
             report_rows.append((path.name, "", "file_error", str(exc)))
+            continue
+        # every tree of a file carries the document's author and title
+        broken = file_trees and _layout_errors(file_trees[0], ("author", "title"))
+        if broken:
+            report_rows.append((path.name, "", "file_error", "; ".join(broken)))
             continue
         parsed_paths.append(path)
         for issue in issues:
@@ -158,12 +166,21 @@ def _load_corpus(directory: Path, manifest_path, report_rows, parsed_paths):
         trees = []
         for tree in file_trees:
             validation = validate_sentence(tree)
-            if validation.ok:
+            if validation.ok and not LAYOUT_BREAK.search(tree.subdoc):
                 trees.append(tree)
             else:
-                detail = "; ".join(validation.messages())
+                detail = "; ".join(validation.messages() + _layout_errors(tree, ("subdoc",)))
                 report_rows.append((path.name, str(tree.sentence_id), "sentence_excluded", detail))
         yield trees
+
+
+def _layout_errors(tree, fields) -> list[str]:
+    """A message for each of the tree's ``fields`` that holds a tab or line break."""
+    return [
+        f"{name} {getattr(tree, name)!r} would corrupt the TSV layout"
+        for name in fields
+        if LAYOUT_BREAK.search(getattr(tree, name))
+    ]
 
 
 @contextlib.contextmanager
@@ -185,8 +202,17 @@ def _gc_paused():
             gc.enable()
 
 
+def _escape_layout_break(match) -> str:
+    return match[0].encode("unicode_escape").decode("ascii")
+
+
 def _write_report(path: Path, rows) -> None:
-    lines = ["file\tsentence_id\tkind\tdetail"] + ["\t".join(row) for row in rows]
+    """Write the report TSV; a tab or line break inside a field (a file name
+    may hold one) is written as its Python escape, ``\\t``, ``\\n``,
+    ``\\u2028`` and the like, so each row stays one line of four fields."""
+    lines = ["file\tsentence_id\tkind\tdetail"] + [
+        "\t".join(LAYOUT_BREAK.sub(_escape_layout_break, field) for field in row) for row in rows
+    ]
     write_atomic(path, ("\n".join(lines) + "\n").encode(_ENCODING))
 
 
@@ -230,14 +256,14 @@ def cmd_extract(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.frames is not None and args.frames < 0:
+        return _fail("--frames takes a non-negative count")
     lexicon = read_lexicon(args.lexicon)
     if args.by_author:
         print("author\tentries")
         for author, count in stats_by_author(lexicon):
             print(f"{author}\t{count}")
     elif args.frames is not None:
-        if args.frames < 0:
-            return _fail("--frames takes a non-negative count")
         print("frame\tcount")
         for frame, count in frame_frequencies(lexicon, args.frames):
             print(f"{frame}\t{count}")

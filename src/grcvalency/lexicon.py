@@ -9,8 +9,8 @@ lexicon file is self-sufficient.
 Entry filters, construction inventories and aggregates read columns that
 every ``Lexicon`` builds with its entries: interned numpy codes, each verb's
 rows and per-value masks over frame codes for the realization and mediator
-filters, then on first use a (verb, frame) group table ranked per verb for
-the inventories.
+filters, then on first use one ready (frame, count, authors) row per
+(verb, frame), ranked per verb, for the inventories.
 """
 
 import os
@@ -58,20 +58,6 @@ def _intern(values) -> tuple[np.ndarray, dict[str, int]]:
     return np.fromiter(map(index.__getitem__, values), np.intp, len(values)), index
 
 
-@dataclass
-class _Groups:
-    """One row per distinct (verb, frame), each verb's rows ranked by
-    (-count, frame); rows ``bounds[v]:bounds[v + 1]`` are verb code ``v``'s.
-    A row's distinct authors are ``authors[author_lo:author_hi]``."""
-
-    bounds: list[int]
-    frames: list[str]
-    counts: list[int]
-    author_lo: list[int]
-    author_hi: list[int]
-    authors: list[str]
-
-
 class Lexicon:
     """Entries and the columns that queries, construction inventories and
     aggregates read, all built with the lexicon: interned numpy codes of
@@ -80,8 +66,9 @@ class Lexicon:
     value, for which every distinct frame is parsed; a frame that does not
     parse raises :class:`LexiconFormatError`.
 
-    The (verb, frame) group table is built on the first construction query.
-    Nothing is rebuilt, so ``entries`` must not change after construction.
+    :attr:`groups`, one ready inventory row per (verb, frame), is built on the
+    first construction query.  Nothing is rebuilt, so ``entries`` must not
+    change after construction.
     """
 
     INTERNED = ("author", "title", "voice", "frame", "verb")
@@ -129,7 +116,10 @@ class Lexicon:
         return len(set(map(attrgetter("frame_fillers"), self.entries)))
 
     @cached_property
-    def groups(self) -> _Groups:
+    def groups(self) -> tuple[list[int], list[tuple[str, int, frozenset[str]]]]:
+        """``(bounds, rows)``: one ``(frame, count, authors)`` row per distinct
+        (verb, frame), each verb's rows ranked by (-count, frame); rows
+        ``bounds[v]:bounds[v + 1]`` are verb code ``v``'s."""
         verb, frame, author = (self.codes[name] for name in ("verb", "frame", "author"))
         order = np.lexsort((author, frame, verb))
         verb, frame, author = verb[order], frame[order], author[order]
@@ -150,14 +140,17 @@ class Lexicon:
         rank = np.lexsort((group_frame, -counts, group_verb))
         bounds = np.searchsorted(group_verb[rank], np.arange(len(self.index["verb"]) + 1))
         author_names = list(self.index["author"])
-        return _Groups(
-            bounds=bounds.tolist(),
-            frames=[self.frames[code] for code in group_frame[rank].tolist()],
-            counts=counts[rank].tolist(),
-            author_lo=author_lo[rank].tolist(),
-            author_hi=author_hi[rank].tolist(),
-            authors=[author_names[code] for code in author[author_rows].tolist()],
-        )
+        authors = [author_names[code] for code in author[author_rows].tolist()]
+        rows = [
+            (self.frames[code], count, frozenset(authors[lo:hi]))
+            for code, count, lo, hi in zip(
+                group_frame[rank].tolist(),
+                counts[rank].tolist(),
+                author_lo[rank].tolist(),
+                author_hi[rank].tolist(),
+            )
+        ]
+        return bounds.tolist(), rows
 
 
 def _nfc(value: str) -> str:
@@ -317,9 +310,10 @@ def query_entries(
     """Conjunctive filtering into a new, order-preserving list.
 
     Rows start from all entries or the verb's and are narrowed by author,
-    title and voice on their codes.  The frame filters then narrow the
-    distinct frames of those rows: the substring test first, then the
-    realization and mediator masks.
+    title and voice on their codes.  The frame filters then pick frame
+    codes: the substring test runs on every distinct frame when no row
+    filter was given, else on the distinct frames of the rows left, and
+    the realization and mediator masks are ANDed in.
     """
     rows = None  # every row
     if verb is not None:
@@ -336,18 +330,23 @@ def query_entries(
         rows = np.flatnonzero(codes == code) if rows is None else rows[codes[rows] == code]
     if frame_contains is not None or realization is not None or mediator is not None:
         frame_codes = lexicon.codes["frame"] if rows is None else lexicon.codes["frame"][rows]
-        # the candidate frames: those of the rows left
-        keep = np.bincount(frame_codes, minlength=len(lexicon.frames)) > 0
+        keep = None  # every frame
         if frame_contains is not None:
             frames = lexicon.frames
-            candidates = np.flatnonzero(keep).tolist()
-            keep[[code for code in candidates if frame_contains not in frames[code]]] = False
+            # every distinct frame is some entry's; with rows left, only theirs
+            candidates = (
+                range(len(frames))
+                if rows is None
+                else np.flatnonzero(np.bincount(frame_codes, minlength=len(frames))).tolist()
+            )
+            keep = np.zeros(len(frames), dtype=bool)
+            keep[[code for code in candidates if frame_contains in frames[code]]] = True
         for slot, value in (("realization", realization), ("mediator", mediator)):
             if value is not None:
                 mask = lexicon.masks[slot].get(value)
                 if mask is None:
                     return []
-                keep &= mask
+                keep = mask if keep is None else keep & mask
         hits = keep[frame_codes]
         rows = np.flatnonzero(hits) if rows is None else rows[hits]
     return list(lexicon.entries) if rows is None else lexicon.entry_array[rows].tolist()
@@ -364,14 +363,11 @@ def constructions_for_verb(
     code = lexicon.index["verb"].get(verb)
     if code is None:
         return []
-    groups = lexicon.groups
-    rows = slice(groups.bounds[code], groups.bounds[code + 1])
+    bounds, rows = lexicon.groups
     return [
-        ConstructionRecord(verb, frame, count, set(groups.authors[lo:hi]))
-        for frame, count, lo, hi in zip(
-            groups.frames[rows], groups.counts[rows], groups.author_lo[rows], groups.author_hi[rows]
-        )
-        if count >= min_count and hi - lo >= min_authors
+        ConstructionRecord(verb, frame, count, set(authors))
+        for frame, count, authors in rows[bounds[code] : bounds[code + 1]]
+        if count >= min_count and len(authors) >= min_authors
     ]
 
 

@@ -115,26 +115,105 @@ def test_extract_partial_failure(tmp_path):
 _XML_LAYOUT_BREAKS = ("&#9;", "&#10;", "&#13;", "&#x85;", "&#x2028;", "&#x2029;")
 
 
+def _layout_break(reference):
+    """The character an XML character reference stands for."""
+    code = reference[2:-1]
+    return chr(int(code[1:], 16) if code.startswith("x") else int(code))
+
+
+def _sentence_xml(sentence_id, subdoc):
+    return (
+        f'<sentence id="{sentence_id}" subdoc="{subdoc}">'
+        '<word id="1" form="λόγον" lemma="λόγος" postag="n-s---ma-" head="2" relation="OBJ"/>'
+        '<word id="2" form="λέγει" lemma="λέγω" postag="v3spia---" head="0" relation="PRED"/>'
+        "</sentence>"
+    )
+
+
+def _report_rows(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert all(line.count("\t") == 3 for line in lines)
+    return [line.split("\t") for line in lines[1:]]
+
+
 def test_extract_field_that_would_break_the_tsv_is_an_error(tmp_path, capsys):
+    # an author or title that would break the lexicon's TSV fails its file,
+    # such a subdoc excludes its sentence; both are reported, neither repaired
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    out_dir = tmp_path / "out"
-    out_dir.mkdir()
+    (corpus / "good.xml").write_text(
+        f'<treebank author="Homer" title="Iliad">{_sentence_xml(1, "1.1")}</treebank>',
+        encoding="utf-8",
+    )
+    out = tmp_path / "lex.tsv"
     for reference in _XML_LAYOUT_BREAKS:
+        value = "1" + _layout_break(reference) + "X"
         for field in ("author", "title", "subdoc"):
-            values = {"author": "Homer", "title": "Iliad", "subdoc": "1.1", field: reference}
+            values = {"author": "Homer", "title": "Odyssey", "subdoc": "2.1"}
+            values[field] = f"1{reference}X"
             (corpus / "tab.xml").write_text(
                 f'<treebank author="{values["author"]}" title="{values["title"]}">'
-                f'<sentence id="1" subdoc="{values["subdoc"]}">'
-                '<word id="1" form="λόγον" lemma="λόγος" postag="n-s---ma-" head="2" relation="OBJ"/>'
-                '<word id="2" form="λέγει" lemma="λέγω" postag="v3spia---" head="0" relation="PRED"/>'
-                "</sentence></treebank>",
+                f'{_sentence_xml(1, values["subdoc"])}{_sentence_xml(2, "2.2")}</treebank>',
                 encoding="utf-8",
             )
-            assert main(["extract", str(corpus), "-o", str(out_dir / "lex.tsv")]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and "TSV layout" in err, (reference, field)
-            assert list(out_dir.iterdir()) == []  # no lexicon and no temp file
+            code = main(["extract", str(corpus), "-o", str(out)])
+            report = _report_rows(out.with_name(out.name + ".report.tsv"))
+            manifest = out.with_name(out.name + ".manifest.json")
+            inputs = json.loads(manifest.read_text(encoding="utf-8"))["inputs"]
+            detail = f"{field} {value!r} would corrupt the TSV layout"
+            if field == "subdoc":
+                assert code == 0, reference
+                assert report == [["tab.xml", "1", "sentence_excluded", detail]]
+                assert [e.subdoc for e in read_lexicon(out)] == ["1.1", "2.2"]
+                assert len(inputs) == 2
+            else:
+                assert code == 2, (reference, field)
+                assert report == [["tab.xml", "", "file_error", detail]]
+                assert [e.title for e in read_lexicon(out)] == ["Iliad"]
+                assert len(inputs) == 1  # only the file that was used is hashed
+                assert "1 file(s) failed" in capsys.readouterr().out
+            assert capsys.readouterr().err == ""
+
+
+def test_casestudy_reports_fields_that_would_break_the_tsv(tmp_path, capsys):
+    config_path = _write_case_files(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["casestudy", "--config", str(config_path)]) == 0
+    clean_outputs = _case_outputs(out_dir)
+    corpus = tmp_path / "corpus"
+    (corpus / "author.xml").write_text(
+        f'<treebank author="Homer&#10;X" title="Iliad">{_sentence_xml(9001, "1.1")}</treebank>',
+        encoding="utf-8",
+    )
+    (corpus / "subdoc.xml").write_text(
+        f'<treebank author="Homer" title="Iliad">{_sentence_xml(9002, "1&#x2028;2")}</treebank>',
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert main(["casestudy", "--config", str(config_path)]) == 2
+    assert "1 file(s) failed" in capsys.readouterr().out
+    assert _case_outputs(out_dir) == clean_outputs
+    assert _report_rows(out_dir / "report.tsv") == [
+        ["author.xml", "", "file_error", "author 'Homer\\nX' would corrupt the TSV layout"],
+        ["subdoc.xml", "9002", "sentence_excluded",
+         "subdoc '1\\u20282' would corrupt the TSV layout"],
+    ]
+
+
+def test_report_rows_escape_layout_breaks_in_file_names(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    names = ("bad\nname.xml", "tab\tname.xml", "sep\u2028name.xml")
+    for name in names:
+        (corpus / name).write_text("<treebank><sentence", encoding="utf-8")
+    out = tmp_path / "lex.tsv"
+    assert main(["extract", str(corpus), "-o", str(out)]) == 2
+    rows = _report_rows(out.with_name(out.name + ".report.tsv"))
+    assert [row[:3] for row in rows] == [
+        ["bad\\nname.xml", "", "file_error"],
+        ["sep\\u2028name.xml", "", "file_error"],
+        ["tab\\tname.xml", "", "file_error"],
+    ]
 
 
 def test_extract_skips_a_lemma_the_frame_format_reserves(tmp_path, capsys):
@@ -363,6 +442,11 @@ def test_extract_figure1_layout_flag(tmp_path):
 def test_stats_rejects_negative_frames(extracted, capsys):
     assert main(["stats", str(extracted), "--frames", "-2"]) == 1
     assert "non-negative" in capsys.readouterr().err
+
+
+def test_stats_rejects_negative_frames_before_reading_the_lexicon(tmp_path, capsys):
+    assert main(["stats", str(tmp_path / "missing.tsv"), "--frames", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --frames takes a non-negative count\n"
 
 
 def test_version_flag(capsys):
