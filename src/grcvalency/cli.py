@@ -154,7 +154,11 @@ def _load_corpus(directory: Path, manifest_path, report_rows, parsed_paths):
             report_rows.append((path.name, "", "file_error", str(exc)))
             continue
         # every tree of a file carries the document's author and title
-        broken = file_trees and _layout_errors(file_trees[0], ("author", "title"))
+        broken = file_trees and [
+            f"{name} {value!r} would corrupt the TSV layout"
+            for name, value in (("author", file_trees[0].author), ("title", file_trees[0].title))
+            if LAYOUT_BREAK.search(value)
+        ]
         if broken:
             report_rows.append((path.name, "", "file_error", "; ".join(broken)))
             continue
@@ -166,21 +170,12 @@ def _load_corpus(directory: Path, manifest_path, report_rows, parsed_paths):
         trees = []
         for tree in file_trees:
             validation = validate_sentence(tree)
-            if validation.ok and not LAYOUT_BREAK.search(tree.subdoc):
+            if validation.ok:
                 trees.append(tree)
             else:
-                detail = "; ".join(validation.messages() + _layout_errors(tree, ("subdoc",)))
+                detail = "; ".join(validation.messages())
                 report_rows.append((path.name, str(tree.sentence_id), "sentence_excluded", detail))
         yield trees
-
-
-def _layout_errors(tree, fields) -> list[str]:
-    """A message for each of the tree's ``fields`` that holds a tab or line break."""
-    return [
-        f"{name} {getattr(tree, name)!r} would corrupt the TSV layout"
-        for name in fields
-        if LAYOUT_BREAK.search(getattr(tree, name))
-    ]
 
 
 @contextlib.contextmanager

@@ -116,10 +116,11 @@ class Lexicon:
         return len(set(map(attrgetter("frame_fillers"), self.entries)))
 
     @cached_property
-    def groups(self) -> tuple[list[int], list[tuple[str, int, frozenset[str]]]]:
+    def groups(self) -> tuple[list[int], list[tuple[str, int, list[str]]]]:
         """``(bounds, rows)``: one ``(frame, count, authors)`` row per distinct
         (verb, frame), each verb's rows ranked by (-count, frame); rows
-        ``bounds[v]:bounds[v + 1]`` are verb code ``v``'s."""
+        ``bounds[v]:bounds[v + 1]`` are verb code ``v``'s.  A row's authors
+        are its distinct authors, in code order."""
         verb, frame, author = (self.codes[name] for name in ("verb", "frame", "author"))
         order = np.lexsort((author, frame, verb))
         verb, frame, author = verb[order], frame[order], author[order]
@@ -142,7 +143,7 @@ class Lexicon:
         author_names = list(self.index["author"])
         authors = [author_names[code] for code in author[author_rows].tolist()]
         rows = [
-            (self.frames[code], count, frozenset(authors[lo:hi]))
+            (self.frames[code], count, authors[lo:hi])
             for code, count, lo, hi in zip(
                 group_frame[rank].tolist(),
                 counts[rank].tolist(),
@@ -333,7 +334,8 @@ def query_entries(
         keep = None  # every frame
         if frame_contains is not None:
             frames = lexicon.frames
-            # every distinct frame is some entry's; with rows left, only theirs
+            # every distinct frame is some entry's; with rows left, only theirs,
+            # which keeps a verb's search to its few frames
             candidates = (
                 range(len(frames))
                 if rows is None

@@ -99,15 +99,24 @@ class ValidationReport:
     duplicate_ids: list[int]
     dangling_heads: list[tuple[int, int]]  # (token_id, missing head_id)
     cycle_token_ids: list[int]
+    # a subdoc holding a tab or line break, which the lexicon's TSV cannot hold
+    broken_subdoc: str | None = None
 
     @property
     def ok(self) -> bool:
-        return not (self.duplicate_ids or self.dangling_heads or self.cycle_token_ids)
+        return not (
+            self.duplicate_ids
+            or self.dangling_heads
+            or self.cycle_token_ids
+            or self.broken_subdoc is not None
+        )
 
     def messages(self) -> list[str]:
         out = [f"duplicate token_id {t}" for t in self.duplicate_ids]
         out += [f"dangling head {h} (from token {t})" for t, h in self.dangling_heads]
         out += [f"token {t} lies on a head cycle" for t in self.cycle_token_ids]
+        if self.broken_subdoc is not None:
+            out.append(f"subdoc {self.broken_subdoc!r} would corrupt the TSV layout")
         return out
 
 
@@ -234,7 +243,8 @@ def _parse_word(word) -> WordNode:
 
 
 def validate_sentence(tree: SentenceTree) -> ValidationReport:
-    """Check token-id uniqueness, head resolution, and acyclicity."""
+    """Check token-id uniqueness, head resolution, acyclicity, and that the
+    subdoc holds no tab or line break."""
     by_id = tree._by_id  # each token id once, so a shortfall means duplicates
     duplicates = []
     if len(by_id) < len(tree.nodes):
@@ -268,6 +278,7 @@ def validate_sentence(tree: SentenceTree) -> ValidationReport:
         duplicate_ids=duplicates,
         dangling_heads=dangling,
         cycle_token_ids=sorted(cyclic),
+        broken_subdoc=tree.subdoc if LAYOUT_BREAK.search(tree.subdoc) else None,
     )
 
 

@@ -365,6 +365,14 @@ def test_validate_duplicate_ids():
     assert report.duplicate_ids == [1]
 
 
+def test_validate_a_subdoc_with_a_layout_break():
+    # the lexicon's TSV could not hold it, so the sentence is not valid
+    tree = SentenceTree(1, "1\t2", "", "", [_word(1, 0, "PRED")])
+    report = validate_sentence(tree)
+    assert not report.ok
+    assert report.messages() == ["subdoc '1\\t2' would corrupt the TSV layout"]
+
+
 def _reference_validate(tree):
     """The validator as it was before it read the tree's own id index."""
     seen = set()
