@@ -9,7 +9,6 @@ import contextlib
 import gc
 import sys
 import unicodedata
-from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -17,11 +16,11 @@ from .betacode import beta_to_unicode
 from .casestudy import load_config, run_case_study, select_case_study, write_case_study_outputs
 from .frames import ENTRY_ORDER, extract_entries
 from .lexicon import (
-    COLUMNS,
     FORMAT_VERSION,
     constructions_for_verb,
     diff_constructions,
     frame_frequencies,
+    lexicon_lines,
     query_entries,
     read_lexicon,
     stats_basic,
@@ -211,7 +210,11 @@ def _write_report(path: Path, rows) -> None:
     write_atomic(path, ("\n".join(lines) + "\n").encode(_ENCODING))
 
 
-def _failed_files(report_rows) -> int:
+def _finish_run(report_path: Path, report_rows, manifest_path: Path, **manifest) -> int:
+    """Write the report, then the manifest of ``build_manifest(**manifest)``
+    last; returns the number of input files that failed."""
+    _write_report(report_path, report_rows)
+    write_manifest(build_manifest(**manifest), manifest_path)
     return sum(row[2] == "file_error" for row in report_rows)
 
 
@@ -228,8 +231,8 @@ def cmd_extract(args) -> int:
     output = Path(args.output)
     report_path = output.with_name(output.name + ".report.tsv")
     write_lexicon(entries, output, figure1_layout=args.figure1_layout)
-    _write_report(report_path, report_rows)
-    manifest = build_manifest(
+    failed_files = _finish_run(
+        report_path, report_rows, output.with_name(output.name + ".manifest.json"),
         command="extract",
         config={
             "treebank_dir": str(directory),
@@ -240,9 +243,6 @@ def cmd_extract(args) -> int:
         },
         input_paths=parsed_paths,
     )
-    write_manifest(manifest, output.with_name(output.name + ".manifest.json"))
-
-    failed_files = _failed_files(report_rows)
     print(
         f"extracted {len(entries)} entries from {len(parsed_paths)} file(s); "
         f"{failed_files} file(s) failed; report: {report_path}"
@@ -269,13 +269,6 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _print_entries(entries) -> None:
-    print("\t".join(COLUMNS))
-    fields = attrgetter(*COLUMNS)
-    for entry in entries:
-        print("\t".join(map(str, fields(entry))))
-
-
 def _nfc(value):
     """A user's value in the NFC form of the lexicon's fields; None stays None."""
     return None if value is None else unicodedata.normalize("NFC", value)
@@ -285,7 +278,7 @@ def cmd_query(args) -> int:
     lexicon = read_lexicon(args.lexicon)
     filters = ("verb", "author", "title", "voice", "frame_contains", "realization", "mediator")
     entries = query_entries(lexicon, **{name: _nfc(getattr(args, name)) for name in filters})
-    _print_entries(entries)
+    print("\n".join(lexicon_lines(entries)))
     return EXIT_OK if entries else EXIT_EMPTY
 
 
@@ -345,8 +338,8 @@ def cmd_casestudy(args) -> int:
     output_dir = Path(config.output_dir)
     report_path = output_dir / "report.tsv"
     paths = write_case_study_outputs(result, output_dir)
-    _write_report(report_path, report_rows)
-    manifest = build_manifest(
+    failed_files = _finish_run(
+        report_path, report_rows, output_dir / "manifest.json",
         command="casestudy",
         config={
             "epic_works": ["|".join(w) for w in config.epic_works],
@@ -361,9 +354,6 @@ def cmd_casestudy(args) -> int:
         input_paths=parsed_paths
         + [config.lexicon_path, config.vector_space_path, config.formula_span_path],
     )
-    write_manifest(manifest, output_dir / "manifest.json")
-
-    failed_files = _failed_files(report_rows)
     print(
         f"reported {len(result.comparisons)} verb(s); {failed_files} file(s) failed; outputs: "
         + ", ".join(str(p) for p in [*paths.values(), report_path])

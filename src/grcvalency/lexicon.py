@@ -1,10 +1,13 @@
 """Lexicon persistence (flat TSV), aggregation tables, and queries.
 
-The on-disk form is a nine-column UTF-8 TSV; a compatibility flag drops
-the root_id column to match the eight-column published layout.  Queries
-that need slot-level detail (realization, mediator) parse the frame
-strings rather than re-deriving anything from the source treebank, so a
-lexicon file is self-sufficient.
+The on-disk form is a UTF-8 TSV whose columns are :class:`LexiconEntry`'s
+fields, in order; a compatibility flag drops the root_id column to match
+the eight-column published layout.  One line writer, :func:`lexicon_lines`,
+writes both layouts and ``query``'s rows: it rejects a field holding a tab
+or a line break and writes every row in NFC.  Queries that need slot-level
+detail (realization, mediator) parse the frame strings rather than
+re-deriving anything from the source treebank, so a lexicon file is
+self-sufficient.
 
 Entry filters, construction inventories and aggregates read columns that
 every ``Lexicon`` builds with its entries: interned numpy codes, each verb's
@@ -13,6 +16,7 @@ filters, then on first use one ready (frame, count, authors) row per
 (verb, frame), ranked per verb, for the inventories.
 """
 
+import dataclasses
 import os
 import tempfile
 import unicodedata
@@ -28,18 +32,7 @@ from .treebank import LAYOUT_BREAK
 
 FORMAT_VERSION = "1"
 
-COLUMNS = (
-    "author",
-    "title",
-    "subdoc",
-    "verb",
-    "voice",
-    "sentence_id",
-    "root_id",
-    "frame",
-    "frame_fillers",
-)
-
+COLUMNS = tuple(field.name for field in dataclasses.fields(LexiconEntry))
 FIGURE1_COLUMNS = tuple(c for c in COLUMNS if c != "root_id")
 
 
@@ -154,12 +147,6 @@ class Lexicon:
         return bounds.tolist(), rows
 
 
-def _nfc(value: str) -> str:
-    if LAYOUT_BREAK.search(value):
-        raise ValueError(f"field would corrupt the TSV layout: {value!r}")
-    return unicodedata.normalize("NFC", value)
-
-
 def write_atomic(destination, payload: bytes) -> int:
     """Write ``payload`` to a temp file beside ``destination`` and rename it
     over ``destination``; returns the bytes written.  The file is fsynced
@@ -189,30 +176,31 @@ def write_atomic(destination, payload: bytes) -> int:
     return len(payload)
 
 
+def lexicon_lines(entries, columns=COLUMNS):
+    """The header, then each entry's ``columns`` as one NFC row, unterminated;
+    a field holding a tab or a line break raises ``ValueError``.  A tab
+    composes and reorders with nothing, so a row's NFC is its fields' NFC."""
+    yield "\t".join(columns)
+    values = attrgetter(*columns)
+    row = "\t".join(["%s"] * len(columns))
+    tabs = len(columns) - 1
+    for entry in entries:
+        line = row % values(entry)
+        # read_lexicon splits the file into rows with str.splitlines
+        if line.count("\t") != tabs or line.splitlines() != [line]:
+            value = next(v for v in map(str, values(entry)) if LAYOUT_BREAK.search(v))
+            raise ValueError(f"field would corrupt the TSV layout: {value!r}")
+        yield unicodedata.normalize("NFC", line)
+
+
 def write_lexicon(lexicon, destination, figure1_layout: bool = False) -> int:
     """Serialize to TSV through :func:`write_atomic`; returns bytes written."""
-    columns = FIGURE1_COLUMNS if figure1_layout else COLUMNS
-    lines = ["\t".join(columns)]
-    for entry in lexicon:
-        row = [
-            _nfc(entry.author),
-            _nfc(entry.title),
-            _nfc(entry.subdoc),
-            _nfc(entry.verb),
-            entry.voice,
-            str(entry.sentence_id),
-            str(entry.root_id),
-            _nfc(entry.frame),
-            _nfc(entry.frame_fillers),
-        ]
-        if figure1_layout:
-            del row[6]
-        lines.append("\t".join(row))
+    lines = lexicon_lines(lexicon, FIGURE1_COLUMNS if figure1_layout else COLUMNS)
     return write_atomic(destination, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_lexicon(source) -> Lexicon:
-    """Read a nine-column lexicon TSV.
+    """Read a lexicon TSV in the full layout, :data:`COLUMNS`.
 
     A malformed row rejects the whole file, and the error names each faulty
     line in line order: a wrong column count, non-integer ids, or a ``frame``
@@ -238,24 +226,11 @@ def read_lexicon(source) -> Lexicon:
             row_errors.append((lineno, f"expected {len(COLUMNS)} columns, got {len(fields)}"))
             continue
         try:
-            sentence_id = int(fields[5])
-            root_id = int(fields[6])
+            sentence_id, root_id = int(fields[5]), int(fields[6])
         except ValueError:
             row_errors.append((lineno, "sentence_id and root_id must be integers"))
             continue
-        entries.append(
-            LexiconEntry(
-                author=fields[0],
-                title=fields[1],
-                subdoc=fields[2],
-                verb=fields[3],
-                voice=fields[4],
-                sentence_id=sentence_id,
-                root_id=root_id,
-                frame=fields[7],
-                frame_fillers=fields[8],
-            )
-        )
+        entries.append(LexiconEntry(*fields[:5], sentence_id, root_id, *fields[7:]))
         first_lines.setdefault(fields[7], lineno)
     for frame, lineno in first_lines.items():
         try:

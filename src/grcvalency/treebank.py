@@ -2,8 +2,10 @@
 
 Parsing is total over a file: a word missing a required attribute (or
 carrying an undecodable postag or lemma) is skipped and reported, never
-repaired.  Sentences that fail validation are likewise excluded from
-extraction by the caller; the lexicon must mirror the annotation verbatim.
+repaired.  Lemmas and the document's author, title and subdocs are NFC
+from the parse on.  Sentences that fail validation are likewise excluded
+from extraction by the caller; the lexicon must mirror the annotation
+verbatim.
 """
 
 import io
@@ -153,10 +155,11 @@ def _byte_offset(data: bytes, line: int, column: int) -> int:
 
 
 def _document_meta(root, fallback_meta):
+    """Author and title in NFC, each from an attribute, an element or the fallback."""
     fallback_author, fallback_title = fallback_meta or ("", "")
-    author = root.get("author") or (root.findtext("author") or "").strip()
-    title = root.get("title") or (root.findtext("title") or "").strip()
-    return author or fallback_author, title or fallback_title
+    author = root.get("author") or (root.findtext("author") or "").strip() or fallback_author
+    title = root.get("title") or (root.findtext("title") or "").strip() or fallback_title
+    return unicodedata.normalize("NFC", author), unicodedata.normalize("NFC", title)
 
 
 def parse_treebank_file(
@@ -220,7 +223,8 @@ def _read_sentence(sentence, sentences, issues) -> None:
             nodes.append(_parse_word(word))
         except (BetaCodeError, PostagError, ValueError) as exc:
             issues.append(WordIssue(sentence_id, word_index, str(exc)))
-    sentences.append((sentence_id, sentence.get("subdoc", ""), nodes))
+    subdoc = unicodedata.normalize("NFC", sentence.get("subdoc", ""))
+    sentences.append((sentence_id, subdoc, nodes))
 
 
 def _parse_word(word) -> WordNode:

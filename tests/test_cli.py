@@ -15,7 +15,7 @@ from grcvalency.cli import main
 from grcvalency.lexicon import write_lexicon
 
 import synthetic_case
-from conftest import CORPUS_DIR, GOLDEN_LEXICON, MANIFEST_FILE
+from conftest import CORPUS_DIR, DATA_DIR, GOLDEN_LEXICON, MANIFEST_FILE
 
 
 @pytest.fixture()
@@ -304,10 +304,16 @@ def test_query_no_filters_prints_everything(extracted, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 64
 
 
-def test_query_prints_the_lexicon_layout_byte_for_byte(capsysbinary):
+def test_query_prints_the_lexicon_layout_byte_for_byte(tmp_path, capsysbinary):
     golden = GOLDEN_LEXICON.read_bytes()
     header, *rows = golden.splitlines(keepends=True)
     assert main(["query", str(GOLDEN_LEXICON)]) == 0
+    assert capsysbinary.readouterr().out == golden
+    # the rows go through the lexicon file's writer, which writes NFC
+    decomposed = tmp_path / "nfd.tsv"
+    decomposed.write_text(unicodedata.normalize("NFD", golden.decode("utf-8")), encoding="utf-8")
+    assert decomposed.read_bytes() != golden
+    assert main(["query", str(decomposed)]) == 0
     assert capsysbinary.readouterr().out == golden
     assert main(["query", str(GOLDEN_LEXICON), "--verb", "φέρω", "--voice", "active"]) == 0
     expected = [row for row in rows if row.split(b"\t")[3:5] == ["φέρω".encode(), b"active"]]
@@ -791,6 +797,64 @@ def test_casestudy_keeps_only_the_trees_of_its_epic_works(tmp_path, monkeypatch)
         if (tree.author, tree.title) == synthetic_case.EPIC_WORK
     ]
     assert [tree.sentence_id for tree in seen] == [tree.sentence_id for tree in expected]
+
+
+def _retitled_data_copy(destination, form):
+    """A copy of the test data whose Iliad (titled in the metadata manifest)
+    and Theogony (titled in the XML) carry Greek titles in Unicode ``form``,
+    and a casestudy config that names them in NFC; returns the config."""
+    shutil.copytree(DATA_DIR, destination)
+    iliad, theogony = (unicodedata.normalize(form, title) for title in ("Ἰλιάς", "Θεογονία"))
+    manifest = destination / "manifest.tsv"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace("\tIliad", "\t" + iliad), encoding="utf-8")
+    xml = destination / "corpus" / "theogony.xml"
+    text = xml.read_text(encoding="utf-8")
+    xml.write_text(text.replace('title="Theogony"', f'title="{theogony}"'), encoding="utf-8")
+    config = destination / "case.conf"
+    config.write_text(
+        f"treebank_dir = {destination / 'corpus'}\n"
+        f"manifest_path = {manifest}\n"
+        f"lexicon_path = {destination / 'golden_lexicon.tsv'}\n"
+        f"vector_space_path = {destination / 'toy_vectors.txt'}\n"
+        f"formula_span_path = {destination / 'spans.tsv'}\n"
+        f"output_dir = {destination / 'out'}\n"
+        "epic_works = Homer|Ἰλιάς; Hesiod|Θεογονία\n"
+        "min_epic_tokens = 1\nmin_object_types = 1\n",
+        encoding="utf-8",
+    )
+    return config
+
+
+def test_casestudy_matches_nfc_works_to_nfd_treebank_metadata(tmp_path, capsys):
+    runs = {}
+    for form in ("NFC", "NFD"):
+        config = _retitled_data_copy(tmp_path / form, form)
+        code = main(["casestudy", "--config", str(config)])
+        out_dir = tmp_path / form / "out"
+        outputs = _case_outputs(out_dir)
+        outputs["report.tsv"] = (out_dir / "report.tsv").read_bytes()
+        runs[form] = code, capsys.readouterr().out.replace(str(tmp_path / form), ""), outputs
+    assert b"total=29 formulaic=5 non_formulaic=24" in runs["NFC"][2]["run.log"]
+    assert runs["NFD"] == runs["NFC"]
+
+
+def test_extract_and_casestudy_write_the_manifest_last(tmp_path, monkeypatch):
+    calls = []
+    steps = ("write_lexicon", "write_case_study_outputs", "_write_report",
+             "build_manifest", "write_manifest")
+    for name in steps:
+        def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)  # looked up in cli, where a tracer patches them
+    config_path = _write_case_files(tmp_path)
+    (tmp_path / "corpus" / "truncated.xml").write_bytes(b"<treebank>")
+    assert main(["extract", str(tmp_path / "corpus"), "-o", str(tmp_path / "extracted.tsv")]) == 2
+    assert main(["casestudy", "--config", str(config_path)]) == 2
+    epilogue = ["_write_report", "build_manifest", "write_manifest"]
+    assert calls == ["write_lexicon", *epilogue, "write_case_study_outputs", *epilogue]
 
 
 def _raise(*args, **kwargs):

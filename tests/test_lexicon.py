@@ -176,11 +176,60 @@ def test_write_rejects_fields_that_break_the_layout(tmp_path):
     splitting = [chr(i) for i in range(0x110000) if len(f"a{chr(i)}b".splitlines()) > 1]
     assert len(splitting) == 10
     for character in ["\t", *splitting]:
-        for field in ("author", "title", "subdoc", "verb", "frame", "frame_fillers"):
-            broken = dataclasses.replace(PUBLISHED_ENTRY, **{field: f"Per{character}sians"})
-            with pytest.raises(ValueError, match="TSV"):
-                write_lexicon([broken], tmp_path / "broken.tsv")
+        for field, value in itertools.product(
+            COLUMNS, (f"{character}Persians", f"Per{character}sians", f"Persians{character}")
+        ):
+            broken = dataclasses.replace(PUBLISHED_ENTRY, **{field: value})
+            for figure1_layout in (False, True):
+                if figure1_layout and field not in FIGURE1_COLUMNS:
+                    continue  # root_id is not written in that layout
+                with pytest.raises(ValueError, match="TSV") as info:
+                    write_lexicon([broken], tmp_path / "broken.tsv", figure1_layout)
+                assert str(info.value) == f"field would corrupt the TSV layout: {value!r}"
     assert list(tmp_path.iterdir()) == []
+    # a column the layout leaves out is not judged
+    broken = dataclasses.replace(PUBLISHED_ENTRY, root_id="7\t8")
+    path = tmp_path / "fig1.tsv"
+    write_lexicon([broken], path, figure1_layout=True)
+    fig1 = tmp_path / "fig1_clean.tsv"
+    write_lexicon([PUBLISHED_ENTRY], fig1, figure1_layout=True)
+    assert path.read_bytes() == fig1.read_bytes()
+
+
+def test_columns_are_the_entry_fields_in_the_golden_header_order():
+    assert COLUMNS == tuple(field.name for field in dataclasses.fields(LexiconEntry))
+    header = GOLDEN_LEXICON.read_text(encoding="utf-8").splitlines()[0]
+    assert COLUMNS == tuple(header.split("\t"))
+    assert FIGURE1_COLUMNS == tuple(name for name in COLUMNS if name != "root_id")
+
+
+def test_a_rows_nfc_is_the_nfc_of_each_field(tmp_path):
+    # a tab is a starter that decomposes to itself and lies in no character's
+    # decomposition, so NFC never composes or reorders across it
+    assert unicodedata.combining("\t") == 0
+    assert unicodedata.decomposition("\t") == ""
+    assert not any(
+        "0009" in unicodedata.decomposition(chr(i)).split() for i in range(0x110000)
+    )
+    # every combining mark on either side of the tab, after a letter it
+    # composes with and before a second mark it would reorder with
+    for mark in (chr(i) for i in range(0x110000) if unicodedata.combining(chr(i))):
+        fields = ["α" + mark, mark + "\u0301ε", "\u1100", "\u1161" + mark]
+        row = unicodedata.normalize("NFC", "\t".join(fields))
+        assert row == "\t".join(unicodedata.normalize("NFC", f) for f in fields)
+    # a row written from NFD fields is the row of their NFC forms
+    nfd = dataclasses.replace(
+        PUBLISHED_ENTRY,
+        **{
+            name: unicodedata.normalize("NFD", getattr(PUBLISHED_ENTRY, name))
+            for name in ("subdoc", "verb", "frame", "frame_fillers")
+        },
+    )
+    assert nfd.verb != PUBLISHED_ENTRY.verb
+    decomposed, composed = tmp_path / "nfd.tsv", tmp_path / "nfc.tsv"
+    write_lexicon([nfd], decomposed)
+    write_lexicon([PUBLISHED_ENTRY], composed)
+    assert decomposed.read_bytes() == composed.read_bytes()
 
 
 def test_lexicon_reads_frames_with_the_frame_codec():

@@ -1,4 +1,5 @@
 import random
+import unicodedata
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -288,6 +289,29 @@ def test_metadata_from_child_elements():
     </treebank>"""
     trees, _ = parse_treebank_file(data)
     assert (trees[0].author, trees[0].title) == ("Sophocles", "Ajax")
+
+
+def test_metadata_and_subdocs_are_nfc_from_every_source():
+    author, title, subdoc = "Ὅμηρος", "Ἰλιάς", "Ἰλιάς 1"
+    nfd = {name: unicodedata.normalize("NFD", value).encode("utf-8")
+           for name, value in (("author", author), ("title", title), ("subdoc", subdoc))}
+    assert nfd["title"] != title.encode("utf-8")
+    words = b"<word id='1' form='a' lemma='a' postag='d-----' head='0' relation='PRED'/>"
+    sentence = b"<sentence id='1' subdoc='" + nfd["subdoc"] + b"'>" + words + b"</sentence>"
+    attributes = (
+        b"<treebank author='" + nfd["author"] + b"' title='" + nfd["title"] + b"'>"
+        + sentence + b"</treebank>"
+    )
+    elements = (
+        b"<treebank><author>" + nfd["author"] + b"</author><title>" + nfd["title"]
+        + b"</title>" + sentence + b"</treebank>"
+    )
+    bare = b"<treebank>" + sentence + b"</treebank>"
+    fallback = tuple(unicodedata.normalize("NFD", value) for value in (author, title))
+    for data in (attributes, elements, bare):
+        trees, issues = parse_treebank_file(data, fallback_meta=fallback)
+        assert not issues
+        assert (trees[0].author, trees[0].title, trees[0].subdoc) == (author, title, subdoc)
 
 
 @pytest.mark.parametrize(
