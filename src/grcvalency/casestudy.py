@@ -20,6 +20,7 @@ from .lexicon import write_atomic
 from .semantics import (
     DegenerateCentroidError,
     InsufficientDataError,
+    UndefinedSimilarityError,
     VectorSpace,
     centroid_similarities,
 )
@@ -278,6 +279,9 @@ def run_case_study(
                 LogEvent(event="drop", verb=verb, reason="degenerate_centroid", detail=str(exc))
             )
             continue
+        except UndefinedSimilarityError as exc:
+            log.append(LogEvent(event="drop", verb=verb, reason="zero_vector", detail=str(exc)))
+            continue
         formulaic_summary = summarize(formulaic_dist.similarities)
         baseline_summary = summarize(baseline_dist.similarities)
         pooled = len(formulaic_dist.similarities) + len(baseline_dist.similarities)
@@ -385,7 +389,7 @@ def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ValueError(f"config line {lineno}: expected key=value")
-        raw[key.strip()] = unicodedata.normalize("NFC", value.strip())
+        raw[key.strip()] = value.strip()
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
@@ -400,7 +404,12 @@ def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
     for key in ("epic_works", "baseline_exclusions"):
         if key in raw:
             value = raw.pop(key)
-            kwargs[key] = _parse_works(value) if isinstance(value, str) else tuple(value)
+            # work names are matched to NFC treebank metadata; paths stay as spelled
+            kwargs[key] = (
+                _parse_works(unicodedata.normalize("NFC", value))
+                if isinstance(value, str)
+                else tuple(value)
+            )
     if "include_participles" in raw:
         value = raw.pop("include_participles")
         if isinstance(value, str):

@@ -4,10 +4,11 @@ The on-disk form is a UTF-8 TSV whose columns are :class:`LexiconEntry`'s
 fields, in order; a compatibility flag drops the root_id column to match
 the eight-column published layout.  One line writer, :func:`lexicon_lines`,
 writes both layouts and ``query``'s rows: it rejects a field holding a tab
-or a line break and writes every row in NFC.  Queries that need slot-level
-detail (realization, mediator) parse the frame strings rather than
-re-deriving anything from the source treebank, so a lexicon file is
-self-sufficient.
+or a line break and writes every row in NFC.  :func:`read_lexicon` streams
+the file, puts every row in NFC and shares equal query-column strings.
+Queries that need slot-level detail (realization, mediator) parse the frame
+strings rather than re-deriving anything from the source treebank, so a
+lexicon file is self-sufficient.
 
 Entry filters, construction inventories and aggregates read columns that
 every ``Lexicon`` builds with its entries: interned numpy codes, each verb's
@@ -16,8 +17,10 @@ filters, then on first use one ready (frame, count, authors) row per
 (verb, frame), ranked per verb, for the inventories.
 """
 
+import collections
 import dataclasses
 import os
+import sys
 import tempfile
 import unicodedata
 from dataclasses import dataclass
@@ -202,36 +205,58 @@ def write_lexicon(lexicon, destination, figure1_layout: bool = False) -> int:
 def read_lexicon(source) -> Lexicon:
     """Read a lexicon TSV in the full layout, :data:`COLUMNS`.
 
-    A malformed row rejects the whole file, and the error names each faulty
-    line in line order: a wrong column count, non-integer ids, or a ``frame``
-    that :func:`parse_frame` cannot read, parsed once and named at the first
-    line that holds it.  ``frame_fillers`` is parsed only where ``casestudy``
-    reads it.
+    The file is streamed a line at a time, each line put in NFC and cut into
+    rows as ``str.splitlines`` cuts the whole text, and each value of the
+    :attr:`Lexicon.INTERNED` columns is ``sys.intern``ed, so equal values are
+    one string.  A malformed row rejects the whole file, and the error names
+    each faulty line in line order: a wrong column count, non-integer ids, or
+    a ``frame`` that :func:`parse_frame` cannot read, parsed once and named at
+    the first line that holds it.  ``frame_fillers`` is parsed only where
+    ``casestudy`` reads it.
     """
-    text = Path(source).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
+    try:
+        with open(source, encoding="utf-8", newline="") as handle:
+            entries = _read_entries(handle)
+    except UnicodeDecodeError:
+        # a streaming decoder counts the byte's position from its chunk;
+        # decoding the whole file again names it from the file's start
+        Path(source).read_bytes().decode("utf-8")
+        raise
+    return Lexicon(entries)
+
+
+def _read_entries(handle) -> list[LexiconEntry]:
+    rows = (row for line in handle for row in unicodedata.normalize("NFC", line).splitlines())
+    header = next(rows, None)
+    if header is None:
         raise LexiconFormatError("empty lexicon file (missing header)")
-    header = tuple(lines[0].split("\t"))
+    header = tuple(header.split("\t"))
     if header != COLUMNS:
+        collections.deque(rows, maxlen=0)  # an undecodable byte further on wins
         raise LexiconFormatError(f"unexpected header {header!r}")
+    intern = sys.intern
     entries = []
     row_errors = []
     first_lines = {}  # frame -> the first line that holds it
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(rows, start=2):
         if not line:
             continue
         fields = line.split("\t")
         if len(fields) != len(COLUMNS):
             row_errors.append((lineno, f"expected {len(COLUMNS)} columns, got {len(fields)}"))
             continue
+        author, title, subdoc, verb, voice, sentence_id, root_id, frame, fillers = fields
         try:
-            sentence_id, root_id = int(fields[5]), int(fields[6])
+            sentence_id, root_id = int(sentence_id), int(root_id)
         except ValueError:
             row_errors.append((lineno, "sentence_id and root_id must be integers"))
             continue
-        entries.append(LexiconEntry(*fields[:5], sentence_id, root_id, *fields[7:]))
-        first_lines.setdefault(fields[7], lineno)
+        frame = intern(frame)
+        entries.append(LexiconEntry(
+            intern(author), intern(title), subdoc, intern(verb), intern(voice),
+            sentence_id, root_id, frame, fillers,
+        ))
+        first_lines.setdefault(frame, lineno)
     for frame, lineno in first_lines.items():
         try:
             parse_frame(frame)
@@ -239,7 +264,7 @@ def read_lexicon(source) -> Lexicon:
             row_errors.append((lineno, str(exc)))
     if row_errors:
         raise LexiconFormatError("lexicon file rejected", sorted(row_errors))
-    return Lexicon(entries)
+    return entries
 
 
 def stats_basic(lexicon) -> dict:

@@ -207,7 +207,8 @@ def centroid_similarities(lemmas, space: VectorSpace, verb: str, group: str) -> 
 
     Out-of-vocabulary lemmas are excluded but recorded, never silently
     dropped; fewer than two survivors is an error because a one-point
-    distribution cannot be tested.
+    distribution cannot be tested, and a zero vector, which has no
+    direction, raises :class:`UndefinedSimilarityError` naming its lemma.
     """
     included = []
     oov = []
@@ -218,7 +219,11 @@ def centroid_similarities(lemmas, space: VectorSpace, verb: str, group: str) -> 
         raise InsufficientDataError(
             f"{verb}/{group}: {len(included)} lemma(s) in vocabulary, need at least 2"
         )
-    center = centroid([space.vectors[lemma] for lemma in included])
+    try:
+        center = centroid([space.vectors[lemma] for lemma in included])
+    except UndefinedSimilarityError:
+        zero = next(lemma for lemma in included if not np.any(space.vectors[lemma]))
+        raise UndefinedSimilarityError(f"{verb}/{group}: {zero} has a zero vector") from None
     similarities = [cosine_similarity(space.vectors[lemma], center) for lemma in included]
     return SimilarityDistribution(
         verb=verb,

@@ -512,3 +512,21 @@ def test_vector_failures_drop_verbs_with_logged_reasons(tmp_path):
     drops = {(e.verb, e.reason) for e in result.log if e.event == "drop"}
     assert ("λύω", "insufficient_vector_data") in drops
     assert ("βάλλω", "degenerate_centroid") in drops
+
+
+def test_a_zero_vector_drops_its_verb_and_the_run_goes_on(tmp_path):
+    import numpy as np
+
+    case = synthetic_case.build_case(tmp_path)
+    config = CaseStudyConfig(
+        vector_space_path=str(case["vectors_path"]),
+        formula_span_path=str(case["spans_path"]),
+    )
+    zero = synthetic_case.TIGHT_BASE_TYPES[0]
+    case["space"].vectors[zero] = np.zeros(case["space"].dimension)
+    result = synthetic_case.run(config, case["corpus"], case["lexicon"], case["space"])
+    assert [c.verb for c in result.comparisons] == [synthetic_case.SAME_VERB]
+    drops = [e for e in result.log if e.event == "drop" and e.verb == synthetic_case.TIGHT_VERB]
+    assert [(e.reason, e.detail) for e in drops] == [
+        ("zero_vector", f"{synthetic_case.TIGHT_VERB}/baseline: {zero} has a zero vector")
+    ]

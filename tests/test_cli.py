@@ -321,6 +321,26 @@ def test_query_prints_the_lexicon_layout_byte_for_byte(tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == header + b"".join(expected)
 
 
+def test_an_nfd_lexicon_answers_greek_filters_as_its_nfc_form(tmp_path, capsysbinary):
+    decomposed = tmp_path / "nfd.tsv"
+    decomposed.write_text(
+        unicodedata.normalize("NFD", GOLDEN_LEXICON.read_text(encoding="utf-8")), encoding="utf-8"
+    )
+    outputs = []
+    for argv in (
+        ["query", "--verb", "φέρω"],
+        ["query", "--mediator", "εἰς"],
+        ["constructions", "--verb", "φέρω"],
+        ["stats", "--basic"],
+    ):
+        assert main([argv[0], str(GOLDEN_LEXICON), *argv[1:]]) == 0, argv
+        want = capsysbinary.readouterr()
+        assert main([argv[0], str(decomposed), *argv[1:]]) == 0, argv
+        assert capsysbinary.readouterr() == want, argv
+        outputs.append(want.out)
+    assert outputs[0].count(b"\n") == 11  # query --verb φέρω: the header and 10 rows
+
+
 def test_query_reports_malformed_frames_cleanly(tmp_path, capsys):
     path = tmp_path / "mangled.tsv"
     header = "author\ttitle\tsubdoc\tverb\tvoice\tsentence_id\troot_id\tframe\tframe_fillers"
@@ -835,6 +855,21 @@ def test_casestudy_matches_nfc_works_to_nfd_treebank_metadata(tmp_path, capsys):
         outputs = _case_outputs(out_dir)
         outputs["report.tsv"] = (out_dir / "report.tsv").read_bytes()
         runs[form] = code, capsys.readouterr().out.replace(str(tmp_path / form), ""), outputs
+    assert b"total=29 formulaic=5 non_formulaic=24" in runs["NFC"][2]["run.log"]
+    assert runs["NFD"] == runs["NFC"]
+
+
+def test_casestudy_reads_config_paths_as_spelled(tmp_path, capsys):
+    # a directory name as a decomposing file system writes it, run before
+    # its NFC twin exists; the work names are still matched in NFC
+    runs = {}
+    for form in ("NFD", "NFC"):
+        directory = tmp_path / unicodedata.normalize(form, "Ἰλιάς")
+        config = _retitled_data_copy(directory, "NFC")
+        code = main(["casestudy", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert captured.err == "", form
+        runs[form] = code, captured.out.replace(str(directory), ""), _case_outputs(directory / "out")
     assert b"total=29 formulaic=5 non_formulaic=24" in runs["NFC"][2]["run.log"]
     assert runs["NFD"] == runs["NFC"]
 

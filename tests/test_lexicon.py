@@ -331,6 +331,85 @@ def test_read_rejects_wrong_header(tmp_path):
         read_lexicon(empty)
 
 
+def _ending_a_row_before_each_chunk_end(rows, newline, chunk=4096):
+    """``rows``, each ended by ``newline``, with a row's subdoc padded before
+    each multiple of ``chunk`` bytes so that a newline starts on the last
+    byte of every chunk (a golden row is under 400 bytes)."""
+    lines, size, boundary = [], 0, chunk
+    for row in rows:
+        end = size + len(row.encode("utf-8"))
+        if boundary - 1 - end < 400:
+            author, title, subdoc, rest = row.split("\t", 3)
+            row = "\t".join([author, title, subdoc + "." * (boundary - 1 - end), rest])
+            end, boundary = boundary - 1, boundary + chunk
+        lines.append(row + newline)
+        size = end + len(newline.encode("utf-8"))
+    return "".join(lines)
+
+
+def _read_outcome(path):
+    """The entries read from ``path``, or the line errors that reject it."""
+    try:
+        return read_lexicon(path).entries
+    except LexiconFormatError as exc:
+        return exc.row_errors
+
+
+def test_the_streamed_read_gives_the_rows_of_splitlines(tmp_path, capsys):
+    from grcvalency.cli import main
+
+    # NFC is taken per physical line: no line break composes or reorders
+    breaks = [chr(i) for i in range(0x110000) if len(chr(i).join("ab").splitlines()) == 2]
+    assert len(breaks) == 10
+    decomposed_from = {
+        int(code, 16)
+        for i in range(0x110000)
+        for code in unicodedata.decomposition(chr(i)).split()
+        if not code.startswith("<")
+    }
+    for char in breaks:
+        assert unicodedata.combining(char) == 0 and unicodedata.decomposition(char) == ""
+        assert ord(char) not in decomposed_from
+    header, *golden_rows = GOLDEN_LEXICON.read_text(encoding="utf-8").splitlines()
+    rows = [header] + golden_rows * 20  # about 150 KiB, so many decoder chunks
+    with_separator = list(rows)
+    with_separator[900] = with_separator[900].replace("\t", "\u2028", 1)
+    cases = {
+        "crlf": (rows, "\r\n"),
+        "cr": (rows, "\r"),
+        "u2028_in_a_row": (with_separator, "\r\n"),
+        "nel_rows": (rows, "\x85"),
+    }
+    outcomes = {}
+    for name, (lines, newline) in cases.items():
+        text = _ending_a_row_before_each_chunk_end(lines, newline)
+        streamed, whole = tmp_path / f"{name}.tsv", tmp_path / f"{name}-lf.tsv"
+        streamed.write_bytes(text.encode("utf-8"))
+        whole.write_bytes(("\n".join(text.splitlines()) + "\n").encode("utf-8"))
+        outcomes[name] = _read_outcome(streamed)
+        assert outcomes[name] == _read_outcome(whole), name
+    assert len(outcomes["crlf"]) == len(outcomes["cr"]) == 20 * len(golden_rows)
+    # the separator cuts file line 901 in two, and every later row moves down one
+    assert outcomes["u2028_in_a_row"] == [
+        (901, "expected 9 columns, got 1"),
+        (902, "expected 9 columns, got 8"),
+    ]
+
+    # an undecodable byte is named from the file's start, not from a chunk's,
+    # and wins over a bad header as it did when the whole text was decoded
+    good = GOLDEN_LEXICON.read_bytes()
+    body = good.split(b"\n", 1)[1] * 12
+    for head in (b"\t".join(name.encode() for name in COLUMNS), b"author\ttitle"):
+        data = head + b"\n" + body + b"Homer\t\xff\n" + body
+        path = tmp_path / "undecodable.tsv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as info:
+            data.decode("utf-8")
+        assert info.value.start > 65536
+        assert main(["stats", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {info.value}\n")
+
+
 def test_indexes_are_consistent(sample_lexicon):
     entries = sample_lexicon.entries
     verbs = sorted({e.verb for e in entries})
