@@ -66,8 +66,9 @@ class CaseStudyConfig:
     output_dir: str = "."
 
     def __post_init__(self):
-        if self.min_epic_tokens <= 0 or self.min_object_types <= 0:
-            raise ValueError("thresholds must be positive")
+        for key in ("min_epic_tokens", "min_object_types"):
+            if (value := getattr(self, key)) <= 0:
+                raise ValueError(f"{key} must be positive, got {value}")
 
 
 @dataclass
@@ -196,9 +197,10 @@ def build_baseline(lexicon, verb: str, exclusions) -> list[str]:
 
 def select_case_study(config: CaseStudyConfig, corpus, lexicon) -> CaseStudySelection:
     """Everything before the vectors: extract the pairs, keep the formulaic
-    ones, apply the token and type thresholds, and log the drops they cause."""
-    spans = load_formula_spans(config.formula_span_path)
+    ones, apply the token and type thresholds, and log the drops they cause.
+    ``corpus`` is any iterable of trees, read once, before the span file."""
     pairs = extract_trv_obj(corpus, config.epic_works, config.include_participles)
+    spans = load_formula_spans(config.formula_span_path)
     objects = defaultdict(list)  # verb -> the objects of its formulaic pairs
     for pair in pairs:
         marked = spans.get(pair.sentence_id, frozenset())
@@ -400,7 +402,11 @@ def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
             kwargs[key] = str(raw.pop(key))
     for key in ("min_epic_tokens", "min_object_types", "ks_exact_limit"):
         if key in raw:
-            kwargs[key] = int(raw.pop(key))
+            value = raw.pop(key)
+            try:
+                kwargs[key] = int(value)
+            except ValueError:
+                raise ValueError(f"{key} must be an integer, got {value!r}") from None
     for key in ("epic_works", "baseline_exclusions"):
         if key in raw:
             value = raw.pop(key)

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__
 from .betacode import beta_to_unicode
 from .casestudy import load_config, run_case_study, select_case_study, write_case_study_outputs
-from .frames import ENTRY_ORDER, extract_entries
+from .frames import extract_entries
 from .lexicon import (
     FORMAT_VERSION,
     constructions_for_verb,
@@ -137,13 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_corpus(directory: Path, manifest_path, report_rows, parsed_paths):
     """Parse and validate the ``*.xml`` files in ``directory`` one at a time, in
-    name order, and yield the valid trees of each file that parsed.  Appends
+    name order, and yield each valid tree of each file that parsed.  Appends
     report rows ``(file, sentence_id, kind, detail)`` for unusable files, skipped
     words and excluded sentences to ``report_rows``, and the paths that parsed to
-    ``parsed_paths``.  A document author or title holding a tab or line break
-    fails its file, and such a subdoc excludes its sentence: the lexicon's TSV
-    could not hold them.  Bad data is excluded and reported, never repaired; only
-    an unreadable metadata manifest raises."""
+    ``parsed_paths``; both are complete once the stream is exhausted.  A document
+    author or title holding a tab or line break fails its file, and such a subdoc
+    excludes its sentence: the lexicon's TSV could not hold them.  Bad data is
+    excluded and reported, never repaired; only an unreadable metadata manifest
+    raises."""
     meta = load_manifest(manifest_path) if manifest_path else {}
     for path in sorted(directory.glob("*.xml")):
         try:
@@ -166,15 +167,13 @@ def _load_corpus(directory: Path, manifest_path, report_rows, parsed_paths):
             report_rows.append(
                 (path.name, str(issue.sentence_id or ""), "word_skipped", issue.message)
             )
-        trees = []
         for tree in file_trees:
             validation = validate_sentence(tree)
             if validation.ok:
-                trees.append(tree)
+                yield tree
             else:
                 detail = "; ".join(validation.messages())
                 report_rows.append((path.name, str(tree.sentence_id), "sentence_excluded", detail))
-        yield trees
 
 
 @contextlib.contextmanager
@@ -222,12 +221,11 @@ def cmd_extract(args) -> int:
     directory = Path(args.treebank_dir)
     if not directory.is_dir():
         return _fail(f"not a directory: {directory}")
-    report_rows, parsed_paths, entries = [], [], []
-    for trees in _load_corpus(directory, args.manifest, report_rows, parsed_paths):
-        entries += extract_entries(trees, include_participles=args.include_participles)
-    # each file's entries are sorted; one stable sort of them, joined in file
-    # order, gives the order of one extract_entries call over the whole corpus
-    entries.sort(key=ENTRY_ORDER)
+    report_rows, parsed_paths = [], []
+    entries = extract_entries(
+        _load_corpus(directory, args.manifest, report_rows, parsed_paths),
+        include_participles=args.include_participles,
+    )
     output = Path(args.output)
     report_path = output.with_name(output.name + ".report.tsv")
     write_lexicon(entries, output, figure1_layout=args.figure1_layout)
@@ -326,12 +324,11 @@ def cmd_casestudy(args) -> int:
     directory = Path(config.treebank_dir)
     if not directory.is_dir():
         return _fail(f"not a directory: {directory}")
-    epic_works = {tuple(work) for work in config.epic_works}
-    report_rows, parsed_paths, corpus = [], [], []
+    report_rows, parsed_paths = [], []
     lexicon = read_lexicon(config.lexicon_path)
-    for trees in _load_corpus(directory, config.manifest_path, report_rows, parsed_paths):
-        corpus += [tree for tree in trees if (tree.author, tree.title) in epic_works]
-    selection = select_case_study(config, corpus, lexicon)
+    selection = select_case_study(
+        config, _load_corpus(directory, config.manifest_path, report_rows, parsed_paths), lexicon
+    )
     space = load_vector_space(config.vector_space_path, selection.lemmas())
     result = run_case_study(config, selection, space)
 

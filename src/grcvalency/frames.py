@@ -128,10 +128,6 @@ class LexiconEntry:
     frame_fillers: str
 
 
-# the lexicon's row order; a stable sort by it keeps extraction order on ties
-ENTRY_ORDER = attrgetter("author", "title", "verb", "sentence_id", "root_id")
-
-
 def split_relation(relation: str) -> tuple[str, bool, bool]:
     """Split a relation label into (base, coord, apos), case-insensitively."""
     parts = relation.upper().split("_")
@@ -211,12 +207,10 @@ def collect_arguments(tree: SentenceTree, verb: WordNode) -> list[ArgumentSlot]:
     return slots
 
 
-def extract_entries(
-    corpus: list[SentenceTree],
-    include_participles: bool = True,
-) -> list[LexiconEntry]:
+def extract_entries(corpus, include_participles: bool = True) -> list[LexiconEntry]:
     """One entry per verb token with at least one argument, sorted
-    deterministically by (author, title, verb, sentence_id, root_id)."""
+    deterministically by (author, title, verb, sentence_id, root_id).
+    ``corpus`` is any iterable of trees, read once."""
     entries = []
     for tree in corpus:
         for verb in identify_predicates(tree, include_participles):
@@ -237,5 +231,6 @@ def extract_entries(
                     frame_fillers=frame_fillers,
                 )
             )
-    entries.sort(key=ENTRY_ORDER)
+    # the lexicon's row order; the stable sort keeps extraction order on ties
+    entries.sort(key=attrgetter("author", "title", "verb", "sentence_id", "root_id"))
     return entries

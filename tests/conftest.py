@@ -37,6 +37,15 @@ def corpus_trees():
     return trees
 
 
+@pytest.fixture(params=["list", "generator"])
+def as_corpus(request):
+    """Hands a test's trees over as a list, then as a one-shot generator:
+    ``extract_entries`` and ``select_case_study`` take any iterable of trees."""
+    if request.param == "list":
+        return list
+    return lambda trees: (tree for tree in trees)
+
+
 @pytest.fixture(scope="session")
 def sample_lexicon(corpus_trees):
     return Lexicon(extract_entries(corpus_trees))

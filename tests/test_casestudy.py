@@ -92,9 +92,10 @@ def _selection(corpus, spans_path, **thresholds):
     return select_case_study(config, corpus, Lexicon([]))
 
 
-def test_mark_formulaic_needs_both_tokens(corpus_trees):
+def test_mark_formulaic_needs_both_tokens(corpus_trees, as_corpus):
     pairs = extract_trv_obj(corpus_trees, EPIC_WORKS)
-    selection = _selection(corpus_trees, SPANS_FILE, min_epic_tokens=1)
+    selection = _selection(as_corpus(corpus_trees), SPANS_FILE, min_epic_tokens=1)
+    assert selection == _selection(corpus_trees, SPANS_FILE, min_epic_tokens=1)
     by_key = {(p.sentence_id, p.verb_token_id, p.object_token_id): p for p in pairs}
     want = Counter(by_key[key].verb for key in FORMULAIC_KEYS)
     assert {s.verb: s.token_count for s in selection.verbs} == want
@@ -417,7 +418,15 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
     with pytest.raises(ValueError, match="mystery"):
         load_config(path)
     path.write_text("min_epic_tokens = 0\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="min_epic_tokens must be positive, got 0"):
+        load_config(path)
+    with pytest.raises(ValueError, match="min_object_types must be positive, got -1"):
+        load_config(path, overrides={"min_epic_tokens": 5, "min_object_types": -1})
+    path.write_text("min_epic_tokens = ten\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="min_epic_tokens must be an integer, got 'ten'"):
+        load_config(path)
+    path.write_text("ks_exact_limit = 2.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="ks_exact_limit must be an integer, got '2.5'"):
         load_config(path)
     path.write_text("epic_works = HomerIliad\n", encoding="utf-8")
     with pytest.raises(ValueError):

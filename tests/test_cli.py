@@ -5,6 +5,7 @@ import shutil
 import stat
 import sys
 import unicodedata
+import weakref
 
 import pytest
 
@@ -801,22 +802,37 @@ def test_extract_streams_files_and_keeps_the_order_of_one_pass(tmp_path):
     assert [entry.subdoc for entry in read_lexicon(out).entries] == ["b.3", "a.1", "b.1", "a.2"]
 
 
-def test_casestudy_keeps_only_the_trees_of_its_epic_works(tmp_path, monkeypatch):
+def test_casestudy_holds_no_tree_once_its_verbs_are_selected(tmp_path, monkeypatch):
     config_path = _write_case_files(tmp_path)
-    seen = []
-    real = cli.select_case_study
+    parsed, alive = [], []
+    real_parse, real_load = cli.parse_treebank_file, cli.load_vector_space
 
-    def spy(config, corpus, lexicon):
-        seen.extend(corpus)
-        return real(config, corpus, lexicon)
+    def parse(*args, **kwargs):
+        trees, issues = real_parse(*args, **kwargs)
+        parsed.extend(weakref.ref(tree) for tree in trees)
+        return trees, issues
 
-    monkeypatch.setattr(cli, "select_case_study", spy)
+    def load(*args, **kwargs):
+        alive.extend(ref for ref in parsed if ref() is not None)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_treebank_file", parse)
+    monkeypatch.setattr(cli, "load_vector_space", load)
     assert main(["casestudy", "--config", str(config_path)]) == 0
-    expected = [
-        tree for tree in synthetic_case.build_corpus()[0]
-        if (tree.author, tree.title) == synthetic_case.EPIC_WORK
-    ]
-    assert [tree.sentence_id for tree in seen] == [tree.sentence_id for tree in expected]
+    assert parsed
+    assert alive == []
+
+
+def test_casestudy_reads_the_treebank_before_the_span_file(tmp_path, capsys):
+    # an input with two faults reports the first one read
+    config_path = _write_case_files(tmp_path)
+    manifest, spans = tmp_path / "meta.tsv", tmp_path / "bad_spans.tsv"
+    manifest.write_bytes(b"\xff\n")
+    spans.write_text("1\t2\t3\n", encoding="utf-8")
+    with config_path.open("a", encoding="utf-8") as config:
+        config.write(f"manifest_path = {manifest}\nformula_span_path = {spans}\n")
+    assert main(["casestudy", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
 def _retitled_data_copy(destination, form):

@@ -342,9 +342,9 @@ def test_argumentless_corpus_yields_nothing(iliad):
     assert extract_entries([iliad[1042], iliad[1043]]) == []
 
 
-def test_extraction_matches_golden_file(corpus_trees):
+def test_extraction_matches_golden_file(corpus_trees, as_corpus):
     golden = read_lexicon(GOLDEN_LEXICON)
-    assert extract_entries(corpus_trees) == golden.entries
+    assert extract_entries(as_corpus(corpus_trees)) == golden.entries
 
 
 def test_extraction_is_order_independent_and_deterministic(corpus_trees):

@@ -1,11 +1,14 @@
-"""Static checks on the package source, with the stdlib's ``ast`` alone."""
+"""Static checks with the stdlib alone: on the package source, and on the
+names the benchmark times."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "grcvalency"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "grcvalency"
 # __init__.py imports only to re-export
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
@@ -32,3 +35,27 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
 def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _stages(source: str) -> list[tuple[str, str]]:
+    """The ``(module, attribute)`` pairs of the module-level ``STAGES``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "STAGES" for target in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("no module-level STAGES assignment")
+
+
+def test_every_benchmark_stage_resolves_in_the_package():
+    # the worker skips a stage it cannot find, which would silently change
+    # which calls run_s sums; so each name must resolve here
+    stages = _stages((ROOT / "bench" / "worker.py").read_text(encoding="utf-8"))
+    assert stages
+    missing = [
+        f"{module}.{attribute}"
+        for module, attribute in stages
+        if module.partition(".")[0] != "grcvalency"
+        or not hasattr(importlib.import_module(module), attribute)
+    ]
+    assert missing == []
