@@ -77,9 +77,12 @@ class BetaCodeError(ValueError):
     """A character that is not part of the documented Beta Code alphabet."""
 
     def __init__(self, message, char, offset):
-        super().__init__(f"{message}: {char!r} at offset {offset}")
+        super().__init__(message, char, offset)  # what pickle rebuilds it from
         self.char = char
         self.offset = offset
+
+    def __str__(self):
+        return f"{self.args[0]}: {self.char!r} at offset {self.offset}"
 
 
 def beta_to_unicode(beta: str) -> str:

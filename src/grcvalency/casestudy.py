@@ -38,6 +38,13 @@ DEFAULT_EPIC_WORKS = (
 
 DEFAULT_BASELINE_EXCLUSIONS = (("Homer", "Iliad"), ("Homer", "Odyssey"))
 
+# the run-log reason of a verb whose similarities cannot be computed
+_DROP_REASONS = {
+    InsufficientDataError: "insufficient_vector_data",
+    DegenerateCentroidError: "degenerate_centroid",
+    UndefinedSimilarityError: "zero_vector",
+}
+
 
 @dataclass(frozen=True)
 class TrVObjPair:
@@ -271,18 +278,10 @@ def run_case_study(
         try:
             formulaic_dist = centroid_similarities(epic_types, space, verb, FORMULAIC)
             baseline_dist = centroid_similarities(baseline_types, space, verb, BASELINE)
-        except InsufficientDataError as exc:
+        except tuple(_DROP_REASONS) as exc:
             log.append(
-                LogEvent(event="drop", verb=verb, reason="insufficient_vector_data", detail=str(exc))
+                LogEvent(event="drop", verb=verb, reason=_DROP_REASONS[type(exc)], detail=str(exc))
             )
-            continue
-        except DegenerateCentroidError as exc:
-            log.append(
-                LogEvent(event="drop", verb=verb, reason="degenerate_centroid", detail=str(exc))
-            )
-            continue
-        except UndefinedSimilarityError as exc:
-            log.append(LogEvent(event="drop", verb=verb, reason="zero_vector", detail=str(exc)))
             continue
         formulaic_summary = summarize(formulaic_dist.similarities)
         baseline_summary = summarize(baseline_dist.similarities)

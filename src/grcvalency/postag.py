@@ -95,9 +95,12 @@ class PostagError(ValueError):
     """A morphology tag with an undocumented letter or a bad length."""
 
     def __init__(self, message, char, position):
-        super().__init__(f"{message}: {char!r} at position {position}")
+        super().__init__(message, char, position)  # what pickle rebuilds it from
         self.char = char
         self.position = position
+
+    def __str__(self):
+        return f"{self.args[0]}: {self.char!r} at position {self.position}"
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,15 @@ single vector's magnitude can dominate a centroid.
 """
 
 import itertools
+import re
 import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
 
 _DEGENERATE_NORM = 1e-12
+# surrogateescape reads each undecodable byte as a lone surrogate
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class VectorSpaceError(ValueError):
@@ -73,60 +76,62 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
     ``<rows> <dims>`` header line.  Lemmas are NFC-normalized; a duplicate
     lemma overwrites the previous one and is counted.
 
-    Every line is decoded, and every row must hold a lemma and at least one
-    component.  The components of the rows whose lemma is in ``lemmas``
-    (all rows when it is None) are streamed into one float64 matrix whose
-    rows are the vectors; only those rows are checked for width, numeric
-    and finite components.  Any fault raises a ``VectorSpaceError`` naming
-    the first faulty line."""
+    One streaming read judges every line in file order: it stops at the
+    first undecodable line or lemma without components, and streams the
+    components of the rows whose lemma is in ``lemmas`` (all rows when it
+    is None) into one float64 matrix whose rows are the vectors.  Only
+    those rows are checked for width, numeric and finite components; a
+    fault there makes the loader read the file again to name its line.
+    Any fault raises a ``VectorSpaceError`` naming the first faulty line."""
     wanted = None if lemmas is None else {unicodedata.normalize("NFC", lemma) for lemma in lemmas}
     names = []  # the lemma of every row
     kept = []  # the lemma of every row parsed
-    bare = False
+    linenos = []  # the line number of every row parsed
+    declared = fault = None
 
     def bodies(lines):
-        nonlocal bare
-        for line in lines:
+        nonlocal declared, fault
+        for lineno, line in enumerate(lines, start=1):
             parts = line.split(None, 1)
             if not parts:
                 continue
+            # a printable lemma and ASCII components hold no escaped byte
+            if not (parts[0].isprintable() and parts[-1].isascii()) and _ESCAPED_BYTE.search(line):
+                fault = f"line {lineno}: invalid UTF-8"
+                return
+            if lineno == 1 and _is_header(line.split()):
+                declared = int(line.split()[1])
+                continue
+            if len(parts) == 1:
+                fault = f"line {lineno}: lemma without components"
+                return
             lemma = unicodedata.normalize("NFC", parts[0])
             names.append(lemma)
-            if len(parts) == 1:
-                bare = True
-            elif wanted is None or lemma in wanted:
+            if wanted is None or lemma in wanted:
                 kept.append(lemma)
+                linenos.append(lineno)
                 yield parts[1]
 
-    declared = None
-    matrix = None
-    try:
-        with open(source, encoding="utf-8") as handle:
-            first = next(handle, "")
-            header = first.split()
-            if _is_header(header):
-                declared = int(header[1])
-                lines = handle
-            else:
-                lines = itertools.chain([first], handle)
-            rows = bodies(lines)
-            # an empty input would make numpy warn, not raise
-            head = next(rows, None)
-            if head is None:
-                matrix = np.empty((0, declared or 0))
-            else:
-                matrix = _parse_components(itertools.chain([head], rows))
-    except ValueError:  # numpy's parse errors and UnicodeDecodeError
-        matrix = None  # the line-by-line pass below names the fault
+    with open(source, encoding="utf-8", errors="surrogateescape") as handle:
+        rows = bodies(handle)
+        # an empty input would make numpy warn, not raise
+        head = next(rows, None)
+        try:
+            matrix = (
+                _parse_components(itertools.chain([head], rows)) if head else np.empty((0, declared or 0))
+            )
+        except ValueError:  # numpy's parse errors
+            matrix = None
     if (
         matrix is None
-        or bare
-        or not names
         or len(matrix) != len(kept)
         or (declared is not None and matrix.shape[1] != declared)
         or not np.isfinite(matrix).all()
     ):
-        _raise_first_fault(source, wanted)
+        # the rows parsed all come before the line that stopped the read
+        fault = _first_component_fault(source, linenos, declared) or fault
+    if fault or matrix is None or not names:
+        raise VectorSpaceError(fault or "no vectors found")
     return VectorSpace(
         dimension=matrix.shape[1],
         vectors=dict(zip(kept, matrix)),
@@ -134,43 +139,26 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
     )
 
 
-def _raise_first_fault(source, wanted):
-    """Re-read a vector file that failed to load, line by line, and raise
-    its first fault in file order; the components of a row whose lemma is
-    not in ``wanted`` (when it is not None) are not read."""
-    dimension = None
+def _first_component_fault(source, linenos, dimension):
+    """Parse the rows at ``linenos`` again, one by one: the message naming
+    the first with a non-numeric or non-finite component or a width other
+    than ``dimension`` (else the first row's), or None if all are sound."""
+    rows = set(linenos)
     with open(source, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:  # an undecodable byte, escaped
-                raise VectorSpaceError(f"line {lineno}: invalid UTF-8") from None
-            parts = line.split(None, 1)
-            if not parts:
-                continue
-            if lineno == 1:
-                header = line.split()
-                if _is_header(header):
-                    dimension = int(header[1])
-                    continue
-            if len(parts) == 1:
-                raise VectorSpaceError(f"line {lineno}: lemma without components")
-            if wanted is not None and unicodedata.normalize("NFC", parts[0]) not in wanted:
+            if lineno not in rows:
                 continue
             try:
-                vector = _parse_components([parts[1]])[0]
+                vector = _parse_components([line.split(None, 1)[1]])[0]
             except ValueError:
-                raise VectorSpaceError(f"line {lineno}: non-numeric vector component") from None
-            if not np.all(np.isfinite(vector)):
-                raise VectorSpaceError(f"line {lineno}: non-finite vector component")
+                return f"line {lineno}: non-numeric vector component"
+            if not np.isfinite(vector).all():
+                return f"line {lineno}: non-finite vector component"
             if dimension is None:
                 dimension = vector.size
             if vector.size != dimension:
-                raise VectorSpaceError(
-                    f"line {lineno}: expected {dimension} components, got {vector.size}"
-                )
-    # the bulk parse fails only on a fault that the checks above name
-    raise VectorSpaceError("no vectors found")
+                return f"line {lineno}: expected {dimension} components, got {vector.size}"
+    return None
 
 
 def cosine_similarity(u, v) -> float:

@@ -40,8 +40,11 @@ class TreebankParseError(ValueError):
     """Malformed XML; carries the byte offset of the fault, exact for UTF-8 data."""
 
     def __init__(self, message, byte_offset):
-        super().__init__(f"{message} (byte offset {byte_offset})")
+        super().__init__(message, byte_offset)  # what pickle rebuilds it from
         self.byte_offset = byte_offset
+
+    def __str__(self):
+        return f"{self.args[0]} (byte offset {self.byte_offset})"
 
 
 @dataclass(slots=True)

@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from grcvalency import semantics
 from grcvalency.semantics import (
     DegenerateCentroidError,
     InsufficientDataError,
@@ -79,6 +81,18 @@ def test_load_errors(tmp_path, content, fragment):
     path = tmp_path / "bad.txt"
     path.write_text(content, encoding="utf-8")
     with pytest.raises(VectorSpaceError, match=fragment):
+        load_vector_space(path)
+
+
+def test_only_line_one_can_be_the_header(tmp_path):
+    path = tmp_path / "space.txt"
+    path.write_text("α 1\n2 3\n", encoding="utf-8")
+    assert {lemma: list(vector) for lemma, vector in load_vector_space(path).vectors.items()} == {
+        "α": [1.0],
+        "2": [3.0],
+    }
+    path.write_text("\n2 3\nα 1 2 3\n", encoding="utf-8")
+    with pytest.raises(VectorSpaceError, match="^line 3: expected 1 components, got 3$"):
         load_vector_space(path)
 
 
@@ -212,6 +226,28 @@ def test_first_fault_in_file_order_is_reported(tmp_path, first, second):
     with pytest.raises(VectorSpaceError) as caught:
         load_vector_space(path)
     assert str(caught.value) == f"line 3: {_FAULTS[first][1]}"
+
+
+@pytest.mark.parametrize(
+    "fault,opens", [(None, 1), ("lemma_only", 1), ("invalid_utf8", 1), ("non_numeric", 2)]
+)
+def test_only_a_component_fault_reads_the_file_again(tmp_path, monkeypatch, fault, opens):
+    path = tmp_path / "space.txt"
+    row = b"\xce\xb3 1 2 3" if fault is None else _FAULTS[fault][0]
+    path.write_bytes(b"\xce\xb1 0.5 1 2\n" + row + b"\n\xce\xb4 1 2 3\n")
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(semantics, "open", spy, raising=False)  # shadows the builtin
+    if fault is None:
+        assert len(load_vector_space(path)) == 3
+    else:
+        with pytest.raises(VectorSpaceError, match=f"^line 2: {_FAULTS[fault][1]}$"):
+            load_vector_space(path)
+    assert opened == [path] * opens
 
 
 @pytest.mark.parametrize("content", ["", "\n \n", "2 3\n", "2 3\n\n\t\n"])

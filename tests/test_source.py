@@ -1,16 +1,30 @@
 """Static checks with the stdlib alone: on the package source, and on the
-names the benchmark times."""
+names the benchmark times; and that the package's exceptions pickle."""
 
 import ast
 import importlib
+import pickle
+import re
 from pathlib import Path
 
 import pytest
 
+from grcvalency import (
+    BetaCodeError,
+    DegenerateCentroidError,
+    InsufficientDataError,
+    LexiconFormatError,
+    PostagError,
+    TreebankParseError,
+    UndefinedSimilarityError,
+    VectorSpaceError,
+)
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "grcvalency"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 # __init__.py imports only to re-export
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -59,3 +73,57 @@ def test_every_benchmark_stage_resolves_in_the_package():
         or not hasattr(importlib.import_module(module), attribute)
     ]
     assert missing == []
+
+
+def _declared_floor() -> tuple[int, int]:
+    """The ``(major, minor)`` of ``requires-python = ">=X.Y"`` in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M).groups()
+    return int(major), int(minor)
+
+
+def test_the_floor_check_rejects_newer_syntax():
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.stem for path in SOURCES])
+def test_every_module_parses_at_the_declared_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=_declared_floor())
+
+
+# one instance of every exception class the package defines, built as the
+# package raises it
+EXCEPTION_CASES = [
+    BetaCodeError("character outside the Beta Code alphabet", "%", 3),
+    LexiconFormatError("lexicon file rejected", [(2, "empty verb"), (5, "malformed frame")]),
+    PostagError("unknown case letter", "q", 8),
+    TreebankParseError("malformed XML: mismatched tag", 120),
+    VectorSpaceError("line 3: invalid UTF-8"),
+    UndefinedSimilarityError("φέρω/formulaic: ναῦς has a zero vector"),
+    DegenerateCentroidError("inputs cancel out; centroid is degenerate"),
+    InsufficientDataError("φέρω/baseline: 1 lemma(s) in vocabulary, need at least 2"),
+]
+
+
+def test_every_package_exception_has_a_pickle_case():
+    defined = set()
+    for path in MODULES:
+        module = importlib.import_module(f"grcvalency.{path.stem}")
+        defined.update(
+            value
+            for value in vars(module).values()
+            if isinstance(value, type)
+            and issubclass(value, Exception)
+            and value.__module__ == module.__name__
+        )
+    assert {type(error) for error in EXCEPTION_CASES} == defined
+
+
+@pytest.mark.parametrize("error", EXCEPTION_CASES, ids=lambda error: type(error).__name__)
+def test_package_exceptions_survive_pickling(error):
+    # a process pool hands a worker's exception back to its caller pickled
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)  # the attributes each class sets
