@@ -7,6 +7,7 @@ apostrophe.  Anything outside that alphabet raises, so garbage never
 turns into a silently corrupted lemma key.
 """
 
+import re
 import unicodedata
 
 _LOWER = {
@@ -72,6 +73,44 @@ _FINAL_SIGMA = "ς"
 _LETTER = "letter"
 _SEPARATOR = "sep"
 
+# The fast path's grammar: a letter and its marks, a capital ('*', its
+# held marks, a letter and its marks), and the two separators; the plain
+# letter comes first because it is the commonest.
+_LETTERS = "".join(_LOWER)
+_MARK_CODES = re.escape("".join(_MARKS))
+_WELL_FORMED = re.compile(
+    rf"(?:[{_LETTERS}][{_MARK_CODES}]*|\*[{_MARK_CODES}]*[{_LETTERS}][{_MARK_CODES}]*|[' ])*"
+)
+# a capital is written as the ASCII capital, its held marks after it
+_CAPITAL = re.compile(rf"\*([{_MARK_CODES}]*)([{_LETTERS}])")
+# 'j' is no Beta Code letter, so it can stand for final sigma until the
+# translation; a sigma is word-final before the end or a space, never
+# before the apostrophe
+_FINAL_SIGMA_CODE = "j"
+_WORD_FINAL_SIGMA = re.compile(rf"s(?=[{_MARK_CODES}]*(?: |\Z))")
+_CODE_RANK = {code: _MARK_RANK[mark] for code, mark in _MARKS.items()}
+_MARK_RUN = re.compile(rf"[{_MARK_CODES}]{{2,}}")
+# a mark directly after one of higher rank (breathings 0, diaeresis 1,
+# accents 2, iota subscript 3)
+_UNSORTED_MARKS = re.compile(r"[+/\\=|][)(]|[/\\=|]\+|\|[/\\=]")
+_TRANSLATION = str.maketrans(
+    {
+        **_LOWER,
+        **{beta.upper(): greek for beta, greek in _UPPER.items()},
+        **_MARKS,
+        "'": APOSTROPHE,
+        _FINAL_SIGMA_CODE: _FINAL_SIGMA,
+    }
+)
+
+
+def _capital_last(match) -> str:
+    return match[2].upper() + match[1]
+
+
+def _sorted_marks(match) -> str:
+    return "".join(sorted(match[0], key=_CODE_RANK.__getitem__))
+
 
 class BetaCodeError(ValueError):
     """A character that is not part of the documented Beta Code alphabet."""
@@ -91,7 +130,27 @@ def beta_to_unicode(beta: str) -> str:
     Word-final sigma becomes final sigma; sigma before the elision
     apostrophe stays medial (the elided vowel follows underlyingly).
     Diacritic order within a cluster does not affect the output.
+
+    A string the cluster grammar accepts is rewritten by C-level string
+    calls: capitals first, then final sigma, then a sort of the marks
+    only where two are out of order, then one translation table and NFC.
+    Any other string goes to the character loop, which raises the
+    ``BetaCodeError`` naming its first fault.
     """
+    if not _WELL_FORMED.fullmatch(beta):
+        return _transcode_by_cluster(beta)
+    text = _CAPITAL.sub(_capital_last, beta)
+    text = _WORD_FINAL_SIGMA.sub(_FINAL_SIGMA_CODE, text)
+    if _UNSORTED_MARKS.search(text):
+        text = _MARK_RUN.sub(_sorted_marks, text)
+    return unicodedata.normalize("NFC", text.translate(_TRANSLATION))
+
+
+def _transcode_by_cluster(beta: str) -> str:
+    """The character-by-character transcoder: it names the first fault of
+    a string outside the grammar, and it accepts the rare forms the grammar
+    leaves out, such as ``**a`` and ``*)*a`` (a second ``*`` drops the marks
+    held by the first)."""
     clusters = []  # (_LETTER, base, [marks]) or (_SEPARATOR, text, None)
     capitalize = False
     cap_offset = 0

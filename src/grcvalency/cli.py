@@ -219,14 +219,15 @@ def _finish_run(report_path: Path, report_rows, manifest_path: Path, **manifest)
 
 def cmd_extract(args) -> int:
     directory = Path(args.treebank_dir)
-    if not directory.is_dir():
-        return _fail(f"not a directory: {directory}")
+    output = Path(args.output)
+    for needed in (directory, output.parent):
+        if not needed.is_dir():
+            return _fail(f"not a directory: {needed}")
     report_rows, parsed_paths = [], []
     entries = extract_entries(
         _load_corpus(directory, args.manifest, report_rows, parsed_paths),
         include_participles=args.include_participles,
     )
-    output = Path(args.output)
     report_path = output.with_name(output.name + ".report.tsv")
     write_lexicon(entries, output, figure1_layout=args.figure1_layout)
     failed_files = _finish_run(

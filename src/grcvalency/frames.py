@@ -128,8 +128,10 @@ class LexiconEntry:
     frame_fillers: str
 
 
+@lru_cache(maxsize=None)
 def split_relation(relation: str) -> tuple[str, bool, bool]:
-    """Split a relation label into (base, coord, apos), case-insensitively."""
+    """Split a relation label into (base, coord, apos), case-insensitively.
+    Cached per process: a treebank uses a few dozen labels."""
     parts = relation.upper().split("_")
     suffixes = parts[1:]
     return parts[0], "CO" in suffixes, "AP" in suffixes
@@ -166,10 +168,12 @@ def realization_of(node: WordNode) -> str:
 
 def collect_arguments(tree: SentenceTree, verb: WordNode) -> list[ArgumentSlot]:
     """Argument slots of one verb token, in surface order of discovery."""
+    # the tree's own indexes, read directly: this walk visits every
+    # dependent of every verb in the corpus
+    by_id, children, position = tree._by_id, tree.children_index, tree._position
     slots = []
     stack = [
-        (token_id, None, False, False)
-        for token_id in reversed(tree.children(verb.token_id))
+        (token_id, None, False, False) for token_id in reversed(children.get(verb.token_id, ()))
     ]
     visited = {verb.token_id}
     while stack:
@@ -177,19 +181,15 @@ def collect_arguments(tree: SentenceTree, verb: WordNode) -> list[ArgumentSlot]:
         if token_id in visited:
             continue
         visited.add(token_id)
-        node = tree.node(token_id)
+        node = by_id[token_id]
         base, has_co, has_ap = split_relation(node.relation)
         coord = coord or has_co
         apos = apos or has_ap
         if base in ARGUMENT_RELATIONS:
+            label = base + ("_CO" if coord else "") + ("_AP" if apos else "")
             slots.append(
                 ArgumentSlot(
-                    mediator=mediator,
-                    label=base + ("_CO" if coord else "") + ("_AP" if apos else ""),
-                    realization=realization_of(node),
-                    filler=node.lemma,
-                    filler_token_id=node.token_id,
-                    surface_position=tree.position(node.token_id),
+                    mediator, label, realization_of(node), node.lemma, token_id, position[token_id]
                 )
             )
             continue
@@ -200,7 +200,7 @@ def collect_arguments(tree: SentenceTree, verb: WordNode) -> list[ArgumentSlot]:
                 coord = True
             elif base == "APOS":
                 apos = True
-            for child_id in reversed(tree.children(node.token_id)):
+            for child_id in reversed(children.get(token_id, ())):
                 stack.append((child_id, mediator, coord, apos))
         # all other relations (ATR, ADV, AuxY, ...) are neither arguments
         # nor bridges and end the search on their branch

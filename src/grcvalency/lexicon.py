@@ -157,7 +157,10 @@ def write_atomic(destination, payload: bytes) -> int:
     a crash once this returns.  On any failure up to the rename the old
     file, if there was one, stays as it was and the temp file is removed."""
     destination = Path(destination)
-    fd, temp_path = tempfile.mkstemp(dir=destination.parent, prefix=destination.name)
+    try:
+        fd, temp_path = tempfile.mkstemp(dir=destination.parent, prefix=destination.name)
+    except OSError as exc:  # name the directory, not a temp name the user never chose
+        raise OSError(exc.errno, exc.strerror, str(destination.parent)) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)

@@ -15,6 +15,10 @@ import numpy as np
 _DEGENERATE_NORM = 1e-12
 # surrogateescape reads each undecodable byte as a lone surrogate
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# whitespace to str.split but not to bytes.split
+_STR_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+# a large buffer: the binary line iteration is then far cheaper than text mode's
+_READ_BUFFER = 1 << 20
 
 
 class VectorSpaceError(ValueError):
@@ -71,6 +75,30 @@ def _parse_components(lines):
     return np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
 
 
+def _lines(handle):
+    """The lines of a binary file, cut where text mode's universal newlines
+    cut them: at ``\\n``, ``\\r\\n`` and a lone ``\\r``."""
+    for line in handle:
+        if b"\r" in line:
+            yield from line.splitlines()
+        else:
+            yield line
+
+
+def _bytes_lemma(parts):
+    """The lemma of a line split on its bytes into ``parts``, or None when
+    the line must be decoded whole: its lemma is not printable UTF-8, or
+    its components are not ASCII or start with whitespace that only
+    ``str.split`` sees."""
+    if len(parts) == 2 and not (parts[1].isascii() and parts[1][0] not in _STR_ONLY_SPACE):
+        return None
+    try:
+        lemma = parts[0].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return lemma if lemma.isprintable() else None
+
+
 def load_vector_space(source, lemmas=None) -> VectorSpace:
     """Load whitespace-separated text vectors, optionally preceded by a
     ``<rows> <dims>`` header line.  Lemmas are NFC-normalized; a duplicate
@@ -82,7 +110,17 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
     is None) into one float64 matrix whose rows are the vectors.  Only
     those rows are checked for width, numeric and finite components; a
     fault there makes the loader read the file again to name its line.
-    Any fault raises a ``VectorSpaceError`` naming the first faulty line."""
+    Any fault raises a ``VectorSpaceError`` naming the first faulty line.
+
+    The file is read as bytes, and cut into lines where text mode would
+    cut it.  A line whose lemma is printable UTF-8 and whose components
+    are ASCII is split on its bytes; only its lemma, and the components of
+    a row parsed, are decoded.  Every other line is decoded whole and
+    split as text: line 1, a lemma that is not printable UTF-8, components
+    that are not ASCII, and components that start with one of
+    ``\\x1c``-``\\x1f``, which ``str.split`` takes for whitespace and
+    ``bytes.split`` does not.  Either way a line gives the lemma and
+    components that splitting its decoded text would give."""
     wanted = None if lemmas is None else {unicodedata.normalize("NFC", lemma) for lemma in lemmas}
     names = []  # the lemma of every row
     kept = []  # the lemma of every row parsed
@@ -91,29 +129,38 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
 
     def bodies(lines):
         nonlocal declared, fault
-        for lineno, line in enumerate(lines, start=1):
-            parts = line.split(None, 1)
+        for lineno, raw in enumerate(lines, start=1):
+            parts = raw.split(None, 1)
             if not parts:
                 continue
-            # a printable lemma and ASCII components hold no escaped byte
-            if not (parts[0].isprintable() and parts[-1].isascii()) and _ESCAPED_BYTE.search(line):
-                fault = f"line {lineno}: invalid UTF-8"
-                return
-            if lineno == 1 and _is_header(line.split()):
-                declared = int(line.split()[1])
-                continue
+            lemma = _bytes_lemma(parts) if lineno > 1 else None
+            if lemma is None:
+                line = raw.decode("utf-8", "surrogateescape")
+                parts = line.split(None, 1)
+                if not parts:
+                    continue
+                # a printable lemma and ASCII components hold no escaped byte
+                printable = parts[0].isprintable() and parts[-1].isascii()
+                if not printable and _ESCAPED_BYTE.search(line):
+                    fault = f"line {lineno}: invalid UTF-8"
+                    return
+                if lineno == 1 and _is_header(line.split()):
+                    declared = int(line.split()[1])
+                    continue
+                lemma = parts[0]
             if len(parts) == 1:
                 fault = f"line {lineno}: lemma without components"
                 return
-            lemma = unicodedata.normalize("NFC", parts[0])
+            lemma = unicodedata.normalize("NFC", lemma)
             names.append(lemma)
             if wanted is None or lemma in wanted:
                 kept.append(lemma)
                 linenos.append(lineno)
-                yield parts[1]
+                components = parts[1]
+                yield components.decode("ascii") if isinstance(components, bytes) else components
 
-    with open(source, encoding="utf-8", errors="surrogateescape") as handle:
-        rows = bodies(handle)
+    with open(source, "rb", buffering=_READ_BUFFER) as handle:
+        rows = bodies(_lines(handle))
         # an empty input would make numpy warn, not raise
         head = next(rows, None)
         try:
@@ -144,10 +191,12 @@ def _first_component_fault(source, linenos, dimension):
     the first with a non-numeric or non-finite component or a width other
     than ``dimension`` (else the first row's), or None if all are sound."""
     rows = set(linenos)
-    with open(source, encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, line in enumerate(handle, start=1):
+    with open(source, "rb", buffering=_READ_BUFFER) as handle:
+        for lineno, raw in enumerate(_lines(handle), start=1):
             if lineno not in rows:
                 continue
+            # on a row the bytes path parsed, the text split gives its components too
+            line = raw.decode("utf-8", "surrogateescape")
             try:
                 vector = _parse_components([line.split(None, 1)[1]])[0]
             except ValueError:

@@ -1,9 +1,13 @@
+import hashlib
 import random
 import unicodedata
+import xml.etree.ElementTree as ET
 
 import pytest
 
-from grcvalency.betacode import BetaCodeError, beta_to_unicode
+from conftest import CORPUS_DIR
+from grcvalency.betacode import BetaCodeError, _transcode_by_cluster, beta_to_unicode
+from grcvalency.treebank import normalize_lemma
 
 # the annotated excerpt forms against the Greek of the quoted lines
 EXCERPT_FORMS = [
@@ -126,3 +130,51 @@ def test_fuzzed_input_transcodes_or_raises_beta_code_error():
         assert greek == unicodedata.normalize("NFC", greek)
         assert not any(char.isascii() and char != " " for char in greek), beta
     assert 500 < transcoded < 4500
+
+
+def _outcome(transcode, beta):
+    try:
+        return transcode(beta)
+    except BetaCodeError as exc:
+        return (str(exc), exc.char, exc.offset)
+
+
+def test_string_calls_agree_with_the_character_loop():
+    # the alphabet, weighted up, then '*' runs and marks held across a
+    # second '*', the separators, digits, uppercase ASCII and non-ASCII
+    pieces = (
+        list("abgdevzhqiklmncoprstufxyw)(/\\=+|") * 4
+        + ["*", "*", "**", "*)*", "*(/*", "'", "'", " ", " ", "s ", "s'"]
+        + list("0123456789AQSZjé΄άα")
+    )
+    rng = random.Random(20261019)
+    seen = {"transcoded": 0, "raised": 0, "doubled capital": 0}
+    for _ in range(100_000):
+        beta = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 9)))
+        fast = _outcome(beta_to_unicode, beta)
+        assert fast == _outcome(_transcode_by_cluster, beta), beta
+        if isinstance(fast, tuple):
+            seen["raised"] += 1
+            continue
+        seen["transcoded"] += 1
+        if "**" in beta or "*)*" in beta or "*(/*" in beta:
+            seen["doubled capital"] += 1
+    assert all(count > 1000 for count in seen.values()), seen
+
+
+def test_normalize_lemma_keeps_every_corpus_lemma():
+    raws = sorted(
+        {
+            word.get("lemma")
+            for path in sorted(CORPUS_DIR.glob("*.xml"))
+            for word in ET.parse(path).iter("word")
+        }
+    )
+    lines = [f"{raw}\t{normalize_lemma(raw)}" for raw in raws]
+    assert lines[:3] == ["a)/gw1\tἄγω", "a)kou/w1\tἀκούω", "a)lla/1\tἀλλά"]
+    # the (raw, lemma) lines as the character loop wrote them
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert (len(lines), digest) == (
+        49,
+        "cf8b3b904600b40bcb62da2fb100d4dba7319af15e628689625f2956da1c4b90",
+    )

@@ -275,6 +275,15 @@ def test_extract_unreadable_path_is_usage_error(tmp_path, capsys):
     assert "not a directory" in capsys.readouterr().err
 
 
+def test_extract_into_a_missing_directory_fails_before_reading_xml(tmp_path, capsys, monkeypatch):
+    parsed = []
+    monkeypatch.setattr(cli, "parse_treebank_file", lambda *args, **kwargs: parsed.append(args))
+    missing = tmp_path / "nonexistent" / "dir"
+    assert main(["extract", str(CORPUS_DIR), "-o", str(missing / "lex.tsv")]) == 1
+    assert capsys.readouterr().err == f"error: not a directory: {missing}\n"
+    assert parsed == []
+
+
 def test_stats_tables(extracted, capsys):
     assert main(["stats", str(extracted), "--basic"]) == 0
     out = capsys.readouterr().out.splitlines()

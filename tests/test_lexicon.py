@@ -250,6 +250,13 @@ def test_write_atomic_replaces_with_the_mode_open_would_give(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv", "probe"]
 
 
+def test_write_atomic_into_a_missing_directory_names_the_directory(tmp_path):
+    missing = tmp_path / "nonexistent"
+    with pytest.raises(FileNotFoundError) as caught:
+        write_atomic(missing / "out.tsv", b"new\n")
+    assert str(caught.value) == f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{missing}'"
+
+
 def _half_then_full_disk(real_fdopen):
     def fdopen(fd, mode):
         handle = real_fdopen(fd, mode)

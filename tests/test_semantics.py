@@ -269,8 +269,14 @@ def test_lemma_only_file_raises_without_numpy_warning(tmp_path):
             load_vector_space(path)
 
 
+# characters a split on bytes could read otherwise than a split on text:
+# whitespace to str.split alone, a BOM, and a lone \r, which text mode's
+# universal newlines ends a line at and bytes iteration does not
+_TEXT_ONLY_BREAKS = ["\u00a0", "\u2028", "\u0085", "\ufeff", "\x1c", "\x1d", "\x1e", "\x1f", "\r"]
+
+
 def _mutate(rng, data):
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0:  # truncation, possibly inside a multi-byte character
         return data[: rng.randrange(len(data))]
     if kind == 1:  # byte flips
@@ -286,9 +292,43 @@ def _mutate(rng, data):
             del fields[rng.randrange(1, len(fields))]
         lines[index] = b" ".join(fields)
         return b"\n".join(lines)
-    # invalid UTF-8 inserted
     at = rng.randrange(len(data) + 1)
-    return data[:at] + rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80\x80"]) + data[at:]
+    if kind == 3:  # invalid UTF-8 inserted
+        return data[:at] + rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80\x80"]) + data[at:]
+    return data[:at] + rng.choice(_TEXT_ONLY_BREAKS).encode("utf-8") + data[at:]
+
+
+def _reference_outcome(path):
+    try:
+        dimension, vectors, duplicates = _reference_load(path)
+    except ValueError as exc:
+        return str(exc)
+    return dimension, {lemma: vector.tobytes() for lemma, vector in vectors.items()}, duplicates
+
+
+@pytest.mark.parametrize("char", _TEXT_ONLY_BREAKS)
+@pytest.mark.parametrize(
+    "layout",
+    [
+        "{c}\u03b1 1 2\n\u03b2 3 4\n",  # before line 1's lemma
+        "\u03b1 1 2\n{c}\u03b2 3 4\n",  # before a lemma
+        "\u03b1 1 2\n\u03b2{c}3 4\n",  # right after a lemma
+        "\u03b1 1 2\n\u03b2 {c}3 4\n",  # at the start of the components
+        "\u03b1 1 2\n\u03b2 3{c}4\n",  # between components
+        "\u03b1 1 2\n\u03b2 {c}\n\u03b3 5 6\n",  # the only text after a lemma
+        "\u03b1 1 2\n\u03b2{c}\n\u03b3 5 6\n",  # ending a lemma-only line
+    ],
+)
+def test_a_character_str_and_bytes_split_differently_reads_as_text(tmp_path, char, layout):
+    path = tmp_path / "space.txt"
+    path.write_bytes(layout.format(c=char).encode("utf-8"))
+    space = _outcome(path)
+    expected = _reference_outcome(path)
+    if isinstance(expected, str):
+        assert space == expected
+    else:
+        vectors = {lemma: vector.tobytes() for lemma, vector in space.vectors.items()}
+        assert (space.dimension, vectors, space.duplicate_count) == expected
 
 
 def test_fuzzed_files_load_or_raise_vector_space_error(tmp_path):
