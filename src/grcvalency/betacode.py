@@ -3,8 +3,8 @@
 Covers the conventions used in analytical-layer treebank files: lowercase
 letters, '*'-marked capitals (diacritics may precede the base letter),
 breathings, the three accents, iota subscript, diaeresis, and the elision
-apostrophe.  Anything outside that alphabet raises, so garbage never
-turns into a silently corrupted lemma key.
+apostrophe.  A string outside that grammar raises an error naming its
+first fault, so garbage never turns into a silently corrupted lemma key.
 """
 
 import re
@@ -67,22 +67,23 @@ _MARK_RANK = {
 #: Elision mark rendered as the typographic apostrophe.
 APOSTROPHE = "’"
 
-_MEDIAL_SIGMA = "σ"
 _FINAL_SIGMA = "ς"
 
-_LETTER = "letter"
-_SEPARATOR = "sep"
-
-# The fast path's grammar: a letter and its marks, a capital ('*', its
-# held marks, a letter and its marks), and the two separators; the plain
-# letter comes first because it is the commonest.
+# The grammar: a letter and its marks, a capital (a run of '*'s and held
+# marks, then a letter and its marks), and the two separators, commonest
+# first.  Each alternative is fixed by its first character, so a prefix
+# match stops at a rejected string's first fault.
 _LETTERS = "".join(_LOWER)
 _MARK_CODES = re.escape("".join(_MARKS))
 _WELL_FORMED = re.compile(
-    rf"(?:[{_LETTERS}][{_MARK_CODES}]*|\*[{_MARK_CODES}]*[{_LETTERS}][{_MARK_CODES}]*|[' ])*"
+    rf"(?:[{_LETTERS}][{_MARK_CODES}]*"
+    rf"|\*(?:[{_MARK_CODES}]*\*)*[{_MARK_CODES}]*[{_LETTERS}][{_MARK_CODES}]*|[' ])*"
 )
-# a capital is written as the ASCII capital, its held marks after it
-_CAPITAL = re.compile(rf"\*([{_MARK_CODES}]*)([{_LETTERS}])")
+# a capital is written as the ASCII capital, its held marks after it; a
+# later '*' drops the marks an earlier one held
+_CAPITAL = re.compile(rf"\*(?:[{_MARK_CODES}]*\*)*([{_MARK_CODES}]*)([{_LETTERS}])")
+# the '*'s and held marks of a capital that never reaches its letter
+_CAPITAL_RUN = re.compile(rf"(?:\*[{_MARK_CODES}]*)+")
 # 'j' is no Beta Code letter, so it can stand for final sigma until the
 # translation; a sigma is word-final before the end or a space, never
 # before the apostrophe
@@ -131,14 +132,14 @@ def beta_to_unicode(beta: str) -> str:
     apostrophe stays medial (the elided vowel follows underlyingly).
     Diacritic order within a cluster does not affect the output.
 
-    A string the cluster grammar accepts is rewritten by C-level string
-    calls: capitals first, then final sigma, then a sort of the marks
-    only where two are out of order, then one translation table and NFC.
-    Any other string goes to the character loop, which raises the
-    ``BetaCodeError`` naming its first fault.
+    One cluster grammar accepts and rejects.  An accepted string is
+    rewritten by C-level string calls: capitals first, then final sigma,
+    then a sort of the marks only where two are out of order, then one
+    translation table and NFC.  A rejected one raises the
+    ``BetaCodeError`` that names its first fault.
     """
     if not _WELL_FORMED.fullmatch(beta):
-        return _transcode_by_cluster(beta)
+        raise _first_fault(beta)
     text = _CAPITAL.sub(_capital_last, beta)
     text = _WORD_FINAL_SIGMA.sub(_FINAL_SIGMA_CODE, text)
     if _UNSORTED_MARKS.search(text):
@@ -146,63 +147,13 @@ def beta_to_unicode(beta: str) -> str:
     return unicodedata.normalize("NFC", text.translate(_TRANSLATION))
 
 
-def _transcode_by_cluster(beta: str) -> str:
-    """The character-by-character transcoder: it names the first fault of
-    a string outside the grammar, and it accepts the rare forms the grammar
-    leaves out, such as ``**a`` and ``*)*a`` (a second ``*`` drops the marks
-    held by the first)."""
-    clusters = []  # (_LETTER, base, [marks]) or (_SEPARATOR, text, None)
-    capitalize = False
-    cap_offset = 0
-    held_marks = []
-
-    for offset, char in enumerate(beta):
-        if char == "*":
-            capitalize = True
-            cap_offset = offset
-            held_marks = []
-            continue
-        if char in _MARKS:
-            mark = _MARKS[char]
-            if capitalize:
-                held_marks.append(mark)
-            elif clusters and clusters[-1][0] == _LETTER:
-                clusters[-1][2].append(mark)
-            else:
-                raise BetaCodeError("diacritic with no letter to attach to", char, offset)
-            continue
-        if char in _LOWER:
-            base = _UPPER[char] if capitalize else _LOWER[char]
-            clusters.append((_LETTER, base, list(held_marks)))
-            capitalize = False
-            held_marks = []
-            continue
-        if capitalize:
-            raise BetaCodeError("capital marker not followed by a letter", "*", cap_offset)
-        if char == "'":
-            clusters.append((_SEPARATOR, APOSTROPHE, None))
-            continue
-        if char == " ":
-            clusters.append((_SEPARATOR, " ", None))
-            continue
-        raise BetaCodeError("character outside the Beta Code alphabet", char, offset)
-
-    if capitalize:
-        raise BetaCodeError("capital marker not followed by a letter", "*", cap_offset)
-
-    out = []
-    for index, (kind, text, marks) in enumerate(clusters):
-        if kind == _SEPARATOR:
-            out.append(text)
-            continue
-        base = text
-        if base == _MEDIAL_SIGMA:
-            following = clusters[index + 1] if index + 1 < len(clusters) else None
-            word_ends = following is None or (
-                following[0] == _SEPARATOR and following[1] != APOSTROPHE
-            )
-            if word_ends:
-                base = _FINAL_SIGMA
-        out.append(base)
-        out.extend(sorted(marks, key=_MARK_RANK.__getitem__))
-    return unicodedata.normalize("NFC", "".join(out))
+def _first_fault(beta: str) -> BetaCodeError:
+    """The error naming the character where ``beta`` leaves the grammar."""
+    end = _WELL_FORMED.match(beta).end()
+    char = beta[end]
+    if char in _MARKS:
+        return BetaCodeError("diacritic with no letter to attach to", char, end)
+    if char == "*":
+        offset = beta.rindex("*", end, _CAPITAL_RUN.match(beta, end).end())
+        return BetaCodeError("capital marker not followed by a letter", char, offset)
+    return BetaCodeError("character outside the Beta Code alphabet", char, end)

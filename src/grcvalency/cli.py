@@ -223,6 +223,8 @@ def cmd_extract(args) -> int:
     for needed in (directory, output.parent):
         if not needed.is_dir():
             return _fail(f"not a directory: {needed}")
+    if output.is_dir():
+        return _fail(f"is a directory: {output}")
     report_rows, parsed_paths = [], []
     entries = extract_entries(
         _load_corpus(directory, args.manifest, report_rows, parsed_paths),
@@ -323,8 +325,12 @@ def cmd_casestudy(args) -> int:
             return _fail(f"config is missing {key}")
 
     directory = Path(config.treebank_dir)
-    if not directory.is_dir():
-        return _fail(f"not a directory: {directory}")
+    output_dir = Path(config.output_dir)
+    # the outputs go into output_dir, made with its missing parents
+    output_base = next(path for path in (output_dir, *output_dir.parents) if path.exists())
+    for needed in (directory, output_base):
+        if not needed.is_dir():
+            return _fail(f"not a directory: {needed}")
     report_rows, parsed_paths = [], []
     lexicon = read_lexicon(config.lexicon_path)
     selection = select_case_study(
@@ -333,7 +339,6 @@ def cmd_casestudy(args) -> int:
     space = load_vector_space(config.vector_space_path, selection.lemmas())
     result = run_case_study(config, selection, space)
 
-    output_dir = Path(config.output_dir)
     report_path = output_dir / "report.tsv"
     paths = write_case_study_outputs(result, output_dir)
     failed_files = _finish_run(

@@ -8,7 +8,6 @@ from extraction by the caller; the lexicon must mirror the annotation
 verbatim.
 """
 
-import io
 import re
 import unicodedata
 import xml.etree.ElementTree as ET
@@ -34,6 +33,8 @@ LAYOUT_BREAK = re.compile(f"[{_LAYOUT_BREAKS}]")
 # into a frame or a row that cannot be read back
 _RESERVED = re.compile(rf"[,()\[\]{{}}{_LAYOUT_BREAKS}]")
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
+# the parser is fed this much at a time, so a file's tree is never held whole
+_FEED_BYTES = 16 * 1024
 
 
 class TreebankParseError(ValueError):
@@ -179,28 +180,41 @@ def parse_treebank_file(
     The XML is read as a stream: each outermost ``sentence`` element is
     dropped once its words are read, so a file's element tree is never
     held whole.  The trees are built when the document has ended, so a
-    malformed file gives none.
+    malformed file gives none.  Malformed XML, and an encoding declaration
+    the parser cannot read, raise ``TreebankParseError``.
     """
     sentences = []  # (sentence_id, subdoc, nodes) until the document's metadata is known
     issues = []
     root = None
     open_sentences = 0
+    parser = ET.XMLPullParser(("start", "end"))
     try:
-        for event, element in ET.iterparse(io.BytesIO(data), ("start", "end")):
-            if root is None:
-                root = element
-            if element.tag != "sentence":
-                continue
-            if event == "start":
-                open_sentences += 1
-                continue
-            open_sentences -= 1
-            if open_sentences:
-                continue  # a nested sentence is read with its outermost one, in document order
-            for sentence in element.iter("sentence"):
-                _read_sentence(sentence, sentences, issues)
-            if element is not root:
-                element.clear()
+        # the chunk past the end is empty and closes the parser
+        for start in range(0, len(data) + _FEED_BYTES, _FEED_BYTES):
+            chunk = data[start : start + _FEED_BYTES]
+            try:
+                if chunk:
+                    parser.feed(chunk)
+                else:
+                    parser.close()
+            except (LookupError, ValueError) as exc:
+                # expat cannot read the encoding that the declaration names
+                raise TreebankParseError(f"unusable encoding: {exc}", 0) from None
+            for event, element in parser.read_events():
+                if root is None:
+                    root = element
+                if element.tag != "sentence":
+                    continue
+                if event == "start":
+                    open_sentences += 1
+                    continue
+                open_sentences -= 1
+                if open_sentences:
+                    continue  # a nested sentence is read with its outermost one, in document order
+                for sentence in element.iter("sentence"):
+                    _read_sentence(sentence, sentences, issues)
+                if element is not root:
+                    element.clear()
     except ET.ParseError as exc:
         line, column = exc.position
         raise TreebankParseError(f"malformed XML: {exc.msg}", _byte_offset(data, line, column))

@@ -6,7 +6,16 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import CORPUS_DIR
-from grcvalency.betacode import BetaCodeError, _transcode_by_cluster, beta_to_unicode
+from grcvalency.betacode import (
+    _FINAL_SIGMA,
+    _LOWER,
+    _MARK_RANK,
+    _MARKS,
+    _UPPER,
+    APOSTROPHE,
+    BetaCodeError,
+    beta_to_unicode,
+)
 from grcvalency.treebank import normalize_lemma
 
 # the annotated excerpt forms against the Greek of the quoted lines
@@ -43,6 +52,9 @@ def test_excerpt_forms(beta, expected):
         ("*)odusseu/s", "Ὀδυσσεύς"),
         ("va/nac", "ϝάναξ"),
         ("r(e/w", "ῥέω"),
+        # a later '*' drops the marks an earlier one held
+        ("**a", "Α"),
+        ("*)*a", "Α"),
     ],
 )
 def test_common_words(beta, expected):
@@ -98,13 +110,26 @@ def test_unknown_character_errors(bad, char):
     assert repr(char) in str(info.value)
 
 
-def test_misplaced_diacritic_errors():
-    with pytest.raises(BetaCodeError):
-        beta_to_unicode("/abg")
-    with pytest.raises(BetaCodeError):
-        beta_to_unicode("a *")
-    with pytest.raises(BetaCodeError):
-        beta_to_unicode("a*'")
+NO_LETTER = "diacritic with no letter to attach to"
+NO_CAPITAL = "capital marker not followed by a letter"
+
+
+@pytest.mark.parametrize(
+    "bad,message,char,offset",
+    [
+        ("/abg", NO_LETTER, "/", 0),
+        ("a *", NO_CAPITAL, "*", 2),
+        ("a*'", NO_CAPITAL, "*", 1),
+        ("*)*1", NO_CAPITAL, "*", 2),
+        ("**", NO_CAPITAL, "*", 1),
+        ("a /b", NO_LETTER, "/", 2),
+        ("*(/*", NO_CAPITAL, "*", 3),
+    ],
+)
+def test_misplaced_diacritic_errors(bad, message, char, offset):
+    with pytest.raises(BetaCodeError) as info:
+        beta_to_unicode(bad)
+    assert info.value.args == (message, char, offset)
 
 
 def test_error_carries_offset():
@@ -130,6 +155,72 @@ def test_fuzzed_input_transcodes_or_raises_beta_code_error():
         assert greek == unicodedata.normalize("NFC", greek)
         assert not any(char.isascii() and char != " " for char in greek), beta
     assert 500 < transcoded < 4500
+
+
+_MEDIAL_SIGMA = "σ"
+_LETTER = "letter"
+_SEPARATOR = "sep"
+
+
+def _transcode_by_cluster(beta: str) -> str:
+    """The character-by-character transcoder, the oracle for the grammar:
+    it names the first fault of a string outside the alphabet, and a
+    second ``*`` drops the marks held by the first."""
+    clusters = []  # (_LETTER, base, [marks]) or (_SEPARATOR, text, None)
+    capitalize = False
+    cap_offset = 0
+    held_marks = []
+
+    for offset, char in enumerate(beta):
+        if char == "*":
+            capitalize = True
+            cap_offset = offset
+            held_marks = []
+            continue
+        if char in _MARKS:
+            mark = _MARKS[char]
+            if capitalize:
+                held_marks.append(mark)
+            elif clusters and clusters[-1][0] == _LETTER:
+                clusters[-1][2].append(mark)
+            else:
+                raise BetaCodeError("diacritic with no letter to attach to", char, offset)
+            continue
+        if char in _LOWER:
+            base = _UPPER[char] if capitalize else _LOWER[char]
+            clusters.append((_LETTER, base, list(held_marks)))
+            capitalize = False
+            held_marks = []
+            continue
+        if capitalize:
+            raise BetaCodeError("capital marker not followed by a letter", "*", cap_offset)
+        if char == "'":
+            clusters.append((_SEPARATOR, APOSTROPHE, None))
+            continue
+        if char == " ":
+            clusters.append((_SEPARATOR, " ", None))
+            continue
+        raise BetaCodeError("character outside the Beta Code alphabet", char, offset)
+
+    if capitalize:
+        raise BetaCodeError("capital marker not followed by a letter", "*", cap_offset)
+
+    out = []
+    for index, (kind, text, marks) in enumerate(clusters):
+        if kind == _SEPARATOR:
+            out.append(text)
+            continue
+        base = text
+        if base == _MEDIAL_SIGMA:
+            following = clusters[index + 1] if index + 1 < len(clusters) else None
+            word_ends = following is None or (
+                following[0] == _SEPARATOR and following[1] != APOSTROPHE
+            )
+            if word_ends:
+                base = _FINAL_SIGMA
+        out.append(base)
+        out.extend(sorted(marks, key=_MARK_RANK.__getitem__))
+    return unicodedata.normalize("NFC", "".join(out))
 
 
 def _outcome(transcode, beta):

@@ -284,6 +284,53 @@ def test_extract_into_a_missing_directory_fails_before_reading_xml(tmp_path, cap
     assert parsed == []
 
 
+def test_extract_into_an_existing_directory_fails_before_reading_xml(
+    tmp_path, capsys, monkeypatch
+):
+    parsed = []
+    monkeypatch.setattr(cli, "parse_treebank_file", lambda *args, **kwargs: parsed.append(args))
+    assert main(["extract", str(CORPUS_DIR), "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: is a directory: {tmp_path}\n"
+    assert parsed == []
+
+
+def test_casestudy_into_a_file_fails_before_reading_xml(tmp_path, capsys, monkeypatch):
+    config_path = _write_case_files(tmp_path)
+    parsed = []
+    monkeypatch.setattr(cli, "parse_treebank_file", lambda *args, **kwargs: parsed.append(args))
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    argv = ["casestudy", "--config", str(config_path), "--output-dir", str(blocker)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: not a directory: {blocker}\n"
+    assert parsed == []
+    assert blocker.read_bytes() == b""
+
+
+@pytest.mark.parametrize(
+    "encoding,fault",
+    [("xTF-8", "unknown encoding: xTF-8"), ("UTF-32", "multi-byte encodings are not supported")],
+)
+def test_a_file_in_an_unreadable_encoding_is_reported_and_skipped(tmp_path, encoding, fault):
+    declared = f'<?xml version="1.0" encoding="{encoding}"?><treebank/>'.encode("ascii")
+    expected = ["odd.xml", "", "file_error", f"unusable encoding: {fault} (byte offset 0)"]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(CORPUS_DIR / "persians.xml", corpus / "persians.xml")
+    (corpus / "odd.xml").write_bytes(declared)
+    out = tmp_path / "lex.tsv"
+    assert main(["extract", str(corpus), "-o", str(out)]) == 2
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 4  # header + 3 entries
+    assert _report_rows(out.with_name(out.name + ".report.tsv")) == [expected]
+
+    case_dir = tmp_path / "case"
+    case_dir.mkdir()
+    config_path = _write_case_files(case_dir)
+    (case_dir / "corpus" / "odd.xml").write_bytes(declared)
+    assert main(["casestudy", "--config", str(config_path)]) == 2
+    assert _report_rows(case_dir / "out" / "report.tsv") == [expected]
+
+
 def test_stats_tables(extracted, capsys):
     assert main(["stats", str(extracted), "--basic"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -51,6 +51,48 @@ def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _unread_private_names(source: str) -> list[str]:
+    """The private (``_name``) functions, classes and assigned names at the
+    module level of ``source`` that the module never reads."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+            ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        name
+        for name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_the_check_finds_an_unread_private_name():
+    source = (
+        "_a = 1\n_b, c = 2, 3\n_d: int = 4\n__all__ = []\n"
+        "def _f():\n    return _a\nclass _C:\n    _e = 5\nx = _C\n"
+    )
+    assert _unread_private_names(source) == ["_b", "_d", "_f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_module_level_private_name_is_read(path):
+    # a test that imports a private name is no reader: the module must be
+    assert _unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
 def _stages(source: str) -> list[tuple[str, str]]:
     """The ``(module, attribute)`` pairs of the module-level ``STAGES``."""
     for node in ast.parse(source).body:

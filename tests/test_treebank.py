@@ -6,6 +6,7 @@ import pytest
 
 from grcvalency.betacode import BetaCodeError
 from grcvalency.treebank import (
+    _FEED_BYTES,
     SentenceTree,
     TreebankParseError,
     ValidationReport,
@@ -145,6 +146,33 @@ def test_malformed_xml_raises_with_offset():
     with pytest.raises(TreebankParseError) as info:
         parse_treebank_file(b"<treebank><sentence id='1'></treebank>")
     assert info.value.byte_offset >= 0
+
+
+@pytest.mark.parametrize(
+    "encoding,fault",
+    [("xTF-8", "unknown encoding: xTF-8"), ("UTF-32", "multi-byte encodings are not supported")],
+)
+def test_an_encoding_the_parser_cannot_read_fails_at_the_declaration(encoding, fault):
+    data = f'<?xml version="1.0" encoding="{encoding}"?><treebank/>'.encode("ascii")
+    with pytest.raises(TreebankParseError) as info:
+        parse_treebank_file(data)
+    assert info.value.args == (f"unusable encoding: {fault}", 0)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_file_of_several_feeds_parses_whole(extra):
+    # the document ends exactly at a feed boundary, or one byte past it
+    sentence = (
+        '<sentence id="{}"><word id="1" form="lu/w" lemma="lu/w1" postag="v1spia---"'
+        ' head="0" relation="PRED"/></sentence>\n'
+    )
+    body = "".join(sentence.format(n) for n in range(1, 301))
+    padding = 3 * _FEED_BYTES + extra - len(body) - len("<treebank></treebank>")
+    data = f"<treebank>{body}{' ' * padding}</treebank>".encode("ascii")
+    assert len(data) == 3 * _FEED_BYTES + extra
+    trees, issues = parse_treebank_file(data)
+    assert [tree.sentence_id for tree in trees] == list(range(1, 301))
+    assert issues == []
 
 
 def test_byte_offset_counts_every_line_break_the_xml_parser_counts():
