@@ -220,20 +220,22 @@ def _finish_run(report_path: Path, report_rows, manifest_path: Path, **manifest)
 def cmd_extract(args) -> int:
     directory = Path(args.treebank_dir)
     output = Path(args.output)
+    report_path = output.with_name(output.name + ".report.tsv")
+    manifest_path = output.with_name(output.name + ".manifest.json")
     for needed in (directory, output.parent):
         if not needed.is_dir():
             return _fail(f"not a directory: {needed}")
-    if output.is_dir():
-        return _fail(f"is a directory: {output}")
+    for path in (output, report_path, manifest_path):
+        if path.is_dir():  # the write's rename would fail only after the whole run
+            return _fail(f"is a directory: {path}")
     report_rows, parsed_paths = [], []
     entries = extract_entries(
         _load_corpus(directory, args.manifest, report_rows, parsed_paths),
         include_participles=args.include_participles,
     )
-    report_path = output.with_name(output.name + ".report.tsv")
     write_lexicon(entries, output, figure1_layout=args.figure1_layout)
     failed_files = _finish_run(
-        report_path, report_rows, output.with_name(output.name + ".manifest.json"),
+        report_path, report_rows, manifest_path,
         command="extract",
         config={
             "treebank_dir": str(directory),
@@ -331,6 +333,11 @@ def cmd_casestudy(args) -> int:
     for needed in (directory, output_base):
         if not needed.is_dir():
             return _fail(f"not a directory: {needed}")
+    outputs = ("table5.tsv", "table6.tsv", "fig2_boxplot.csv", "run.log", "report.tsv",
+               "manifest.json")
+    for path in (output_dir / name for name in outputs):
+        if path.is_dir():  # the write's rename would fail only after the whole run
+            return _fail(f"is a directory: {path}")
     report_rows, parsed_paths = [], []
     lexicon = read_lexicon(config.lexicon_path)
     selection = select_case_study(

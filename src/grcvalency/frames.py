@@ -170,7 +170,7 @@ def collect_arguments(tree: SentenceTree, verb: WordNode) -> list[ArgumentSlot]:
     """Argument slots of one verb token, in surface order of discovery."""
     # the tree's own indexes, read directly: this walk visits every
     # dependent of every verb in the corpus
-    by_id, children, position = tree._by_id, tree.children_index, tree._position
+    nodes, positions, children = tree.nodes, tree.positions, tree.children_index
     slots = []
     stack = [
         (token_id, None, False, False) for token_id in reversed(children.get(verb.token_id, ()))
@@ -181,16 +181,15 @@ def collect_arguments(tree: SentenceTree, verb: WordNode) -> list[ArgumentSlot]:
         if token_id in visited:
             continue
         visited.add(token_id)
-        node = by_id[token_id]
+        position = positions[token_id]
+        node = nodes[position]
         base, has_co, has_ap = split_relation(node.relation)
         coord = coord or has_co
         apos = apos or has_ap
         if base in ARGUMENT_RELATIONS:
             label = base + ("_CO" if coord else "") + ("_AP" if apos else "")
             slots.append(
-                ArgumentSlot(
-                    mediator, label, realization_of(node), node.lemma, token_id, position[token_id]
-                )
+                ArgumentSlot(mediator, label, realization_of(node), node.lemma, token_id, position)
             )
             continue
         if base in BRIDGE_RELATIONS:

@@ -170,7 +170,10 @@ def write_atomic(destination, payload: bytes) -> int:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(temp_path, 0o666 & ~umask)
-        os.replace(temp_path, destination)
+        try:
+            os.replace(temp_path, destination)
+        except OSError as exc:  # name the destination, not the temp file
+            raise OSError(exc.errno, exc.strerror, str(destination)) from None
     except BaseException:
         os.unlink(temp_path)
         raise

@@ -51,8 +51,6 @@ class TreebankParseError(ValueError):
 @dataclass(slots=True)
 class WordNode:
     token_id: int
-    form: str
-    raw_lemma: str
     lemma: str
     postag: PosTag
     head_id: int
@@ -61,33 +59,25 @@ class WordNode:
 
 @dataclass
 class SentenceTree:
+    """One sentence's words in document order, with the tree's two indexes:
+    ``positions`` maps a token id to the place in ``nodes`` of its first
+    word, and ``children_index`` maps a head id to its dependents' token
+    ids in document order."""
+
     sentence_id: int
     subdoc: str
     author: str
     title: str
     nodes: list[WordNode]
+    positions: dict[int, int] = field(init=False, repr=False)
     children_index: dict[int, list[int]] = field(init=False, repr=False)
-    _by_id: dict[int, WordNode] = field(init=False, repr=False)
-    _position: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.positions = {}
         self.children_index = {}
-        self._by_id = {}
-        self._position = {}
         for position, node in enumerate(self.nodes):
-            self._by_id.setdefault(node.token_id, node)
-            self._position.setdefault(node.token_id, position)
+            self.positions.setdefault(node.token_id, position)
             self.children_index.setdefault(node.head_id, []).append(node.token_id)
-
-    def node(self, token_id: int) -> WordNode:
-        return self._by_id[token_id]
-
-    def children(self, token_id: int) -> list[int]:
-        """Child token ids in surface order."""
-        return self.children_index.get(token_id, [])
-
-    def position(self, token_id: int) -> int:
-        return self._position[token_id]
 
 
 @dataclass
@@ -247,7 +237,7 @@ def _read_sentence(sentence, sentences, issues) -> None:
 def _parse_word(word) -> WordNode:
     attrib = word.attrib
     try:
-        raw_id, form, raw_lemma, postag, raw_head, relation = _required_values(attrib)
+        raw_id, _form, lemma, postag, raw_head, relation = _required_values(attrib)
     except KeyError:
         missing = next(name for name in _REQUIRED_ATTRIBUTES if name not in attrib)
         raise ValueError(f"missing attribute {missing!r}") from None
@@ -257,41 +247,38 @@ def _parse_word(word) -> WordNode:
         raise ValueError(f"token id must be positive, got {token_id}")
     if head_id < 0:
         raise ValueError(f"head must be non-negative, got {head_id}")
-    return WordNode(
-        token_id, form, raw_lemma, normalize_lemma(raw_lemma), decode_postag(postag),
-        head_id, relation,
-    )
+    return WordNode(token_id, normalize_lemma(lemma), decode_postag(postag), head_id, relation)
 
 
 def validate_sentence(tree: SentenceTree) -> ValidationReport:
     """Check token-id uniqueness, head resolution, acyclicity, and that the
     subdoc holds no tab or line break."""
-    by_id = tree._by_id  # each token id once, so a shortfall means duplicates
+    nodes, positions = tree.nodes, tree.positions
     duplicates = []
-    if len(by_id) < len(tree.nodes):
-        counts = Counter(node.token_id for node in tree.nodes)
+    if len(positions) < len(nodes):  # each token id once, so a shortfall means duplicates
+        counts = Counter(node.token_id for node in nodes)
         duplicates = sorted(token_id for token_id, count in counts.items() if count > 1)
 
     dangling = sorted(
         {
             (node.token_id, node.head_id)
-            for node in tree.nodes
-            if node.head_id != 0 and node.head_id not in by_id
+            for node in nodes
+            if node.head_id != 0 and node.head_id not in positions
         }
     )
 
     # Walk head chains; dangling heads terminate a chain, repeats mean a cycle.
     resolved = set()  # tokens whose chain has been walked to its end or its cycle
     cyclic = set()
-    for node in tree.nodes:
+    for node in nodes:
         chain = []
         current = node.token_id
-        while current != 0 and current in by_id and current not in resolved:
+        while current != 0 and current in positions and current not in resolved:
             if current in chain:
                 cyclic.update(chain[chain.index(current):])
                 break
             chain.append(current)
-            current = by_id[current].head_id
+            current = nodes[positions[current]].head_id
         resolved.update(chain)
 
     return ValidationReport(

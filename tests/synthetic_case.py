@@ -57,8 +57,8 @@ RARE_TYPES = [_lemma("δωρ", i) for i in range(12)]
 def _pair_sentence(sentence_id, verb, obj, work):
     author, title = work
     nodes = [
-        WordNode(1, verb, verb, verb, _VERB_TAG, 0, "PRED"),
-        WordNode(2, obj, obj, obj, _NOUN_ACC_TAG, 1, "OBJ"),
+        WordNode(1, verb, _VERB_TAG, 0, "PRED"),
+        WordNode(2, obj, _NOUN_ACC_TAG, 1, "OBJ"),
     ]
     return SentenceTree(sentence_id, str(sentence_id), author, title, nodes)
 

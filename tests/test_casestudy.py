@@ -478,6 +478,34 @@ def test_small_pooled_sizes_use_the_exact_method(tmp_path):
     assert result.comparisons[0].ks.method == "exact"  # pooled size 10 <= 20
 
 
+def test_the_exact_limit_of_the_config_picks_each_verbs_ks_method(tmp_path):
+    case = synthetic_case.build_case(tmp_path)
+
+    def comparisons(limit):
+        config = CaseStudyConfig(
+            vector_space_path=str(case["vectors_path"]),
+            formula_span_path=str(case["spans_path"]),
+            ks_exact_limit=limit,
+        )
+        result = synthetic_case.run(config, case["corpus"], case["lexicon"], case["space"])
+        return {c.verb: c.ks for c in result.comparisons}
+
+    default = comparisons(CaseStudyConfig().ks_exact_limit)
+    tight, same = default[synthetic_case.TIGHT_VERB], default[synthetic_case.SAME_VERB]
+    pooled = tight.n1 + tight.n2
+    assert same.n1 + same.n2 < pooled
+    at_limit, below_limit = comparisons(pooled), comparisons(pooled - 1)
+    assert at_limit[synthetic_case.TIGHT_VERB].method == "exact"
+    assert below_limit[synthetic_case.TIGHT_VERB] == tight
+    assert tight.method == "asymptotic"
+    exact = at_limit[synthetic_case.TIGHT_VERB]
+    assert exact.d_statistic == tight.d_statistic
+    assert exact.p_value != tight.p_value
+    # the other verb's pooled size is within both limits
+    assert at_limit[synthetic_case.SAME_VERB].method == "exact"
+    assert below_limit[synthetic_case.SAME_VERB].method == "exact"
+
+
 def test_vector_failures_drop_verbs_with_logged_reasons(tmp_path):
     import numpy as np
 

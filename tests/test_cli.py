@@ -307,6 +307,40 @@ def test_casestudy_into_a_file_fails_before_reading_xml(tmp_path, capsys, monkey
     assert blocker.read_bytes() == b""
 
 
+def _no_xml_may_be_read(*args, **kwargs):
+    raise AssertionError("a treebank file was read before the outputs were checked")
+
+
+@pytest.mark.parametrize("suffix", [".report.tsv", ".manifest.json"])
+def test_extract_onto_a_directory_beside_the_lexicon_fails_before_reading_xml(
+    tmp_path, capsys, monkeypatch, suffix
+):
+    monkeypatch.setattr(cli, "parse_treebank_file", _no_xml_may_be_read)
+    output = tmp_path / "x.tsv"
+    blocked = tmp_path / f"x.tsv{suffix}"
+    blocked.mkdir()
+    assert main(["extract", str(CORPUS_DIR), "-o", str(output)]) == 1
+    assert capsys.readouterr().err == f"error: is a directory: {blocked}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [blocked.name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["table5.tsv", "table6.tsv", "fig2_boxplot.csv", "run.log", "report.tsv", "manifest.json"],
+)
+def test_casestudy_onto_a_directory_in_the_output_dir_fails_before_reading_xml(
+    tmp_path, capsys, monkeypatch, name
+):
+    config_path = _write_case_files(tmp_path)
+    monkeypatch.setattr(cli, "parse_treebank_file", _no_xml_may_be_read)
+    output_dir = tmp_path / "out"
+    blocked = output_dir / name
+    blocked.mkdir(parents=True)
+    assert main(["casestudy", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: is a directory: {blocked}\n"
+    assert [p.name for p in output_dir.iterdir()] == [name]
+
+
 @pytest.mark.parametrize(
     "encoding,fault",
     [("xTF-8", "unknown encoding: xTF-8"), ("UTF-32", "multi-byte encodings are not supported")],
@@ -581,8 +615,9 @@ def _trees_to_xml(trees, corpus_dir):
             for node in tree.nodes:
                 from grcvalency.postag import encode_postag
 
+                # a synthetic tree's words are spelled as their lemmas
                 lines.append(
-                    f'    <word id="{node.token_id}" form="{node.form}" lemma="{node.raw_lemma}" '
+                    f'    <word id="{node.token_id}" form="{node.lemma}" lemma="{node.lemma}" '
                     f'postag="{encode_postag(node.postag)}" head="{node.head_id}" '
                     f'relation="{node.relation}"/>'
                 )

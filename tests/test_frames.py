@@ -17,11 +17,21 @@ from grcvalency.frames import (
 )
 from grcvalency.lexicon import read_lexicon
 from grcvalency.postag import decode_postag
-from grcvalency.treebank import SentenceTree, WordNode, normalize_lemma, parse_treebank_file
+from grcvalency.treebank import (
+    SentenceTree,
+    WordNode,
+    normalize_lemma,
+    parse_treebank_file,
+    validate_sentence,
+)
 
 from conftest import CORPUS_DIR, GOLDEN_LEXICON
 
 _BRACES = re.compile(r"\{[^{}]*\}")
+
+
+def _node(tree, token_id):
+    return tree.nodes[tree.positions[token_id]]
 
 
 def _trees(name, meta=None):
@@ -48,7 +58,7 @@ def theogony():
 def test_predicates_include_verbs_regardless_of_relation(persians):
     tree = persians[2901046]
     assert {n.token_id for n in identify_predicates(tree)} == {7, 25}
-    assert tree.node(7).relation == "ADV"
+    assert _node(tree, 7).relation == "ADV"
 
 
 def test_predicates_participle_toggle(theogony):
@@ -68,7 +78,7 @@ def test_tree_without_verbs_has_no_predicates(iliad):
 
 def test_excerpt_arguments(persians):
     tree = persians[2901046]
-    slots = collect_arguments(tree, tree.node(7))
+    slots = collect_arguments(tree, _node(tree, 7))
     assert [(s.base_relation, s.filler, s.realization) for s in slots] == [
         ("SBJ", "δέος", "nominative"),
         ("OBJ", "σύ", "dative"),
@@ -76,12 +86,12 @@ def test_excerpt_arguments(persians):
     # the ATR dependents of the subject never surface as arguments
     assert {s.filler_token_id for s in slots} == {3, 5}
     # the matrix verb reaches nothing through the conjunction
-    assert collect_arguments(tree, tree.node(25)) == []
+    assert collect_arguments(tree, _node(tree, 25)) == []
 
 
 def test_prepositional_argument_records_mediator(iliad):
     tree = iliad[1044]
-    slots = collect_arguments(tree, tree.node(2))
+    slots = collect_arguments(tree, _node(tree, 2))
     mediated = [s for s in slots if s.mediator is not None]
     assert len(mediated) == 1
     assert mediated[0].mediator == "εἰς"
@@ -91,7 +101,7 @@ def test_prepositional_argument_records_mediator(iliad):
 
 def test_conjunction_argument_realizes_as_mood(theogony):
     tree = theogony[2001]
-    slots = collect_arguments(tree, tree.node(1))
+    slots = collect_arguments(tree, _node(tree, 1))
     assert len(slots) == 1
     assert slots[0].mediator == "ὅτι"
     assert slots[0].realization == "indicative"
@@ -100,20 +110,20 @@ def test_conjunction_argument_realizes_as_mood(theogony):
 
 def test_coordination_yields_one_slot_per_conjunct(iliad):
     tree = iliad[1047]
-    slots = collect_arguments(tree, tree.node(1))
+    slots = collect_arguments(tree, _node(tree, 1))
     assert [s.filler for s in slots] == ["δῶρον", "ξίφος"]
     assert all(s.label == "OBJ_CO" for s in slots)
 
 
 def test_apposition_yields_suffixed_slots(theogony):
     tree = theogony[2005]
-    slots = collect_arguments(tree, tree.node(1))
+    slots = collect_arguments(tree, _node(tree, 1))
     assert [s.label for s in slots] == ["OBJ_AP", "OBJ_AP"]
 
 
 def test_chained_coordination_of_prepositional_phrases(theogony):
     tree = theogony[2006]
-    slots = collect_arguments(tree, tree.node(1))
+    slots = collect_arguments(tree, _node(tree, 1))
     assert [(s.mediator, s.realization) for s in slots] == [
         ("εἰς", "accusative"),
         ("ἐν", "dative"),
@@ -123,10 +133,10 @@ def test_chained_coordination_of_prepositional_phrases(theogony):
 
 def test_coordination_suffix_comes_from_the_path_too():
     # conjuncts annotated with bare OBJ still pick up _CO from the COORD node
-    verb = WordNode(1, "φέρει", "φέρει", "φέρω", decode_postag("v3spia---"), 0, "PRED")
-    conj = WordNode(2, "καί", "καί", "καί", decode_postag("c--------"), 1, "COORD")
-    first = WordNode(3, "δῶρον", "δῶρον", "δῶρον", decode_postag("n-s---na-"), 2, "OBJ")
-    second = WordNode(4, "ξίφος", "ξίφος", "ξίφος", decode_postag("n-s---na-"), 2, "OBJ")
+    verb = WordNode(1, "φέρω", decode_postag("v3spia---"), 0, "PRED")
+    conj = WordNode(2, "καί", decode_postag("c--------"), 1, "COORD")
+    first = WordNode(3, "δῶρον", decode_postag("n-s---na-"), 2, "OBJ")
+    second = WordNode(4, "ξίφος", decode_postag("n-s---na-"), 2, "OBJ")
     tree = SentenceTree(1, "", "", "", [verb, conj, first, second])
     frame, _ = render_frame("active", collect_arguments(tree, verb))
     assert frame == "active_OBJ_CO[accusative],OBJ_CO[accusative]"
@@ -134,10 +144,10 @@ def test_coordination_suffix_comes_from_the_path_too():
 
 def test_only_the_first_mediator_is_recorded():
     # verb -> AuxP(εἰς) -> AuxP(ἐν) -> OBJ: one printable mediator per slot
-    verb = WordNode(1, "ἄγει", "ἄγει", "ἄγω", decode_postag("v3spia---"), 0, "PRED")
-    outer = WordNode(2, "εἰς", "εἰς", "εἰς", decode_postag("r--------"), 1, "AuxP")
-    inner = WordNode(3, "ἐν", "ἐν", "ἐν", decode_postag("r--------"), 2, "AuxP")
-    noun = WordNode(4, "ναῦν", "ναῦν", "ναῦς", decode_postag("n-s---fa-"), 3, "OBJ")
+    verb = WordNode(1, "ἄγω", decode_postag("v3spia---"), 0, "PRED")
+    outer = WordNode(2, "εἰς", decode_postag("r--------"), 1, "AuxP")
+    inner = WordNode(3, "ἐν", decode_postag("r--------"), 2, "AuxP")
+    noun = WordNode(4, "ναῦς", decode_postag("n-s---fa-"), 3, "OBJ")
     tree = SentenceTree(1, "", "", "", [verb, outer, inner, noun])
     slots = collect_arguments(tree, verb)
     assert len(slots) == 1
@@ -146,10 +156,88 @@ def test_only_the_first_mediator_is_recorded():
 
 def test_relation_matching_is_case_insensitive(theogony):
     tree = theogony[2004]
-    slots = collect_arguments(tree, tree.node(1))
+    slots = collect_arguments(tree, _node(tree, 1))
     assert [s.base_relation for s in slots] == ["OBJ", "OCOMP"]
     assert split_relation("OComp") == ("OCOMP", False, False)
     assert split_relation("sbj_co") == ("SBJ", True, False)
+
+
+_RANDOM_RELATIONS = [
+    "SBJ", "OBJ", "obj", "PNOM", "OCOMP", "AuxP", "AuxC", "auxc", "COORD", "APOS", "ATR", "ADV",
+    "PRED",
+]
+_RANDOM_SUFFIXES = ["", "", "", "_CO", "_AP", "_CO_AP", "_ap", "_XX"]
+_RANDOM_TAGS = [
+    decode_postag(tag)
+    for tag in ("v3spia---", "n-s---ma-", "n-s---md-", "c--------", "r--------", "v--pna---")
+]
+
+
+def _reference_arguments(tree, verb):
+    """Argument slots by a recursive walk that reads only ``tree.nodes``,
+    taking the first node of each token id."""
+    first = {}
+    for position, node in enumerate(tree.nodes):
+        first.setdefault(node.token_id, (position, node))
+    slots = []
+    visited = {verb.token_id}
+
+    def walk(token_id, mediator, coord, apos):
+        if token_id in visited:
+            return
+        visited.add(token_id)
+        position, node = first[token_id]
+        base, *suffixes = node.relation.upper().split("_")
+        coord = coord or "CO" in suffixes or base == "COORD"
+        apos = apos or "AP" in suffixes or base == "APOS"
+        if base in ("SBJ", "OBJ", "PNOM", "OCOMP"):
+            label = base + "_CO" * coord + "_AP" * apos
+            slots.append(
+                ArgumentSlot(
+                    mediator, label, realization_of(node), node.lemma, token_id, position
+                )
+            )
+        elif base in ("AUXP", "AUXC", "COORD", "APOS"):
+            if mediator is None and base in ("AUXP", "AUXC"):
+                mediator = node.lemma
+            for child in tree.nodes:
+                if child.head_id == token_id:
+                    walk(child.token_id, mediator, coord, apos)
+
+    for child in tree.nodes:
+        if child.head_id == verb.token_id:
+            walk(child.token_id, None, False, False)
+    return slots
+
+
+def test_collect_arguments_matches_a_walk_over_the_nodes():
+    # trees nobody has validated: duplicate ids, dangling heads and cycles
+    rng = random.Random(2203)
+    seen = {"mediated": 0, "_CO": 0, "_AP": 0, "duplicates": 0, "dangling": 0, "cycles": 0}
+    for _ in range(3000):
+        size = rng.randint(1, 10)
+        nodes = [
+            WordNode(
+                rng.randint(1, size + 1),
+                f"λ{index}",
+                rng.choice(_RANDOM_TAGS),
+                rng.randint(0, size + 1),
+                rng.choice(_RANDOM_RELATIONS) + rng.choice(_RANDOM_SUFFIXES),
+            )
+            for index in range(size)
+        ]
+        tree = SentenceTree(1, "", "", "", nodes)
+        report = validate_sentence(tree)
+        seen["duplicates"] += bool(report.duplicate_ids)
+        seen["dangling"] += bool(report.dangling_heads)
+        seen["cycles"] += bool(report.cycle_token_ids)
+        for verb in nodes:
+            slots = collect_arguments(tree, verb)
+            assert slots == _reference_arguments(tree, verb)
+            seen["mediated"] += sum(slot.mediator is not None for slot in slots)
+            seen["_CO"] += sum("_CO" in slot.label for slot in slots)
+            seen["_AP"] += sum("_AP" in slot.label for slot in slots)
+    assert all(count > 100 for count in seen.values()), seen
 
 
 def _skeleton(**overrides):
@@ -166,7 +254,7 @@ def _skeleton(**overrides):
 
 
 def _word(token_id, postag, lemma):
-    return WordNode(token_id, lemma, lemma, lemma, decode_postag(postag), 0, "OBJ")
+    return WordNode(token_id, lemma, decode_postag(postag), 0, "OBJ")
 
 
 def test_realize_slot_case_mood_and_fallback():
@@ -315,8 +403,8 @@ def test_mediated_element_sorts_by_bare_label():
 def test_annotation_oddities_are_reproduced_verbatim():
     # an accusative-tagged subject stays an accusative subject; nothing is
     # second-guessed or repaired
-    verb = WordNode(2, "αἰχμάζει", "αἰχμάζει", "αἰχμάζω", decode_postag("v3spia---"), 0, "PRED")
-    subject = WordNode(1, "τόν", "τόν", "ὁ", decode_postag("l-s---ma-"), 2, "SBJ")
+    verb = WordNode(2, "αἰχμάζω", decode_postag("v3spia---"), 0, "PRED")
+    subject = WordNode(1, "ὁ", decode_postag("l-s---ma-"), 2, "SBJ")
     tree = SentenceTree(77, "754-756", "Aeschylus", "Persians", [subject, verb])
     entries = extract_entries([tree])
     assert entries[0].frame == "active_SBJ[accusative]"
@@ -363,7 +451,7 @@ def test_entry_invariants_over_sample(corpus_trees):
     for entry in entries:
         assert _BRACES.sub("", entry.frame_fillers) == entry.frame
         assert entry.frame.startswith(entry.voice + "_")
-        root = by_id[entry.sentence_id].node(entry.root_id)
+        root = _node(by_id[entry.sentence_id], entry.root_id)
         assert root.postag.is_verbal
         labels = re.findall(r"\)?([A-Z][A-Z_]*)\[", entry.frame)
         assert labels == sorted(labels)

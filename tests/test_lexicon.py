@@ -257,6 +257,18 @@ def test_write_atomic_into_a_missing_directory_names_the_directory(tmp_path):
     assert str(caught.value) == f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{missing}'"
 
 
+def test_write_atomic_onto_a_directory_names_the_destination(tmp_path):
+    destination = tmp_path / "out.tsv"
+    destination.mkdir()
+    with pytest.raises(OSError) as caught:
+        write_atomic(destination, b"new\n")
+    assert caught.value.filename == str(destination)
+    assert caught.value.filename2 is None  # no temp name the user never chose
+    assert str(caught.value).endswith(f": '{destination}'")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+    assert list(destination.iterdir()) == []
+
+
 def _half_then_full_disk(real_fdopen):
     def fdopen(fd, mode):
         handle = real_fdopen(fd, mode)

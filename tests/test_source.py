@@ -93,6 +93,37 @@ def test_every_module_level_private_name_is_read(path):
     assert _unread_private_names(path.read_text(encoding="utf-8")) == []
 
 
+def _private_attributes_of_others(source: str) -> list[str]:
+    """The ``value._name`` attributes in ``source``, in source order, whose
+    value is not ``self`` or ``cls``: a private name of another object."""
+    found = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [ast.unparse(node) for node in found]
+
+
+def test_the_check_finds_a_private_attribute_of_another_object():
+    source = (
+        "tree._by_id\nself._a = cls._b\nx.__dict__\nobj.public\n"
+        "os._exit(f()._c)\ndef g(other):\n    return other.nodes[self._d]._e\n"
+    )
+    assert _private_attributes_of_others(source) == [
+        "tree._by_id", "os._exit", "f()._c", "other.nodes[self._d]._e"
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.stem for path in SOURCES])
+def test_no_module_reads_a_private_attribute_of_another_object(path):
+    # a private name is its own class's or module's layout, free to change
+    assert _private_attributes_of_others(path.read_text(encoding="utf-8")) == []
+
+
 def _stages(source: str) -> list[tuple[str, str]]:
     """The ``(module, attribute)`` pairs of the module-level ``STAGES``."""
     for node in ast.parse(source).body:

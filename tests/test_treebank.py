@@ -28,7 +28,7 @@ ILIAD_TOKEN_COUNTS = (
 
 
 def _node(tree, token_id):
-    return tree.node(token_id)
+    return tree.nodes[tree.positions[token_id]]
 
 
 def test_parse_excerpt_sentence():
@@ -47,7 +47,6 @@ def test_parse_excerpt_sentence():
     assert subject.lemma == "δέος"
     assert subject.relation == "SBJ"
     assert subject.head_id == 7
-    assert subject.raw_lemma == "de/os1"
     verb = _node(tree, 7)
     assert verb.postag.voice == "medio-passive"
     assert verb.relation == "ADV"
@@ -90,7 +89,7 @@ def test_word_order_follows_the_document():
     </sentence></treebank>"""
     trees, _ = parse_treebank_file(data)
     assert [n.token_id for n in trees[0].nodes] == [5, 2]
-    assert trees[0].position(5) == 0
+    assert trees[0].positions[5] == 0
 
 
 def test_missing_attribute_skips_word_and_reports():
@@ -377,7 +376,7 @@ def _tree(nodes):
 
 
 def _word(token_id, head_id, relation="OBJ", lemma="δῶρον"):
-    return WordNode(token_id, lemma, lemma, lemma, decode_postag("n-s---ma-"), head_id, relation)
+    return WordNode(token_id, lemma, decode_postag("n-s---ma-"), head_id, relation)
 
 
 def test_validate_truncated_excerpt_reports_dangling_head():
@@ -426,7 +425,11 @@ def test_validate_a_subdoc_with_a_layout_break():
 
 
 def _reference_validate(tree):
-    """The validator as it was before it read the tree's own id index."""
+    """The validator as it was before it read the tree's own id index; it
+    builds its own first-occurrence map, so it never reads that index."""
+    first = {}
+    for node in tree.nodes:
+        first.setdefault(node.token_id, node)
     seen = set()
     duplicates = set()
     for node in tree.nodes:
@@ -442,7 +445,7 @@ def _reference_validate(tree):
         chain = []
         current = node.token_id
         while True:
-            if current == 0 or current not in tree._by_id or state.get(current) in ("done", "cyclic"):
+            if current == 0 or current not in first or state.get(current) in ("done", "cyclic"):
                 break
             if current in chain:
                 loop = chain[chain.index(current):]
@@ -451,7 +454,7 @@ def _reference_validate(tree):
                     state[t] = "cyclic"
                 break
             chain.append(current)
-            current = tree._by_id[current].head_id
+            current = first[current].head_id
         for t in chain:
             state.setdefault(t, "done")
     return ValidationReport(tree.sentence_id, sorted(duplicates), dangling, sorted(cyclic))
