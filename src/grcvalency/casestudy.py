@@ -325,21 +325,27 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
+# the files write_case_study_outputs writes into its output_dir, by key
+OUTPUT_NAMES = {"table5": "table5.tsv", "table6": "table6.tsv", "boxplot": "fig2_boxplot.csv",
+                "log": "run.log"}
+
+
 def write_case_study_outputs(result: CaseStudyResult, output_dir) -> dict[str, Path]:
-    """Write table5.tsv, table6.tsv, fig2_boxplot.csv and the run log, each atomically."""
+    """Write the :data:`OUTPUT_NAMES` files, each atomically; returns their
+    paths by key."""
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    table5 = ["verb\tepic_types\tbaseline_types"]
+    table5 = ["verb\tepic_types\tbaseline_types\n"]
     table6 = [
         "verb\tmedian_formulaic\tmedian_baseline\tvariance_formulaic\tvariance_baseline"
-        "\td_statistic\tp_value\tstars\toov_formulaic\toov_baseline\tmethod"
+        "\td_statistic\tp_value\tstars\toov_formulaic\toov_baseline\tmethod\n"
     ]
     for c in result.comparisons:
-        table5.append(f"{c.verb}\t{c.epic_type_count}\t{c.baseline_type_count}")
+        table5.append(f"{c.verb}\t{c.epic_type_count}\t{c.baseline_type_count}\n")
         numbers = (c.median_formulaic, c.median_baseline, c.variance_formulaic,
                    c.variance_baseline, c.ks.d_statistic, c.ks.p_value)
         table6.append("\t".join([c.verb, *map(_fmt, numbers), c.stars, str(c.oov_counts[0]),
-                                 str(c.oov_counts[1]), c.ks.method]))
+                                 str(c.oov_counts[1]), c.ks.method]) + "\n")
     boxplot = io.StringIO()  # csv.writer ends rows with \r\n, kept as written
     writer = csv.writer(boxplot)
     quantiles = ("min_whisker", "q1", "median", "q3", "max_whisker")
@@ -347,19 +353,13 @@ def write_case_study_outputs(result: CaseStudyResult, output_dir) -> dict[str, P
     for row in result.boxplot_rows:
         writer.writerow([row["verb"], row["group"], *(_fmt(row[key]) for key in quantiles),
                          ";".join(map(_fmt, row["outliers"]))])
-    run_log = ["event\tverb\treason\tdetail"]
-    run_log += [f"{e.event}\t{e.verb}\t{e.reason}\t{e.detail}" for e in result.log]
+    run_log = ["event\tverb\treason\tdetail\n"]
+    run_log += [f"{e.event}\t{e.verb}\t{e.reason}\t{e.detail}\n" for e in result.log]
 
-    outputs = {
-        "table5": ("table5.tsv", "\n".join(table5) + "\n"),
-        "table6": ("table6.tsv", "\n".join(table6) + "\n"),
-        "boxplot": ("fig2_boxplot.csv", boxplot.getvalue()),
-        "log": ("run.log", "\n".join(run_log) + "\n"),
-    }
-    paths = {}
-    for key, (name, text) in outputs.items():
-        paths[key] = output_dir / name
-        write_atomic(paths[key], text.encode("utf-8"))
+    lines = {"table5": table5, "table6": table6, "boxplot": [boxplot.getvalue()], "log": run_log}
+    paths = {key: output_dir / name for key, name in OUTPUT_NAMES.items()}
+    for key, path in paths.items():
+        write_atomic(path, lines[key])
     return paths
 
 

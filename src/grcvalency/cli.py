@@ -13,7 +13,13 @@ from pathlib import Path
 
 from . import __version__
 from .betacode import beta_to_unicode
-from .casestudy import load_config, run_case_study, select_case_study, write_case_study_outputs
+from .casestudy import (
+    OUTPUT_NAMES,
+    load_config,
+    run_case_study,
+    select_case_study,
+    write_case_study_outputs,
+)
 from .frames import extract_entries
 from .lexicon import (
     FORMAT_VERSION,
@@ -203,10 +209,11 @@ def _write_report(path: Path, rows) -> None:
     """Write the report TSV; a tab or line break inside a field (a file name
     may hold one) is written as its Python escape, ``\\t``, ``\\n``,
     ``\\u2028`` and the like, so each row stays one line of four fields."""
-    lines = ["file\tsentence_id\tkind\tdetail"] + [
-        "\t".join(LAYOUT_BREAK.sub(_escape_layout_break, field) for field in row) for row in rows
-    ]
-    write_atomic(path, ("\n".join(lines) + "\n").encode(_ENCODING))
+    header = ("file", "sentence_id", "kind", "detail")
+    write_atomic(path, (
+        "\t".join(LAYOUT_BREAK.sub(_escape_layout_break, field) for field in row) + "\n"
+        for row in [header, *rows]
+    ))
 
 
 def _finish_run(report_path: Path, report_rows, manifest_path: Path, **manifest) -> int:
@@ -333,9 +340,9 @@ def cmd_casestudy(args) -> int:
     for needed in (directory, output_base):
         if not needed.is_dir():
             return _fail(f"not a directory: {needed}")
-    outputs = ("table5.tsv", "table6.tsv", "fig2_boxplot.csv", "run.log", "report.tsv",
-               "manifest.json")
-    for path in (output_dir / name for name in outputs):
+    report_path, manifest_path = output_dir / "report.tsv", output_dir / "manifest.json"
+    outputs = [output_dir / name for name in OUTPUT_NAMES.values()] + [report_path, manifest_path]
+    for path in outputs:
         if path.is_dir():  # the write's rename would fail only after the whole run
             return _fail(f"is a directory: {path}")
     report_rows, parsed_paths = [], []
@@ -346,10 +353,9 @@ def cmd_casestudy(args) -> int:
     space = load_vector_space(config.vector_space_path, selection.lemmas())
     result = run_case_study(config, selection, space)
 
-    report_path = output_dir / "report.tsv"
     paths = write_case_study_outputs(result, output_dir)
     failed_files = _finish_run(
-        report_path, report_rows, output_dir / "manifest.json",
+        report_path, report_rows, manifest_path,
         command="casestudy",
         config={
             "epic_works": ["|".join(w) for w in config.epic_works],

@@ -150,11 +150,13 @@ class Lexicon:
         return bounds.tolist(), rows
 
 
-def write_atomic(destination, payload: bytes) -> int:
-    """Write ``payload`` to a temp file beside ``destination`` and rename it
-    over ``destination``; returns the bytes written.  The file is fsynced
-    before the rename and its directory after it, so the new file survives
-    a crash once this returns.  On any failure up to the rename the old
+def write_atomic(destination, chunks) -> int:
+    """Stream the ``str`` ``chunks``, UTF-8 encoded and with no newline
+    translation, into a temp file beside ``destination`` and rename it over
+    ``destination``; returns the bytes written.  This is the one place an
+    output is encoded.  The file is fsynced before the rename and its
+    directory after it, so the new file survives a crash once this returns.
+    On any failure up to the rename, a chunk's own error included, the old
     file, if there was one, stays as it was and the temp file is removed."""
     destination = Path(destination)
     try:
@@ -163,9 +165,10 @@ def write_atomic(destination, payload: bytes) -> int:
         raise OSError(exc.errno, exc.strerror, str(destination.parent)) from None
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            handle.writelines(chunk.encode("utf-8") for chunk in chunks)
             handle.flush()
             os.fsync(handle.fileno())
+            written = handle.tell()
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -182,7 +185,7 @@ def write_atomic(destination, payload: bytes) -> int:
         os.fsync(directory)
     finally:
         os.close(directory)
-    return len(payload)
+    return written
 
 
 def lexicon_lines(entries, columns=COLUMNS):
@@ -203,9 +206,9 @@ def lexicon_lines(entries, columns=COLUMNS):
 
 
 def write_lexicon(lexicon, destination, figure1_layout: bool = False) -> int:
-    """Serialize to TSV through :func:`write_atomic`; returns bytes written."""
+    """Stream the TSV through :func:`write_atomic` a row at a time; returns bytes written."""
     lines = lexicon_lines(lexicon, FIGURE1_COLUMNS if figure1_layout else COLUMNS)
-    return write_atomic(destination, ("\n".join(lines) + "\n").encode("utf-8"))
+    return write_atomic(destination, (line + "\n" for line in lines))
 
 
 def read_lexicon(source) -> Lexicon:

@@ -9,6 +9,7 @@ verbatim.
 """
 
 import re
+import sys
 import unicodedata
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -247,6 +248,7 @@ def _parse_word(word) -> WordNode:
         raise ValueError(f"token id must be positive, got {token_id}")
     if head_id < 0:
         raise ValueError(f"head must be non-negative, got {head_id}")
+    relation = sys.intern(relation)  # a few dozen labels, each shared by its tokens
     return WordNode(token_id, normalize_lemma(lemma), decode_postag(postag), head_id, relation)
 
 

@@ -6,12 +6,14 @@ import stat
 import sys
 import unicodedata
 import weakref
+from pathlib import Path
 
 import pytest
 
 import grcvalency.cli as cli
 import grcvalency.lexicon as lexicon_module
 from grcvalency import Lexicon, __version__, extract_entries, parse_treebank_file, read_lexicon
+from grcvalency.casestudy import OUTPUT_NAMES
 from grcvalency.cli import main
 from grcvalency.lexicon import write_lexicon
 
@@ -339,6 +341,25 @@ def test_casestudy_onto_a_directory_in_the_output_dir_fails_before_reading_xml(
     assert main(["casestudy", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err == f"error: is a directory: {blocked}\n"
     assert [p.name for p in output_dir.iterdir()] == [name]
+
+
+def test_casestudy_checks_exactly_the_files_it_leaves_in_the_output_dir(tmp_path, monkeypatch):
+    config_path = _write_case_files(tmp_path)
+    output_dir = tmp_path / "out"
+    checked = []
+    is_dir = Path.is_dir
+
+    def record_is_dir(path):
+        if path.parent == output_dir:
+            checked.append(path.name)
+        return is_dir(path)
+
+    monkeypatch.setattr(Path, "is_dir", record_is_dir)
+    assert main(["casestudy", "--config", str(config_path)]) == 0
+    monkeypatch.undo()
+    left = [p.name for p in output_dir.iterdir()]
+    assert sorted(checked) == sorted(left)
+    assert set(left) == {*OUTPUT_NAMES.values(), "report.tsv", "manifest.json"}
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import itertools
 import os
 import random
 import stat
+import tracemalloc
 import unicodedata
 from collections import Counter, defaultdict
 
@@ -196,6 +197,35 @@ def test_write_rejects_fields_that_break_the_layout(tmp_path):
     assert path.read_bytes() == fig1.read_bytes()
 
 
+@pytest.mark.parametrize("character", ["\t", "\u2028"])
+def test_a_late_layout_break_keeps_the_old_file_and_no_temp_file(tmp_path, character):
+    # rows stream into the temp file, so the break is found after 4,999 are written
+    entries = list(_random_lexicon(6000, seed=5))
+    value = entries[4999].verb + character
+    entries[4999] = dataclasses.replace(entries[4999], verb=value)
+    path = tmp_path / "lexicon.tsv"
+    write_lexicon(Lexicon([PUBLISHED_ENTRY]), path)
+    old = path.read_bytes()
+    with pytest.raises(ValueError) as info:
+        write_lexicon(entries, path)
+    assert str(info.value) == f"field would corrupt the TSV layout: {value!r}"
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["lexicon.tsv"]
+
+
+def test_write_lexicon_streams_rather_than_building_the_file(tmp_path):
+    entries = list(_random_lexicon(20000, seed=9))
+    path = tmp_path / "lexicon.tsv"
+    tracemalloc.start()
+    try:
+        written = write_lexicon(entries, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == path.stat().st_size
+    assert peak < written / 4, (peak, written)
+
+
 def test_columns_are_the_entry_fields_in_the_golden_header_order():
     assert COLUMNS == tuple(field.name for field in dataclasses.fields(LexiconEntry))
     header = GOLDEN_LEXICON.read_text(encoding="utf-8").splitlines()[0]
@@ -244,7 +274,7 @@ def test_write_atomic_replaces_with_the_mode_open_would_give(tmp_path):
     target = tmp_path / "out.tsv"
     target.write_bytes(b"old\n")
     os.chmod(target, 0o600)
-    assert write_atomic(target, b"new\n") == 4
+    assert write_atomic(target, ["new\n"]) == 4
     assert target.read_bytes() == b"new\n"
     assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv", "probe"]
@@ -253,7 +283,7 @@ def test_write_atomic_replaces_with_the_mode_open_would_give(tmp_path):
 def test_write_atomic_into_a_missing_directory_names_the_directory(tmp_path):
     missing = tmp_path / "nonexistent"
     with pytest.raises(FileNotFoundError) as caught:
-        write_atomic(missing / "out.tsv", b"new\n")
+        write_atomic(missing / "out.tsv", ["new\n"])
     assert str(caught.value) == f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{missing}'"
 
 
@@ -261,7 +291,7 @@ def test_write_atomic_onto_a_directory_names_the_destination(tmp_path):
     destination = tmp_path / "out.tsv"
     destination.mkdir()
     with pytest.raises(OSError) as caught:
-        write_atomic(destination, b"new\n")
+        write_atomic(destination, ["new\n"])
     assert caught.value.filename == str(destination)
     assert caught.value.filename2 is None  # no temp name the user never chose
     assert str(caught.value).endswith(f": '{destination}'")
@@ -269,11 +299,13 @@ def test_write_atomic_onto_a_directory_names_the_destination(tmp_path):
     assert list(destination.iterdir()) == []
 
 
-def _half_then_full_disk(real_fdopen):
+def _full_disk_after(room, real_fdopen):
+    """An ``os.fdopen`` whose files take ``room`` writes, each reaching the
+    disk, and then fail the next one as a full disk would."""
     def fdopen(fd, mode):
         handle = real_fdopen(fd, mode)
 
-        class HalfWriter:
+        class FillingWriter:
             def __enter__(self):
                 return self
 
@@ -281,11 +313,18 @@ def _half_then_full_disk(real_fdopen):
                 handle.close()
 
             def write(self, data):
-                handle.write(data[: len(data) // 2])
+                nonlocal room
+                if not room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                room -= 1
+                handle.write(data)
                 handle.flush()
-                raise OSError(errno.ENOSPC, "No space left on device")
 
-        return HalfWriter()
+            def writelines(self, lines):
+                for data in lines:
+                    self.write(data)
+
+        return FillingWriter()
 
     return fdopen
 
@@ -299,12 +338,15 @@ def test_write_atomic_failure_keeps_the_old_file_and_no_temp_file(tmp_path, monk
     target = tmp_path / "out.tsv"
     target.write_bytes(b"old\n")
     if stage == "write":
-        monkeypatch.setattr(lexicon_module.os, "fdopen", _half_then_full_disk(os.fdopen))
+        monkeypatch.setattr(lexicon_module.os, "fdopen", _full_disk_after(3, os.fdopen))
     else:
         monkeypatch.setattr(lexicon_module.os, stage, _refuse)
+    chunks = iter(["νέα γραμμή\n"] * 1000)
     with pytest.raises(OSError):
-        write_atomic(target, "νέα γραμμή\n".encode("utf-8") * 1000)
+        write_atomic(target, chunks)
     monkeypatch.undo()
+    if stage == "write":  # three chunks reached the disk, the fourth failed, the rest unread
+        assert len(list(chunks)) == 1000 - 4
     assert target.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
 
@@ -328,7 +370,7 @@ def test_write_atomic_syncs_the_file_then_renames_then_syncs_the_directory(
     monkeypatch.setattr(lexicon_module.os, "replace", record_replace)
     target = tmp_path / "out.tsv"
     target.write_bytes(b"old\n")
-    assert write_atomic(target, b"new\n") == 4
+    assert write_atomic(target, ["new\n"]) == 4
     monkeypatch.undo()
     written = target.stat().st_ino
     assert calls == [
