@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .frames import collect_arguments, identify_predicates, is_plain_object, parse_frame
-from .lexicon import write_atomic
+from .output import write_atomic
 from .semantics import (
     DegenerateCentroidError,
     InsufficientDataError,

@@ -7,35 +7,16 @@ Exit codes: 0 success, 1 usage or I/O failure, 2 partial data failure
 import argparse
 import contextlib
 import gc
+import importlib
 import sys
 import unicodedata
 from pathlib import Path
 
 from . import __version__
 from .betacode import beta_to_unicode
-from .casestudy import (
-    OUTPUT_NAMES,
-    load_config,
-    run_case_study,
-    select_case_study,
-    write_case_study_outputs,
-)
-from .frames import extract_entries
-from .lexicon import (
-    FORMAT_VERSION,
-    constructions_for_verb,
-    diff_constructions,
-    frame_frequencies,
-    lexicon_lines,
-    query_entries,
-    read_lexicon,
-    stats_basic,
-    stats_by_author,
-    write_atomic,
-    write_lexicon,
-)
+from .frames import FORMAT_VERSION, extract_entries, lexicon_lines, write_lexicon
 from .manifest import build_manifest, write_manifest
-from .semantics import load_vector_space
+from .output import write_atomic
 from .treebank import (
     LAYOUT_BREAK,
     TreebankParseError,
@@ -43,6 +24,34 @@ from .treebank import (
     parse_treebank_file,
     validate_sentence,
 )
+
+# what stats, query, constructions and casestudy call, by the module that
+# holds it; those modules import numpy, so they load only with these commands
+_NUMPY_NAMES = {
+    "read_lexicon": "lexicon", "query_entries": "lexicon", "stats_basic": "lexicon",
+    "stats_by_author": "lexicon", "frame_frequencies": "lexicon",
+    "constructions_for_verb": "lexicon", "diff_constructions": "lexicon",
+    "OUTPUT_NAMES": "casestudy", "load_config": "casestudy", "run_case_study": "casestudy",
+    "select_case_study": "casestudy", "write_case_study_outputs": "casestudy",
+    "load_vector_space": "semantics",
+}
+
+
+def _bind_numpy_names():
+    """Import the numpy modules and bind each of ``_NUMPY_NAMES`` here, where
+    the commands look it up; a name a caller has already set, such as a
+    wrapper, is kept."""
+    for name, module in _NUMPY_NAMES.items():
+        globals().setdefault(name, getattr(importlib.import_module(f".{module}", __package__), name))
+
+
+def __getattr__(name):
+    # PEP 562: a numpy command's name read before any such command has run
+    if name in _NUMPY_NAMES:
+        _bind_numpy_names()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -261,6 +270,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _bind_numpy_names()
     if args.frames is not None and args.frames < 0:
         return _fail("--frames takes a non-negative count")
     lexicon = read_lexicon(args.lexicon)
@@ -285,6 +295,7 @@ def _nfc(value):
 
 
 def cmd_query(args) -> int:
+    _bind_numpy_names()
     lexicon = read_lexicon(args.lexicon)
     filters = ("verb", "author", "title", "voice", "frame_contains", "realization", "mediator")
     entries = query_entries(lexicon, **{name: _nfc(getattr(args, name)) for name in filters})
@@ -293,6 +304,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_constructions(args) -> int:
+    _bind_numpy_names()
     lexicon = read_lexicon(args.lexicon)
     verb = _nfc(args.verb)
     if args.known_frames:
@@ -319,6 +331,7 @@ def cmd_constructions(args) -> int:
 
 
 def cmd_casestudy(args) -> int:
+    _bind_numpy_names()
     overrides = {
         "treebank_dir": args.treebank_dir,
         "lexicon_path": args.lexicon_path,

@@ -9,15 +9,22 @@ ever reconstructed for unexpressed arguments.
 A frame is a voice plus :class:`FrameElement`s, written by
 :func:`render_frame` and read back by :func:`parse_frame`; both
 directions of the format live here.
+
+So does the lexicon's write side: a UTF-8 TSV of :class:`LexiconEntry`'s
+fields, in order, or the published eight columns without root_id.
+:func:`lexicon_lines` writes both layouts and ``query``'s rows in NFC and
+rejects a field holding a tab or a line break.
 """
 
 import re
-from dataclasses import dataclass
+import unicodedata
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
 
+from .output import write_atomic
 from .postag import UNSPECIFIED
-from .treebank import SentenceTree, WordNode
+from .treebank import LAYOUT_BREAK, SentenceTree, WordNode
 
 ARGUMENT_RELATIONS = frozenset({"SBJ", "OBJ", "PNOM", "OCOMP"})
 BRIDGE_RELATIONS = frozenset({"AUXP", "AUXC", "COORD", "APOS"})
@@ -126,6 +133,35 @@ class LexiconEntry:
     root_id: int
     frame: str
     frame_fillers: str
+
+
+FORMAT_VERSION = "1"
+
+COLUMNS = tuple(field.name for field in fields(LexiconEntry))
+FIGURE1_COLUMNS = tuple(c for c in COLUMNS if c != "root_id")
+
+
+def lexicon_lines(entries, columns=COLUMNS):
+    """The header, then each entry's ``columns`` as one NFC row, unterminated;
+    a field holding a tab or a line break raises ``ValueError``.  A tab
+    composes and reorders with nothing, so a row's NFC is its fields' NFC."""
+    yield "\t".join(columns)
+    values = attrgetter(*columns)
+    row = "\t".join(["%s"] * len(columns))
+    tabs = len(columns) - 1
+    for entry in entries:
+        line = row % values(entry)
+        # read_lexicon splits the file into rows with str.splitlines
+        if line.count("\t") != tabs or line.splitlines() != [line]:
+            value = next(v for v in map(str, values(entry)) if LAYOUT_BREAK.search(v))
+            raise ValueError(f"field would corrupt the TSV layout: {value!r}")
+        yield unicodedata.normalize("NFC", line)
+
+
+def write_lexicon(lexicon, destination, figure1_layout: bool = False) -> int:
+    """Stream the TSV through :func:`write_atomic` a row at a time; returns bytes written."""
+    lines = lexicon_lines(lexicon, FIGURE1_COLUMNS if figure1_layout else COLUMNS)
+    return write_atomic(destination, (line + "\n" for line in lines))
 
 
 @lru_cache(maxsize=None)

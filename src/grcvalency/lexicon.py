@@ -1,14 +1,11 @@
-"""Lexicon persistence (flat TSV), aggregation tables, and queries.
+"""The lexicon's read side: the TSV reader, aggregation tables, and queries.
 
-The on-disk form is a UTF-8 TSV whose columns are :class:`LexiconEntry`'s
-fields, in order; a compatibility flag drops the root_id column to match
-the eight-column published layout.  One line writer, :func:`lexicon_lines`,
-writes both layouts and ``query``'s rows: it rejects a field holding a tab
-or a line break and writes every row in NFC.  :func:`read_lexicon` streams
-the file, puts every row in NFC and shares equal query-column strings.
-Queries that need slot-level detail (realization, mediator) parse the frame
-strings rather than re-deriving anything from the source treebank, so a
-lexicon file is self-sufficient.
+The TSV layout and its writer live in :mod:`grcvalency.frames`, which
+imports no numpy, so ``extract`` never loads this module.
+:func:`read_lexicon` streams the file, puts every row in NFC and shares
+equal query-column strings.  Queries that need slot-level detail
+(realization, mediator) parse the frame strings rather than re-deriving
+anything from the source treebank, so a lexicon file is self-sufficient.
 
 Entry filters, construction inventories and aggregates read columns that
 every ``Lexicon`` builds with its entries: interned numpy codes, each verb's
@@ -18,10 +15,7 @@ filters, then on first use one ready (frame, count, authors) row per
 """
 
 import collections
-import dataclasses
-import os
 import sys
-import tempfile
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,13 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .frames import LexiconEntry, LexiconFormatError, parse_frame
-from .treebank import LAYOUT_BREAK
-
-FORMAT_VERSION = "1"
-
-COLUMNS = tuple(field.name for field in dataclasses.fields(LexiconEntry))
-FIGURE1_COLUMNS = tuple(c for c in COLUMNS if c != "root_id")
+from .frames import COLUMNS, LexiconEntry, LexiconFormatError, parse_frame
 
 
 @dataclass
@@ -148,67 +136,6 @@ class Lexicon:
             )
         ]
         return bounds.tolist(), rows
-
-
-def write_atomic(destination, chunks) -> int:
-    """Stream the ``str`` ``chunks``, UTF-8 encoded and with no newline
-    translation, into a temp file beside ``destination`` and rename it over
-    ``destination``; returns the bytes written.  This is the one place an
-    output is encoded.  The file is fsynced before the rename and its
-    directory after it, so the new file survives a crash once this returns.
-    On any failure up to the rename, a chunk's own error included, the old
-    file, if there was one, stays as it was and the temp file is removed."""
-    destination = Path(destination)
-    try:
-        fd, temp_path = tempfile.mkstemp(dir=destination.parent, prefix=destination.name)
-    except OSError as exc:  # name the directory, not a temp name the user never chose
-        raise OSError(exc.errno, exc.strerror, str(destination.parent)) from None
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.writelines(chunk.encode("utf-8") for chunk in chunks)
-            handle.flush()
-            os.fsync(handle.fileno())
-            written = handle.tell()
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(temp_path, 0o666 & ~umask)
-        try:
-            os.replace(temp_path, destination)
-        except OSError as exc:  # name the destination, not the temp file
-            raise OSError(exc.errno, exc.strerror, str(destination)) from None
-    except BaseException:
-        os.unlink(temp_path)
-        raise
-    directory = os.open(destination.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
-    return written
-
-
-def lexicon_lines(entries, columns=COLUMNS):
-    """The header, then each entry's ``columns`` as one NFC row, unterminated;
-    a field holding a tab or a line break raises ``ValueError``.  A tab
-    composes and reorders with nothing, so a row's NFC is its fields' NFC."""
-    yield "\t".join(columns)
-    values = attrgetter(*columns)
-    row = "\t".join(["%s"] * len(columns))
-    tabs = len(columns) - 1
-    for entry in entries:
-        line = row % values(entry)
-        # read_lexicon splits the file into rows with str.splitlines
-        if line.count("\t") != tabs or line.splitlines() != [line]:
-            value = next(v for v in map(str, values(entry)) if LAYOUT_BREAK.search(v))
-            raise ValueError(f"field would corrupt the TSV layout: {value!r}")
-        yield unicodedata.normalize("NFC", line)
-
-
-def write_lexicon(lexicon, destination, figure1_layout: bool = False) -> int:
-    """Stream the TSV through :func:`write_atomic` a row at a time; returns bytes written."""
-    lines = lexicon_lines(lexicon, FIGURE1_COLUMNS if figure1_layout else COLUMNS)
-    return write_atomic(destination, (line + "\n" for line in lines))
 
 
 def read_lexicon(source) -> Lexicon:

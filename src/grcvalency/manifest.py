@@ -6,7 +6,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .lexicon import FORMAT_VERSION, write_atomic
+from .frames import FORMAT_VERSION
+from .output import write_atomic
 
 
 def _sha256(path: Path) -> str:

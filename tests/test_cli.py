@@ -15,7 +15,7 @@ import grcvalency.lexicon as lexicon_module
 from grcvalency import Lexicon, __version__, extract_entries, parse_treebank_file, read_lexicon
 from grcvalency.casestudy import OUTPUT_NAMES
 from grcvalency.cli import main
-from grcvalency.lexicon import write_lexicon
+from grcvalency.frames import write_lexicon
 
 import synthetic_case
 from conftest import CORPUS_DIR, DATA_DIR, GOLDEN_LEXICON, MANIFEST_FILE

@@ -14,10 +14,9 @@ import pytest
 
 import grcvalency.frames as frames_module
 import grcvalency.lexicon as lexicon_module
-from grcvalency.frames import LexiconEntry
+import grcvalency.output as output_module
+from grcvalency.frames import COLUMNS, FIGURE1_COLUMNS, LexiconEntry, write_lexicon
 from grcvalency.lexicon import (
-    COLUMNS,
-    FIGURE1_COLUMNS,
     Lexicon,
     LexiconFormatError,
     constructions_for_verb,
@@ -28,9 +27,8 @@ from grcvalency.lexicon import (
     read_lexicon,
     stats_basic,
     stats_by_author,
-    write_atomic,
-    write_lexicon,
 )
+from grcvalency.output import write_atomic
 
 from conftest import GOLDEN_LEXICON
 
@@ -338,9 +336,9 @@ def test_write_atomic_failure_keeps_the_old_file_and_no_temp_file(tmp_path, monk
     target = tmp_path / "out.tsv"
     target.write_bytes(b"old\n")
     if stage == "write":
-        monkeypatch.setattr(lexicon_module.os, "fdopen", _full_disk_after(3, os.fdopen))
+        monkeypatch.setattr(output_module.os, "fdopen", _full_disk_after(3, os.fdopen))
     else:
-        monkeypatch.setattr(lexicon_module.os, stage, _refuse)
+        monkeypatch.setattr(output_module.os, stage, _refuse)
     chunks = iter(["νέα γραμμή\n"] * 1000)
     with pytest.raises(OSError):
         write_atomic(target, chunks)
@@ -366,8 +364,8 @@ def test_write_atomic_syncs_the_file_then_renames_then_syncs_the_directory(
         calls.append(("replace", os.stat(source).st_ino))
         replace(source, destination)
 
-    monkeypatch.setattr(lexicon_module.os, "fsync", record_fsync)
-    monkeypatch.setattr(lexicon_module.os, "replace", record_replace)
+    monkeypatch.setattr(output_module.os, "fsync", record_fsync)
+    monkeypatch.setattr(output_module.os, "replace", record_replace)
     target = tmp_path / "out.tsv"
     target.write_bytes(b"old\n")
     assert write_atomic(target, ["new\n"]) == 4

@@ -1,5 +1,6 @@
-"""Static checks with the stdlib alone: on the package source, and on the
-names the benchmark times; and that the package's exceptions pickle."""
+"""Static checks with the stdlib alone: on the package source and its
+import graph, and on the names the benchmark times; and that the package's
+exceptions pickle."""
 
 import ast
 import importlib
@@ -146,6 +147,46 @@ def test_every_benchmark_stage_resolves_in_the_package():
         or not hasattr(importlib.import_module(module), attribute)
     ]
     assert missing == []
+
+
+def _module_imports(source: str) -> set[str]:
+    """What the module-level imports of ``source`` load: ``from .x import``
+    gives ``x``, ``from . import`` gives ``__init__``, and ``import a.b`` or
+    ``from a.b import`` gives the top-level ``a``."""
+    loaded = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom):
+            loaded.add((node.module or "__init__") if node.level else node.module.partition(".")[0])
+        elif isinstance(node, ast.Import):
+            loaded.update(alias.name.partition(".")[0] for alias in node.names)
+    return loaded
+
+
+def _reachable(start: str, graph: dict[str, set[str]]) -> set[str]:
+    seen, stack = set(), [start]
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            stack.extend(graph.get(name, ()))
+    return seen
+
+
+def test_the_import_walk_follows_module_level_imports_only():
+    source = (
+        "import os.path\nfrom . import __version__\nfrom .frames import x\n"
+        "from numpy.linalg import norm\ndef f():\n    from .lexicon import y\n"
+    )
+    assert _module_imports(source) == {"os", "__init__", "frames", "numpy"}
+    assert _reachable("a", {"a": {"b"}, "b": {"c", "a"}, "d": {"a"}}) == {"a", "b", "c"}
+
+
+def test_numpy_loads_only_with_the_lexicon_and_semantics_modules():
+    # extract, betacode and --version must run where numpy is not installed
+    graph = {path.stem: _module_imports(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name for name, loaded in graph.items() if "numpy" in loaded} == {"lexicon", "semantics"}
+    for start in ("cli", "__init__"):
+        assert _reachable(start, graph) & {"lexicon", "semantics", "numpy"} == set(), start
 
 
 def _declared_floor() -> tuple[int, int]:
