@@ -19,7 +19,7 @@ from .treebank import (
 # the public names of the modules that import numpy, which load on first use
 _DEFERRED = {
     "casestudy": (
-        "CaseStudyConfig", "CaseStudyResult", "CaseStudySelection", "TrVObjPair",
+        "CaseStudyConfig", "CaseStudyResult", "CaseStudySelection", "OUTPUT_NAMES", "TrVObjPair",
         "VerbComparison", "load_config", "run_case_study", "select_case_study",
         "write_case_study_outputs",
     ),

@@ -12,7 +12,7 @@ import csv
 import io
 import unicodedata
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .frames import collect_arguments, identify_predicates, is_plain_object, parse_frame
@@ -363,9 +363,10 @@ def write_case_study_outputs(result: CaseStudyResult, output_dir) -> dict[str, P
     return paths
 
 
-def _parse_works(text: str):
+def _parse_works(key: str, text: str) -> tuple:
     works = []
-    for chunk in text.split(";"):
+    # work names are matched to NFC treebank metadata; paths stay as spelled
+    for chunk in unicodedata.normalize("NFC", text).split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -376,11 +377,30 @@ def _parse_works(text: str):
     return tuple(works)
 
 
+def _parse_int(key: str, value) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
+def _parse_bool(key: str, value: str) -> bool:
+    if value.lower() not in _BOOL_VALUES:
+        raise ValueError(f"{key} must be boolean-like, got {value!r}")
+    return _BOOL_VALUES[value.lower()]
+
+
+# how load_config reads a value, by the type of its CaseStudyConfig field
+_READERS = {str: lambda key, value: value, int: _parse_int, tuple: _parse_works, bool: _parse_bool}
+
+
 def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
-    """Parse a key=value config file; explicit overrides win over the file."""
+    """Parse a key=value config file; explicit overrides win over the file.
+    Each key is a :class:`CaseStudyConfig` field, read by the field's type;
+    an override is a ``str``, or an ``int`` for an ``int`` field."""
     text = Path(source).read_text(encoding="utf-8")
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -394,34 +414,11 @@ def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
-    kwargs = {}
-    for key in ("vector_space_path", "formula_span_path", "treebank_dir", "manifest_path",
-                "lexicon_path", "output_dir"):
-        if key in raw:
-            kwargs[key] = str(raw.pop(key))
-    for key in ("min_epic_tokens", "min_object_types", "ks_exact_limit"):
-        if key in raw:
-            value = raw.pop(key)
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ValueError(f"{key} must be an integer, got {value!r}") from None
-    for key in ("epic_works", "baseline_exclusions"):
-        if key in raw:
-            value = raw.pop(key)
-            # work names are matched to NFC treebank metadata; paths stay as spelled
-            kwargs[key] = (
-                _parse_works(unicodedata.normalize("NFC", value))
-                if isinstance(value, str)
-                else tuple(value)
-            )
-    if "include_participles" in raw:
-        value = raw.pop("include_participles")
-        if isinstance(value, str):
-            if value.lower() not in _BOOL_VALUES:
-                raise ValueError(f"include_participles must be boolean-like, got {value!r}")
-            value = _BOOL_VALUES[value.lower()]
-        kwargs["include_participles"] = bool(value)
+    kwargs = {
+        field.name: _READERS[field.type](field.name, raw.pop(field.name))
+        for field in fields(CaseStudyConfig)
+        if field.name in raw
+    }
     if raw:
         raise ValueError(f"unknown config keys: {', '.join(sorted(raw))}")
     return CaseStudyConfig(**kwargs)

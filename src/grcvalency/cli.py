@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or I/O failure, 2 partial data failure
 import argparse
 import contextlib
 import gc
-import importlib
 import sys
 import unicodedata
 from pathlib import Path
@@ -25,24 +24,36 @@ from .treebank import (
     validate_sentence,
 )
 
-# what stats, query, constructions and casestudy call, by the module that
-# holds it; those modules import numpy, so they load only with these commands
-_NUMPY_NAMES = {
-    "read_lexicon": "lexicon", "query_entries": "lexicon", "stats_basic": "lexicon",
-    "stats_by_author": "lexicon", "frame_frequencies": "lexicon",
-    "constructions_for_verb": "lexicon", "diff_constructions": "lexicon",
-    "OUTPUT_NAMES": "casestudy", "load_config": "casestudy", "run_case_study": "casestudy",
-    "select_case_study": "casestudy", "write_case_study_outputs": "casestudy",
-    "load_vector_space": "semantics",
-}
+# what stats, query, constructions and casestudy call; the package serves
+# each from the numpy module that holds it, which loads only with these commands
+_NUMPY_NAMES = (
+    "read_lexicon", "query_entries", "stats_basic", "stats_by_author", "frame_frequencies",
+    "constructions_for_verb", "diff_constructions", "OUTPUT_NAMES", "load_config",
+    "run_case_study", "select_case_study", "write_case_study_outputs", "load_vector_space",
+)
+
+# query_entries' filters, each also a --flag of the query command
+_QUERY_FILTERS = ("verb", "author", "title", "voice", "frame_contains", "realization", "mediator")
+
+# casestudy's flags that override a config key: (flag, key, type)
+_CASESTUDY_OVERRIDES = (
+    ("--treebank-dir", "treebank_dir", str),
+    ("--lexicon", "lexicon_path", str),
+    ("--vectors", "vector_space_path", str),
+    ("--spans", "formula_span_path", str),
+    ("--output-dir", "output_dir", str),
+    ("--min-epic-tokens", "min_epic_tokens", int),
+    ("--min-object-types", "min_object_types", int),
+)
 
 
 def _bind_numpy_names():
-    """Import the numpy modules and bind each of ``_NUMPY_NAMES`` here, where
-    the commands look it up; a name a caller has already set, such as a
-    wrapper, is kept."""
-    for name, module in _NUMPY_NAMES.items():
-        globals().setdefault(name, getattr(importlib.import_module(f".{module}", __package__), name))
+    """Bind each of ``_NUMPY_NAMES`` here, where the commands look it up,
+    through the package's deferred imports; a name a caller has already
+    set, such as a wrapper, is kept."""
+    package = sys.modules[__package__]
+    for name in _NUMPY_NAMES:
+        globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name):
@@ -110,13 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser("query", help="filter lexicon entries")
     query.add_argument("lexicon")
-    query.add_argument("--verb")
-    query.add_argument("--author")
-    query.add_argument("--title")
-    query.add_argument("--voice")
-    query.add_argument("--frame-contains")
-    query.add_argument("--realization")
-    query.add_argument("--mediator")
+    for name in _QUERY_FILTERS:
+        query.add_argument("--" + name.replace("_", "-"))
     query.set_defaults(func=cmd_query)
 
     constructions = sub.add_parser(
@@ -133,13 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     casestudy = sub.add_parser("casestudy", help="run the formulaic-vs-baseline comparison")
     casestudy.add_argument("--config", required=True)
-    casestudy.add_argument("--treebank-dir")
-    casestudy.add_argument("--lexicon", dest="lexicon_path")
-    casestudy.add_argument("--vectors", dest="vector_space_path")
-    casestudy.add_argument("--spans", dest="formula_span_path")
-    casestudy.add_argument("--output-dir")
-    casestudy.add_argument("--min-epic-tokens", type=int)
-    casestudy.add_argument("--min-object-types", type=int)
+    for flag, key, type_ in _CASESTUDY_OVERRIDES:
+        casestudy.add_argument(flag, dest=key, type=type_)
     casestudy.set_defaults(func=cmd_casestudy)
 
     betacode = sub.add_parser("betacode", help="transcode Beta Code to Unicode Greek")
@@ -297,8 +298,7 @@ def _nfc(value):
 def cmd_query(args) -> int:
     _bind_numpy_names()
     lexicon = read_lexicon(args.lexicon)
-    filters = ("verb", "author", "title", "voice", "frame_contains", "realization", "mediator")
-    entries = query_entries(lexicon, **{name: _nfc(getattr(args, name)) for name in filters})
+    entries = query_entries(lexicon, **{name: _nfc(getattr(args, name)) for name in _QUERY_FILTERS})
     print("\n".join(lexicon_lines(entries)))
     return EXIT_OK if entries else EXIT_EMPTY
 
@@ -307,23 +307,21 @@ def cmd_constructions(args) -> int:
     _bind_numpy_names()
     lexicon = read_lexicon(args.lexicon)
     verb = _nfc(args.verb)
+    records = constructions_for_verb(
+        lexicon, verb, min_count=args.min_count, min_authors=args.min_authors
+    )
     if args.known_frames:
         lines = Path(args.known_frames).read_text(encoding=_ENCODING).splitlines()
         known = [_nfc(line.strip()) for line in lines if line.strip()]
         only_lexicon, only_known = diff_constructions(lexicon, verb, known)
-        only_lexicon = [
-            r for r in only_lexicon
-            if r.count >= args.min_count and len(r.authors) >= args.min_authors
-        ]
+        kept = {record.frame for record in records}
+        only_lexicon = [record for record in only_lexicon if record.frame in kept]
         print("side\tframe\tcount\tauthors")
         for record in only_lexicon:
             print(f"lexicon\t{record.frame}\t{record.count}\t{';'.join(sorted(record.authors))}")
         for frame in only_known:
             print(f"known\t{frame}\t\t")
         return EXIT_OK if (only_lexicon or only_known) else EXIT_EMPTY
-    records = constructions_for_verb(
-        lexicon, verb, min_count=args.min_count, min_authors=args.min_authors
-    )
     print("verb\tframe\tcount\tauthors")
     for record in records:
         print(f"{record.verb}\t{record.frame}\t{record.count}\t{';'.join(sorted(record.authors))}")
@@ -332,15 +330,7 @@ def cmd_constructions(args) -> int:
 
 def cmd_casestudy(args) -> int:
     _bind_numpy_names()
-    overrides = {
-        "treebank_dir": args.treebank_dir,
-        "lexicon_path": args.lexicon_path,
-        "vector_space_path": args.vector_space_path,
-        "formula_span_path": args.formula_span_path,
-        "output_dir": args.output_dir,
-        "min_epic_tokens": args.min_epic_tokens,
-        "min_object_types": args.min_object_types,
-    }
+    overrides = {key: getattr(args, key) for _, key, _ in _CASESTUDY_OVERRIDES}
     config = load_config(args.config, overrides=overrides)
     for key in ("treebank_dir", "lexicon_path", "vector_space_path", "formula_span_path"):
         if not getattr(config, key):
@@ -417,11 +407,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # the one error boundary: any OSError or ValueError a command lets out,
-    # a closed stdout included, is reported on one line and exits 1
+    # a closed stdout included, and numpy missing where a command needs it,
+    # is reported on one line and exits 1
     with _gc_paused():
         try:
             return args.func(args)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, ModuleNotFoundError) as exc:
             return _fail(str(exc))
 
 

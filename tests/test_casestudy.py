@@ -412,6 +412,33 @@ def test_config_file_roundtrip(tmp_path):
     assert overridden.min_epic_tokens == 9
 
 
+# a non-default value of each config key: as written on its line, as read
+CONFIG_VALUES = {
+    "vector_space_path": ("Vectors.txt", "Vectors.txt"),
+    "formula_span_path": ("Spans.tsv", "Spans.tsv"),
+    "epic_works": ("Homer|Iliad; Hesiod|Theogony", (("Homer", "Iliad"), ("Hesiod", "Theogony"))),
+    "baseline_exclusions": ("Hesiod|Works and Days", (("Hesiod", "Works and Days"),)),
+    "min_epic_tokens": ("7", 7),
+    "min_object_types": ("3", 3),
+    "include_participles": ("no", False),
+    "ks_exact_limit": ("16", 16),
+    "treebank_dir": ("Corpus", "Corpus"),
+    "manifest_path": ("Manifest.tsv", "Manifest.tsv"),
+    "lexicon_path": ("Lex.tsv", "Lex.tsv"),
+    "output_dir": ("Out dir", "Out dir"),
+}
+
+
+def test_every_config_field_round_trips_through_one_line(tmp_path):
+    assert list(CONFIG_VALUES) == [field.name for field in dataclasses.fields(CaseStudyConfig)]
+    default = CaseStudyConfig()
+    path = tmp_path / "one.conf"
+    for key, (written, read) in CONFIG_VALUES.items():
+        assert read != getattr(default, key), key
+        path.write_text(f"{key} = {written}\n", encoding="utf-8")
+        assert load_config(path) == dataclasses.replace(default, **{key: read}), key
+
+
 def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
     path = tmp_path / "bad.conf"
     path.write_text("mystery = 1\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import errno
 import gc
+import inspect
 import json
 import shutil
 import stat
@@ -478,6 +479,50 @@ def test_constructions_and_diff(extracted, tmp_path, capsys):
     assert not any("active_OBJ[accusative]\t2" in line for line in out if line.startswith("known"))
 
     assert main(["constructions", str(extracted), "--verb", "οὐδαμός"]) == 3
+
+
+@pytest.mark.parametrize("threshold", [["--min-count", "2"], ["--min-authors", "2"]],
+                         ids=["min-count", "min-authors"])
+def test_a_known_frames_diff_lists_the_frames_the_thresholds_keep(
+    extracted, tmp_path, capsys, threshold
+):
+    known_frames = ["active_SBJ[nominative]", "active_(εἰς)OBJ[accusative]", "middle_OBJ[genitive]"]
+    known = tmp_path / "known.txt"
+    known.write_text("".join(frame + "\n" for frame in known_frames), encoding="utf-8")
+    plain = ["constructions", str(extracted), "--verb", "φέρω"]
+
+    def rows(argv):
+        assert main(argv) == 0, argv
+        return [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+
+    diff = ["--known-frames", str(known)]
+    unthresholded = rows(plain + diff)
+    thresholded = rows(plain + diff + threshold)
+    inventory = rows(plain + threshold)
+    assert [row for row in thresholded if row[0] == "lexicon"] == [
+        ["lexicon", *row[1:]] for row in inventory if row[1] not in known_frames
+    ]
+    assert [row for row in thresholded if row[0] == "known"] == [
+        row for row in unthresholded if row[0] == "known"
+    ] == [["known", "middle_OBJ[genitive]", "", ""]]
+    # the thresholds left out some frames the plain diff lists
+    assert 0 < len(thresholded) < len(unthresholded)
+
+
+def test_each_query_flag_is_a_filter_of_query_entries(extracted, monkeypatch):
+    filters = list(inspect.signature(cli.query_entries).parameters)[1:]
+    subcommands = next(
+        action for action in cli.build_parser()._actions if action.dest == "command"
+    )
+    query = subcommands.choices["query"]
+    assert [action.dest for action in query._actions if action.option_strings][1:] == filters
+    calls = []
+    monkeypatch.setattr(cli, "query_entries", lambda lexicon, **kwargs: calls.append(kwargs) or [])
+    argv = ["query", str(extracted)]
+    for name in filters:
+        argv += ["--" + name.replace("_", "-"), name]
+    assert main(argv) == 3
+    assert calls == [{name: name for name in filters}]
 
 
 def test_query_and_constructions_read_their_arguments_as_nfc(extracted, tmp_path, capsysbinary):

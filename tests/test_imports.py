@@ -15,7 +15,7 @@ import pytest
 import grcvalency
 import grcvalency.cli as cli
 
-from conftest import CORPUS_DIR, MANIFEST_FILE
+from conftest import CORPUS_DIR, GOLDEN_LEXICON, MANIFEST_FILE
 from test_cli import _write_case_files
 
 SOURCE = Path(grcvalency.__file__).resolve().parent.parent
@@ -107,6 +107,24 @@ def test_a_command_that_needs_no_numpy_runs_as_it_does_with_numpy(
     assert run.stdout.decode("utf-8") == captured.out
     assert run.stderr.decode("utf-8") == captured.err
     assert _outputs(blocked) == _outputs(normal)
+
+
+NUMPY_COMMANDS = {
+    "stats": ["stats", str(GOLDEN_LEXICON)],
+    "query": ["query", str(GOLDEN_LEXICON), "--verb", "φέρω"],
+    "constructions": ["constructions", str(GOLDEN_LEXICON), "--verb", "φέρω"],
+    "casestudy": ["casestudy", "--config", "case.conf"],
+}
+
+
+@pytest.mark.parametrize("argv", NUMPY_COMMANDS.values(), ids=NUMPY_COMMANDS.keys())
+def test_a_command_that_needs_numpy_fails_on_one_error_line_without_it(argv, tmp_path):
+    _write_case_files(tmp_path)  # writes the case.conf that casestudy reads
+    run = _python("-c", _NUMPY_BLOCKED, *argv, cwd=tmp_path)
+    assert run.returncode == 1
+    assert run.stdout == b""
+    [line] = run.stderr.decode("utf-8").splitlines()
+    assert line.startswith("error: ") and "numpy" in line
 
 
 _RECORDING = """
