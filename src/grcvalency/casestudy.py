@@ -154,7 +154,7 @@ def load_formula_spans(source) -> dict[int, frozenset[int]]:
             sentence_id = int(parts[0])
             token_ids = frozenset(int(t) for t in parts[1].split(",") if t.strip())
         except ValueError:
-            raise ValueError(f"span file line {lineno}: ids must be integers")
+            raise ValueError(f"span file line {lineno}: ids must be integers") from None
         if any(t <= 0 for t in token_ids):
             raise ValueError(f"span file line {lineno}: token ids must be positive")
         spans[sentence_id] = spans.get(sentence_id, frozenset()) | token_ids

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage or I/O failure, 2 partial data failure
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import sys
 import unicodedata
@@ -361,12 +362,9 @@ def cmd_casestudy(args) -> int:
         report_path, report_rows, manifest_path,
         command="casestudy",
         config={
+            **dataclasses.asdict(config),
             "epic_works": ["|".join(w) for w in config.epic_works],
             "baseline_exclusions": ["|".join(w) for w in config.baseline_exclusions],
-            "min_epic_tokens": config.min_epic_tokens,
-            "min_object_types": config.min_object_types,
-            "include_participles": config.include_participles,
-            "ks_exact_limit": config.ks_exact_limit,
             "variance_convention": "sample (n-1)",
             "quartile_convention": "midpoint-inclusive",
         },

@@ -8,7 +8,8 @@ ever reconstructed for unexpressed arguments.
 
 A frame is a voice plus :class:`FrameElement`s, written by
 :func:`render_frame` and read back by :func:`parse_frame`; both
-directions of the format live here.
+directions of the format live here, and :data:`FRAME_GRAMMAR` alone
+decides which strings are frames.
 
 So does the lexicon's write side: a UTF-8 TSV of :class:`LexiconEntry`'s
 fields, in order, or the published eight columns without root_id.
@@ -29,12 +30,18 @@ from .treebank import LAYOUT_BREAK, SentenceTree, WordNode
 ARGUMENT_RELATIONS = frozenset({"SBJ", "OBJ", "PNOM", "OCOMP"})
 BRIDGE_RELATIONS = frozenset({"AUXP", "AUXC", "COORD", "APOS"})
 
-_ELEMENT_RE = re.compile(
-    r"^(?:\((?P<mediator>[^()]*)\))?"
+# one frame element, (mediator)LABEL[realization]{filler}; no field holds
+# the "," that separates elements
+_ELEMENT = (
+    r"(?:\((?P<mediator>[^(),]*)\))?"
     r"(?P<label>[A-Z][A-Z_]*)"
-    r"\[(?P<realization>[^\[\]]+)\]"
-    r"(?:\{(?P<filler>[^{}]*)\})?$"
+    r"\[(?P<realization>[^\[\],]+)\]"
+    r"(?:\{(?P<filler>[^{},]*)\})?"
 )
+_ELEMENT_RE = re.compile(_ELEMENT)
+# the frame grammar: a whole frame or frame_fillers string, voice_ELEMENT(,ELEMENT)*,
+# its element without the group names, which a pattern may define once only
+FRAME_GRAMMAR = re.compile("[^_]+_{0}(?:,{0})*".format(re.sub(r"\?P<\w+>", "?:", _ELEMENT)))
 
 
 class LexiconFormatError(ValueError):
@@ -106,20 +113,27 @@ def render_frame(voice: str, slots) -> tuple[str, str]:
     return voice + "_" + ",".join(elements), voice + "_" + ",".join(filler_elements)
 
 
+def frame_fault(frame: str) -> str:
+    """What is wrong with a string :data:`FRAME_GRAMMAR` rejects: no voice,
+    ``_`` or element, or the first element that does not follow the layout."""
+    voice, sep, rest = frame.partition("_")
+    if not sep or not voice or not rest:
+        return f"malformed frame string: {frame!r}"
+    chunk = next(chunk for chunk in rest.split(",") if _ELEMENT_RE.fullmatch(chunk) is None)
+    return f"malformed frame element: {chunk!r} in {frame!r}"
+
+
 @lru_cache(maxsize=None)
 def parse_frame(frame: str) -> tuple[str, tuple[FrameElement, ...]]:
     """Split a canonical frame (or frame_fillers) string into voice and
-    elements; raises on anything that does not follow the layout."""
-    voice, sep, rest = frame.partition("_")
-    if not sep or not voice or not rest:
-        raise LexiconFormatError(f"malformed frame string: {frame!r}")
-    elements = []
-    for chunk in rest.split(","):
-        match = _ELEMENT_RE.match(chunk)
-        if match is None:
-            raise LexiconFormatError(f"malformed frame element: {chunk!r} in {frame!r}")
-        elements.append(FrameElement(**match.groupdict()))
-    return voice, tuple(elements)
+    elements.  :data:`FRAME_GRAMMAR` alone accepts or rejects it; a rejected
+    string raises :class:`LexiconFormatError` with its :func:`frame_fault`."""
+    if FRAME_GRAMMAR.fullmatch(frame) is None:
+        raise LexiconFormatError(frame_fault(frame))
+    voice, _, rest = frame.partition("_")
+    # the element pattern's groups are FrameElement's fields, in order
+    matches = map(_ELEMENT_RE.fullmatch, rest.split(","))
+    return voice, tuple([FrameElement(*match.groups()) for match in matches])
 
 
 @dataclass(frozen=True)

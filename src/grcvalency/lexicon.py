@@ -24,7 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .frames import COLUMNS, LexiconEntry, LexiconFormatError, parse_frame
+from .frames import (
+    COLUMNS, FRAME_GRAMMAR, LexiconEntry, LexiconFormatError, frame_fault, parse_frame,
+)
 
 
 @dataclass
@@ -48,7 +50,9 @@ class Lexicon:
     author, title, voice, frame and verb, each verb's rows in entry order,
     and one mask over frame codes per realization value and per mediator
     value, for which every distinct frame is parsed; a frame that does not
-    parse raises :class:`LexiconFormatError`.
+    parse raises :class:`LexiconFormatError`.  ``frame_fillers`` is parsed
+    only where it is read; a lexicon from :func:`read_lexicon` has had both
+    columns judged.
 
     :attr:`groups`, one ready inventory row per (verb, frame), is built on the
     first construction query.  Nothing is rebuilt, so ``entries`` must not
@@ -146,9 +150,9 @@ def read_lexicon(source) -> Lexicon:
     :attr:`Lexicon.INTERNED` columns is ``sys.intern``ed, so equal values are
     one string.  A malformed row rejects the whole file, and the error names
     each faulty line in line order: a wrong column count, non-integer ids, or
-    a ``frame`` that :func:`parse_frame` cannot read, parsed once and named at
-    the first line that holds it.  ``frame_fillers`` is parsed only where
-    ``casestudy`` reads it.
+    a ``frame`` or ``frame_fillers`` string that :data:`FRAME_GRAMMAR`, the
+    rule :func:`parse_frame` reads by, rejects.  Each distinct string is
+    judged once, and a bad one is named at the first line that holds it.
     """
     try:
         with open(source, encoding="utf-8", newline="") as handle:
@@ -173,7 +177,7 @@ def _read_entries(handle) -> list[LexiconEntry]:
     intern = sys.intern
     entries = []
     row_errors = []
-    first_lines = {}  # frame -> the first line that holds it
+    first_lines = {}  # frame or frame_fillers string -> the first line that holds it
     for lineno, line in enumerate(rows, start=2):
         if not line:
             continue
@@ -193,11 +197,10 @@ def _read_entries(handle) -> list[LexiconEntry]:
             sentence_id, root_id, frame, fillers,
         ))
         first_lines.setdefault(frame, lineno)
-    for frame, lineno in first_lines.items():
-        try:
-            parse_frame(frame)
-        except LexiconFormatError as exc:
-            row_errors.append((lineno, str(exc)))
+        first_lines.setdefault(fillers, lineno)
+    for text, lineno in first_lines.items():
+        if FRAME_GRAMMAR.fullmatch(text) is None:
+            row_errors.append((lineno, frame_fault(text)))
     if row_errors:
         raise LexiconFormatError("lexicon file rejected", sorted(row_errors))
     return entries

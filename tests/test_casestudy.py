@@ -44,11 +44,17 @@ def test_span_file_parses(tmp_path):
     assert 999999 not in spans
     bad = tmp_path / "bad.tsv"
     bad.write_text("12\t1,0\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^span file line 1: token ids must be positive$"):
         load_formula_spans(bad)
     bad.write_text("12\t1\textra\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^span file line 1: expected 2 tab-separated fields$"):
         load_formula_spans(bad)
+    for line in ("12\tx,3", "x\t3"):
+        bad.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^span file line 1: ids must be integers$") as info:
+            load_formula_spans(bad)
+        # the message is the whole error; int()'s own is not chained to it
+        assert info.value.__suppress_context__, line
 
 
 def test_span_file_header_comments_and_merging(tmp_path):
