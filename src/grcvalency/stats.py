@@ -9,6 +9,7 @@ D * sqrt(n1*n2 / (n1+n2)).
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 #: Largest pooled size for which "auto" picks the exact test.
@@ -53,21 +54,12 @@ def _median_sorted(values):
 
 
 def _scaled_distance(a_sorted, b_sorted) -> int:
-    """max over pooled points of |#<=a * n2 - #<=b * n1| as an integer."""
+    """max over pooled points v of |#(a <= v) * n2 - #(b <= v) * n1|, an integer."""
     n1, n2 = len(a_sorted), len(b_sorted)
-    best = 0
-    i = j = 0
-    while i < n1 or j < n2:
-        if j >= n2 or (i < n1 and a_sorted[i] <= b_sorted[j]):
-            value = a_sorted[i]
-        else:
-            value = b_sorted[j]
-        while i < n1 and a_sorted[i] <= value:
-            i += 1
-        while j < n2 and b_sorted[j] <= value:
-            j += 1
-        best = max(best, abs(i * n2 - j * n1))
-    return best
+    return max(
+        abs(bisect_right(a_sorted, v) * n2 - bisect_right(b_sorted, v) * n1)
+        for v in a_sorted + b_sorted
+    )
 
 
 def kolmogorov_sf(lam: float) -> float:

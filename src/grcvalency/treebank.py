@@ -8,6 +8,7 @@ from extraction by the caller; the lexicon must mirror the annotation
 verbatim.
 """
 
+import io
 import re
 import sys
 import unicodedata
@@ -33,9 +34,6 @@ LAYOUT_BREAK = re.compile(f"[{_LAYOUT_BREAKS}]")
 # those and the frame codec's delimiters: a lemma holding one would render
 # into a frame or a row that cannot be read back
 _RESERVED = re.compile(rf"[,()\[\]{{}}{_LAYOUT_BREAKS}]")
-_LINE_BREAK = re.compile(rb"\r\n?|\n")
-# the parser is fed this much at a time, so a file's tree is never held whole
-_FEED_BYTES = 16 * 1024
 
 
 class TreebankParseError(ValueError):
@@ -138,13 +136,12 @@ def normalize_lemma(raw: str) -> str:
 
 
 def _byte_offset(data: bytes, line: int, column: int) -> int:
-    # expat counts \r\n, \r and \n as one line break each, and the column
-    # in characters; a byte that is not UTF-8 counts as one character
-    line_start = 0
-    for _ in range(line - 1):
-        line_start = _LINE_BREAK.search(data, line_start).end()
-    line_end = _LINE_BREAK.search(data, line_start)
-    text = data[line_start : line_end.start() if line_end else len(data)]
+    # expat counts \r\n, \r and \n as one line break each, the only ones
+    # bytes.splitlines breaks at, and the column in characters; a byte that
+    # is not UTF-8 counts as one character
+    lines = data.splitlines(keepends=True)
+    line_start = sum(map(len, lines[: line - 1]))
+    text = b"".join(lines[line - 1 : line])  # empty past a final line break
     head = text.decode("utf-8", "surrogateescape")[:column]
     return line_start + len(head.encode("utf-8", "surrogateescape"))
 
@@ -168,7 +165,8 @@ def parse_treebank_file(
     ignored.  Structural validation is deferred to
     :func:`validate_sentence`.
 
-    The XML is read as a stream: each outermost ``sentence`` element is
+    The XML is read as a stream: ``ET.iterparse`` feeds the parser 16 KiB
+    of ``data`` at a time, and each outermost ``sentence`` element is
     dropped once its words are read, so a file's element tree is never
     held whole.  The trees are built when the document has ended, so a
     malformed file gives none.  Malformed XML, and an encoding declaration
@@ -178,37 +176,30 @@ def parse_treebank_file(
     issues = []
     root = None
     open_sentences = 0
-    parser = ET.XMLPullParser(("start", "end"))
     try:
-        # the chunk past the end is empty and closes the parser
-        for start in range(0, len(data) + _FEED_BYTES, _FEED_BYTES):
-            chunk = data[start : start + _FEED_BYTES]
-            try:
-                if chunk:
-                    parser.feed(chunk)
-                else:
-                    parser.close()
-            except (LookupError, ValueError) as exc:
-                # expat cannot read the encoding that the declaration names
-                raise TreebankParseError(f"unusable encoding: {exc}", 0) from None
-            for event, element in parser.read_events():
-                if root is None:
-                    root = element
-                if element.tag != "sentence":
-                    continue
-                if event == "start":
-                    open_sentences += 1
-                    continue
-                open_sentences -= 1
-                if open_sentences:
-                    continue  # a nested sentence is read with its outermost one, in document order
-                for sentence in element.iter("sentence"):
-                    _read_sentence(sentence, sentences, issues)
-                if element is not root:
-                    element.clear()
+        for event, element in ET.iterparse(io.BytesIO(data), ("start", "end")):
+            if root is None:
+                root = element
+            if element.tag != "sentence":
+                continue
+            if event == "start":
+                open_sentences += 1
+                continue
+            open_sentences -= 1
+            if open_sentences:
+                continue  # a nested sentence is read with its outermost one, in document order
+            for sentence in element.iter("sentence"):
+                _read_sentence(sentence, sentences, issues)
+            if element is not root:
+                element.clear()
     except ET.ParseError as exc:
         line, column = exc.position
         raise TreebankParseError(f"malformed XML: {exc.msg}", _byte_offset(data, line, column))
+    except (LookupError, ValueError) as exc:
+        # only the parser raises these here: _read_sentence reports every
+        # ValueError of a word or a sentence id as a WordIssue.  expat cannot
+        # read the encoding that the declaration names
+        raise TreebankParseError(f"unusable encoding: {exc}", 0) from None
 
     author, title = _document_meta(root, fallback_meta)
     trees = [

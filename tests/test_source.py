@@ -125,28 +125,48 @@ def test_no_module_reads_a_private_attribute_of_another_object(path):
     assert _private_attributes_of_others(path.read_text(encoding="utf-8")) == []
 
 
-def _stages(source: str) -> list[tuple[str, str]]:
-    """The ``(module, attribute)`` pairs of the module-level ``STAGES``."""
+def _worker_table(table: str) -> list[tuple[str, str]]:
+    """The ``(module, attribute)`` pairs that open the tuples of
+    ``bench/worker.py``'s module-level ``table``; the elements after them
+    need not be literals."""
+    source = (ROOT / "bench" / "worker.py").read_text(encoding="utf-8")
     for node in ast.parse(source).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "STAGES" for target in node.targets
+            isinstance(target, ast.Name) and target.id == table for target in node.targets
         ):
-            return list(ast.literal_eval(node.value))
-    raise AssertionError("no module-level STAGES assignment")
+            return [tuple(ast.literal_eval(item) for item in row.elts[:2]) for row in node.value.elts]
+    raise AssertionError(f"no module-level {table} assignment")
+
+
+def _unresolved(names: list[tuple[str, str]]) -> list[str]:
+    return [
+        f"{module}.{attribute}"
+        for module, attribute in names
+        if module.partition(".")[0] != "grcvalency"
+        or not hasattr(importlib.import_module(module), attribute)
+    ]
 
 
 def test_every_benchmark_stage_resolves_in_the_package():
     # the worker skips a stage it cannot find, which would silently change
     # which calls run_s sums; so each name must resolve here
-    stages = _stages((ROOT / "bench" / "worker.py").read_text(encoding="utf-8"))
+    stages = _worker_table("STAGES")
     assert stages
-    missing = [
-        f"{module}.{attribute}"
-        for module, attribute in stages
-        if module.partition(".")[0] != "grcvalency"
-        or not hasattr(importlib.import_module(module), attribute)
-    ]
-    assert missing == []
+    assert _unresolved(stages) == []
+
+
+@pytest.mark.parametrize("table", ["COMMAND_LAYERS", "QUERY_LAYERS"])
+def test_every_traced_layer_resolves_in_the_package(table):
+    # a traced run patches each layer unchecked, so a name missing here
+    # (an import dropped from a module) would crash `bench/run.py --trace 1`
+    layers = _worker_table(table)
+    assert layers
+    assert _unresolved(layers) == []
+
+
+def test_the_traced_frame_parser_keeps_its_cache():
+    # a traced query mix reads parse_frame's hit ratio from cache_info()
+    assert hasattr(importlib.import_module("grcvalency.lexicon").parse_frame, "cache_info")
 
 
 def _module_imports(source: str) -> set[str]:

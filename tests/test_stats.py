@@ -7,6 +7,7 @@ import pytest
 
 from grcvalency.stats import (
     KSResult,
+    _scaled_distance,
     boxplot_stats,
     kolmogorov_sf,
     ks_two_sample,
@@ -48,6 +49,25 @@ def _random_sample(rng, n):
     if rng.random() < 0.5:
         return [rng.uniform(0, 1) for _ in range(n)]
     return [float(rng.randint(0, 3)) for _ in range(n)]  # forces ties
+
+
+def merge_walk_distance(a_sorted, b_sorted):
+    """The integer-scaled KS distance by a two-pointer walk over both sorted
+    samples: at each pooled value, step past every element equal to it."""
+    n1, n2 = len(a_sorted), len(b_sorted)
+    best = 0
+    i = j = 0
+    while i < n1 or j < n2:
+        if j >= n2 or (i < n1 and a_sorted[i] <= b_sorted[j]):
+            value = a_sorted[i]
+        else:
+            value = b_sorted[j]
+        while i < n1 and a_sorted[i] <= value:
+            i += 1
+        while j < n2 and b_sorted[j] <= value:
+            j += 1
+        best = max(best, abs(i * n2 - j * n1))
+    return best
 
 
 def test_summarize_basics():
@@ -112,6 +132,17 @@ def test_exact_agrees_with_enumeration_oracle():
         oracle_d, oracle_p = enumeration_oracle(a, b)
         assert result.d_statistic == oracle_d
         assert result.p_value == oracle_p
+
+
+def test_scaled_distance_agrees_with_a_merge_walk():
+    # the enumeration oracle counts with bisect too; the walk is a second method
+    rng = random.Random(2027)
+    for _ in range(3000):
+        a = sorted(_random_sample(rng, rng.randint(1, 30)))
+        b = sorted(_random_sample(rng, rng.randint(1, 30)))
+        if rng.random() < 0.3:  # half of b drawn from a: ties across the samples
+            b = sorted(b[: len(b) // 2] + rng.sample(a, min(len(a), len(b) - len(b) // 2)))
+        assert _scaled_distance(a, b) == merge_walk_distance(a, b), (a, b)
 
 
 @pytest.mark.parametrize("n", [10, 100])

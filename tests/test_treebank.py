@@ -1,4 +1,5 @@
 import random
+import re
 import unicodedata
 import xml.etree.ElementTree as ET
 
@@ -6,12 +7,12 @@ import pytest
 
 from grcvalency.betacode import BetaCodeError
 from grcvalency.treebank import (
-    _FEED_BYTES,
     SentenceTree,
     TreebankParseError,
     ValidationReport,
     WordIssue,
     WordNode,
+    _byte_offset,
     load_manifest,
     normalize_lemma,
     parse_treebank_file,
@@ -160,15 +161,17 @@ def test_an_encoding_the_parser_cannot_read_fails_at_the_declaration(encoding, f
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_a_file_of_several_feeds_parses_whole(extra):
-    # the document ends exactly at a feed boundary, or one byte past it
+    # ET.iterparse reads its source 16 KiB at a time; the document ends
+    # exactly at a read boundary, or one byte past it
+    read_bytes = 16 * 1024
     sentence = (
         '<sentence id="{}"><word id="1" form="lu/w" lemma="lu/w1" postag="v1spia---"'
         ' head="0" relation="PRED"/></sentence>\n'
     )
     body = "".join(sentence.format(n) for n in range(1, 301))
-    padding = 3 * _FEED_BYTES + extra - len(body) - len("<treebank></treebank>")
+    padding = 3 * read_bytes + extra - len(body) - len("<treebank></treebank>")
     data = f"<treebank>{body}{' ' * padding}</treebank>".encode("ascii")
-    assert len(data) == 3 * _FEED_BYTES + extra
+    assert len(data) == 3 * read_bytes + extra
     trees, issues = parse_treebank_file(data)
     assert [tree.sentence_id for tree in trees] == list(range(1, 301))
     assert issues == []
@@ -195,6 +198,40 @@ def test_byte_offset_on_a_greek_line_after_a_crlf_break():
     with pytest.raises(TreebankParseError) as info:
         parse_treebank_file(data)
     assert info.value.byte_offset == data.index(b"&") + 1
+
+
+_EXPAT_LINE_BREAK = re.compile(rb"\r\n?|\n")
+
+
+def regex_byte_offset(data, line, column):
+    """The byte offset of expat's (line, column), by searching for each of
+    the line breaks expat counts in turn."""
+    line_start = 0
+    for _ in range(line - 1):
+        line_start = _EXPAT_LINE_BREAK.search(data, line_start).end()
+    line_end = _EXPAT_LINE_BREAK.search(data, line_start)
+    text = data[line_start : line_end.start() if line_end else len(data)]
+    head = text.decode("utf-8", "surrogateescape")[:column]
+    return line_start + len(head.encode("utf-8", "surrogateescape"))
+
+
+def test_byte_offset_agrees_with_a_regex_line_walk():
+    # \x0b, \x0c, \x1c and U+2028 end a line for str.splitlines, not for
+    # expat; every (line, column) drawn is one that expat can report
+    pieces = [
+        b"\n", b"\r", b"\r\n", b"a", b"<", "\u00e9".encode(), "\u1f00".encode(),
+        "\U0001d11e".encode(), b"\xff", b"\x80", b"\xe2\x80", b"\x0b", b"\x0c",
+        b"\x1c", "\u2028".encode(),
+    ]
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        data = b"".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        lines = _EXPAT_LINE_BREAK.split(data)
+        line = rng.randint(1, len(lines))
+        column = rng.randint(0, len(lines[line - 1].decode("utf-8", "surrogateescape")))
+        assert _byte_offset(data, line, column) == regex_byte_offset(data, line, column), (
+            data, line, column
+        )
 
 
 def test_fuzzed_xml_parses_or_raises_with_an_offset_inside_the_data():
