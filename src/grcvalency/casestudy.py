@@ -90,6 +90,7 @@ class VerbComparison:
     ks: KSResult
     stars: str
     oov_counts: tuple[int, int]  # (formulaic, baseline)
+    boxes: tuple[dict, dict]  # boxplot_stats of (formulaic, baseline), fig2's rows
 
 
 @dataclass
@@ -133,14 +134,13 @@ class CaseStudySelection:
 @dataclass
 class CaseStudyResult:
     comparisons: list[VerbComparison]
-    boxplot_rows: list[dict]
     log: list[LogEvent]
 
 
 def load_formula_spans(source) -> dict[int, frozenset[int]]:
     """Read ``sentence_id<TAB>token_ids`` (token ids comma-separated) into
     the token ids marked formulaic per sentence; a sentence's lines merge."""
-    text = Path(source).read_text(encoding="utf-8")
+    text = Path(source).read_text(encoding="utf-8-sig")
     spans = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
@@ -267,7 +267,6 @@ def run_case_study(
     need hold only ``selection.lemmas()``, and log the drops and reports."""
     log = list(selection.log)
     comparisons = []
-    boxplot_rows = []
     for selected in selection.verbs:
         if selected.drop is not None:
             log.append(selected.drop)
@@ -293,7 +292,7 @@ def run_case_study(
             method=method,
             exact_limit=config.ks_exact_limit,
         )
-        comparison = VerbComparison(
+        comparisons.append(VerbComparison(
             verb=verb,
             epic_type_count=len(epic_types),
             baseline_type_count=len(baseline_types),
@@ -304,8 +303,9 @@ def run_case_study(
             ks=ks,
             stars=significance_stars(ks.p_value),
             oov_counts=(len(formulaic_dist.oov_lemmas), len(baseline_dist.oov_lemmas)),
-        )
-        comparisons.append(comparison)
+            boxes=(boxplot_stats(formulaic_dist.similarities),
+                   boxplot_stats(baseline_dist.similarities)),
+        ))
         log.append(
             LogEvent(
                 event="report",
@@ -314,11 +314,8 @@ def run_case_study(
                 f"baseline_types={len(baseline_types)} p={_fmt(ks.p_value)}",
             )
         )
-        for group, dist in ((FORMULAIC, formulaic_dist), (BASELINE, baseline_dist)):
-            box = boxplot_stats(dist.similarities)
-            boxplot_rows.append({"verb": verb, "group": group, **box})
 
-    return CaseStudyResult(comparisons=comparisons, boxplot_rows=boxplot_rows, log=log)
+    return CaseStudyResult(comparisons=comparisons, log=log)
 
 
 def _fmt(value: float) -> str:
@@ -350,9 +347,10 @@ def write_case_study_outputs(result: CaseStudyResult, output_dir) -> dict[str, P
     writer = csv.writer(boxplot)
     quantiles = ("min_whisker", "q1", "median", "q3", "max_whisker")
     writer.writerow(["verb", "group", *quantiles, "outliers"])
-    for row in result.boxplot_rows:
-        writer.writerow([row["verb"], row["group"], *(_fmt(row[key]) for key in quantiles),
-                         ";".join(map(_fmt, row["outliers"]))])
+    for c in result.comparisons:
+        for group, box in zip((FORMULAIC, BASELINE), c.boxes):
+            writer.writerow([c.verb, group, *(_fmt(box[key]) for key in quantiles),
+                             ";".join(map(_fmt, box["outliers"]))])
     run_log = ["event\tverb\treason\tdetail\n"]
     run_log += [f"{e.event}\t{e.verb}\t{e.reason}\t{e.detail}\n" for e in result.log]
 
@@ -401,7 +399,7 @@ def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
     """Parse a key=value config file; explicit overrides win over the file.
     Each key is a :class:`CaseStudyConfig` field, read by the field's type;
     an override is a ``str``, or an ``int`` for an ``int`` field."""
-    text = Path(source).read_text(encoding="utf-8")
+    text = Path(source).read_text(encoding="utf-8-sig")
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

@@ -70,7 +70,7 @@ EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_EMPTY = 3
 
-_ENCODING = "utf-8"
+_ENCODING = "utf-8-sig"  # a leading byte order mark is dropped
 
 
 class _Parser(argparse.ArgumentParser):
@@ -412,10 +412,6 @@ def main(argv=None) -> int:
             return args.func(args)
         except (OSError, ValueError, ModuleNotFoundError) as exc:
             return _fail(str(exc))
-
-
-def entry_point() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -155,7 +155,7 @@ def read_lexicon(source) -> Lexicon:
     judged once, and a bad one is named at the first line that holds it.
     """
     try:
-        with open(source, encoding="utf-8", newline="") as handle:
+        with open(source, encoding="utf-8-sig", newline="") as handle:
             entries = _read_entries(handle)
     except UnicodeDecodeError:
         # a streaming decoder counts the byte's position from its chunk;

@@ -5,6 +5,7 @@ before centroid averaging so the analysis stays purely angular and no
 single vector's magnitude can dominate a centroid.
 """
 
+import codecs
 import itertools
 import re
 import unicodedata
@@ -76,8 +77,11 @@ def _parse_components(lines):
 
 
 def _lines(handle):
-    """The lines of a binary file, cut where text mode's universal newlines
-    cut them: at ``\\n``, ``\\r\\n`` and a lone ``\\r``."""
+    """The lines of a binary file after a leading UTF-8 byte order mark, cut
+    where text mode's universal newlines cut them: at ``\\n``, ``\\r\\n``
+    and a lone ``\\r``."""
+    if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        handle.seek(0)
     for line in handle:
         if b"\r" in line:
             yield from line.splitlines()
@@ -112,15 +116,15 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
     fault there makes the loader read the file again to name its line.
     Any fault raises a ``VectorSpaceError`` naming the first faulty line.
 
-    The file is read as bytes, and cut into lines where text mode would
-    cut it.  A line whose lemma is printable UTF-8 and whose components
-    are ASCII is split on its bytes; only its lemma, and the components of
-    a row parsed, are decoded.  Every other line is decoded whole and
-    split as text: line 1, a lemma that is not printable UTF-8, components
-    that are not ASCII, and components that start with one of
-    ``\\x1c``-``\\x1f``, which ``str.split`` takes for whitespace and
-    ``bytes.split`` does not.  Either way a line gives the lemma and
-    components that splitting its decoded text would give."""
+    The file is read as bytes, without a leading UTF-8 byte order mark, and
+    cut into lines where text mode would cut it.  A line whose lemma is
+    printable UTF-8 and whose components are ASCII is split on its bytes;
+    only its lemma, and the components of a row parsed, are decoded.  Every
+    other line is decoded whole and split as text: line 1, a lemma that is
+    not printable UTF-8, components that are not ASCII, and components that
+    start with one of ``\\x1c``-``\\x1f``, which ``str.split`` takes for
+    whitespace and ``bytes.split`` does not.  Either way a line gives the
+    lemma and components that splitting its decoded text would give."""
     wanted = None if lemmas is None else {unicodedata.normalize("NFC", lemma) for lemma in lemmas}
     names = []  # the lemma of every row
     kept = []  # the lemma of every row parsed

@@ -285,7 +285,7 @@ def validate_sentence(tree: SentenceTree) -> ValidationReport:
 
 def load_manifest(source) -> dict[str, tuple[str, str]]:
     """Read a sidecar metadata manifest: ``filename<TAB>author<TAB>title``."""
-    text = Path(source).read_text(encoding="utf-8")
+    text = Path(source).read_text(encoding="utf-8-sig")
     mapping = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import random
 from collections import Counter, defaultdict
@@ -18,6 +19,8 @@ from grcvalency.casestudy import (
 )
 from grcvalency.frames import parse_frame
 from grcvalency.lexicon import Lexicon
+from grcvalency.semantics import centroid_similarities
+from grcvalency.stats import boxplot_stats
 
 import synthetic_case
 from conftest import SPANS_FILE
@@ -285,8 +288,7 @@ def test_run_case_study_is_deterministic(tmp_path):
     )
     first = synthetic_case.run(config, case["corpus"], case["lexicon"], case["space"])
     second = synthetic_case.run(config, case["corpus"], case["lexicon"], case["space"])
-    assert first.comparisons == second.comparisons
-    assert first.boxplot_rows == second.boxplot_rows
+    assert first.comparisons == second.comparisons  # fig2's boxes among them
 
 
 def test_full_baseline_exclusion_drops_everything(tmp_path):
@@ -386,6 +388,30 @@ def test_outputs_are_written(tmp_path):
     assert groups == {FORMULAIC, BASELINE}
     log = paths["log"].read_text(encoding="utf-8")
     assert "below_min_epic_tokens" in log
+
+
+def test_fig2_holds_two_rows_per_comparison_formulaic_first(tmp_path):
+    case = synthetic_case.build_case(tmp_path)
+    config = CaseStudyConfig(
+        vector_space_path=str(case["vectors_path"]),
+        formula_span_path=str(case["spans_path"]),
+    )
+    selection = select_case_study(config, case["corpus"], case["lexicon"])
+    result = run_case_study(config, selection, case["space"])
+    types = {selected.verb: (selected.epic_types, selected.baseline_types)
+             for selected in selection.verbs}
+    quantiles = ("min_whisker", "q1", "median", "q3", "max_whisker")
+    expected = [["verb", "group", *quantiles, "outliers"]]
+    for c in result.comparisons:
+        for group, lemmas, box in zip((FORMULAIC, BASELINE), types[c.verb], c.boxes):
+            similarities = centroid_similarities(lemmas, case["space"], c.verb, group).similarities
+            assert box == boxplot_stats(similarities)
+            expected.append([c.verb, group, *(format(box[key], ".12g") for key in quantiles),
+                             ";".join(format(value, ".12g") for value in box["outliers"])])
+    assert len(expected) == 1 + 2 * len(result.comparisons) == 5
+    path = write_case_study_outputs(result, tmp_path / "out")["boxplot"]
+    with path.open(encoding="utf-8", newline="") as handle:
+        assert list(csv.reader(handle)) == expected
 
 
 def test_config_file_roundtrip(tmp_path):

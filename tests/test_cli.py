@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import errno
 import gc
@@ -1054,6 +1055,81 @@ def test_casestudy_reads_config_paths_as_spelled(tmp_path, capsys):
         runs[form] = code, captured.out.replace(str(directory), ""), _case_outputs(directory / "out")
     assert b"total=29 formulaic=5 non_formulaic=24" in runs["NFC"][2]["run.log"]
     assert runs["NFD"] == runs["NFC"]
+
+
+def _text_inputs(base):
+    """Every kind of text input the commands read, under ``base`` with
+    relative paths: a copy of the test data, known frames, a Beta Code
+    batch, and the synthetic case, its vectors also written without a
+    header so that line 1 holds a compared object's vector."""
+    shutil.copytree(DATA_DIR, base / "data")
+    (base / "known.txt").write_text("middle_OBJ[accusative]\nactive_OBJ[genitive]\n",
+                                    encoding="utf-8")
+    (base / "batch.txt").write_text("lo/gos\nfrenw=n\n", encoding="utf-8")
+    case_dir = base / "case"
+    (case_dir / "corpus").mkdir(parents=True)
+    case = synthetic_case.build_case(case_dir)
+    _trees_to_xml(case["corpus"], case_dir / "corpus")
+    write_lexicon(case["lexicon"], case_dir / "lexicon.tsv")
+    _, *rows = case["vectors_path"].read_text(encoding="utf-8").splitlines(keepends=True)
+    assert rows[0].split()[0] == synthetic_case.TIGHT_EPIC_TYPES[0]
+    (case_dir / "bare_vectors.txt").write_text("".join(rows), encoding="utf-8")
+    (case_dir / "case.conf").write_text(
+        "treebank_dir = case/corpus\nlexicon_path = case/lexicon.tsv\n"
+        "vector_space_path = case/vectors.txt\nformula_span_path = case/spans.tsv\n"
+        "output_dir = out\n",
+        encoding="utf-8",
+    )
+
+
+_CASESTUDY = ["casestudy", "--config", "case/case.conf"]
+
+
+@pytest.mark.parametrize(
+    "text_input, argv",
+    [
+        ("data/manifest.tsv",
+         ["extract", "data/corpus", "--manifest", "data/manifest.tsv", "-o", "lexicon.tsv"]),
+        ("known.txt",
+         ["constructions", "data/golden_lexicon.tsv", "--verb", "ἀκούω", "--known-frames",
+          "known.txt"]),
+        ("case/bare_vectors.txt", [*_CASESTUDY, "--vectors", "case/bare_vectors.txt"]),
+        ("case/vectors.txt", _CASESTUDY),
+        ("case/case.conf", _CASESTUDY),
+        ("case/spans.tsv", _CASESTUDY),
+        ("case/lexicon.tsv", _CASESTUDY),
+        ("batch.txt", ["betacode", "--file", "batch.txt"]),
+    ],
+    ids=["manifest", "known_frames", "vectors", "vectors_with_header", "config", "spans",
+         "lexicon", "betacode_batch"],
+)
+def test_a_text_input_may_start_with_a_byte_order_mark(
+    tmp_path, capsys, monkeypatch, text_input, argv
+):
+    # the mark is the encoding's signature, not text: the run is the plain copy's
+    runs = {}
+    for copy in ("plain", "marked"):
+        base = tmp_path / copy
+        _text_inputs(base)
+        if copy == "marked":
+            path = base / text_input
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        given = set(base.rglob("*"))
+        monkeypatch.chdir(base)
+        code = main(argv)
+        captured = capsys.readouterr()
+        outputs = {}
+        for path in sorted(set(base.rglob("*")) - given):
+            if path.suffix == ".json":  # the manifest: its time and the marked file's hash differ
+                manifest = json.loads(path.read_text(encoding="utf-8"))
+                del manifest["timestamp"]
+                manifest["inputs"].pop(text_input, None)
+                outputs[path.relative_to(base)] = manifest
+            elif path.is_file():
+                outputs[path.relative_to(base)] = path.read_bytes()
+        runs[copy] = code, captured.out, captured.err, outputs
+    assert runs["plain"][0] == 0, runs["plain"]
+    assert runs["marked"] == runs["plain"]
 
 
 def test_extract_and_casestudy_write_the_manifest_last(tmp_path, monkeypatch):

@@ -98,12 +98,13 @@ def test_only_line_one_can_be_the_header(tmp_path):
 
 def _reference_load(path):
     """The loader as it was before the bulk parse: one Python float() per
-    component, one array per line.  Returns (dimension, vectors, duplicates)."""
+    component, one array per line, with a leading byte order mark dropped.
+    Returns (dimension, vectors, duplicates)."""
     vectors = {}
     dimension = None
     declared = None
     duplicates = 0
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             parts = line.split()
             if not parts:
@@ -311,6 +312,7 @@ def _reference_outcome(path):
     "layout",
     [
         "{c}\u03b1 1 2\n\u03b2 3 4\n",  # before line 1's lemma
+        "{c}2 2\n\u03b1 1 2\n\u03b2 3 4\n",  # before a header
         "\u03b1 1 2\n{c}\u03b2 3 4\n",  # before a lemma
         "\u03b1 1 2\n\u03b2{c}3 4\n",  # right after a lemma
         "\u03b1 1 2\n\u03b2 {c}3 4\n",  # at the start of the components

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import grcvalency.cli as cli
 from grcvalency import (
     BetaCodeError,
     DegenerateCentroidError,
@@ -214,6 +215,17 @@ def _declared_floor() -> tuple[int, int]:
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M).groups()
     return int(major), int(minor)
+
+
+def test_the_package_declares_its_version_and_console_script_once():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in project["project"]
+    assert project["project"]["dynamic"] == ["version"]
+    version = project["tool"]["setuptools"]["dynamic"]["version"]
+    assert version == {"attr": "grcvalency.__version__"}
+    module, _, name = project["project"]["scripts"]["grcvalency"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 def test_the_floor_check_rejects_newer_syntax():
