@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .frames import collect_arguments, identify_predicates, is_plain_object, parse_frame
-from .output import write_atomic
+from .output import read_lines, write_atomic
 from .semantics import (
     DegenerateCentroidError,
     InsufficientDataError,
@@ -140,9 +140,8 @@ class CaseStudyResult:
 def load_formula_spans(source) -> dict[int, frozenset[int]]:
     """Read ``sentence_id<TAB>token_ids`` (token ids comma-separated) into
     the token ids marked formulaic per sentence; a sentence's lines merge."""
-    text = Path(source).read_text(encoding="utf-8-sig")
     spans = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(source), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -397,18 +396,25 @@ _READERS = {str: lambda key, value: value, int: _parse_int, tuple: _parse_works,
 
 def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
     """Parse a key=value config file; explicit overrides win over the file.
-    Each key is a :class:`CaseStudyConfig` field, read by the field's type;
-    an override is a ``str``, or an ``int`` for an ``int`` field."""
-    text = Path(source).read_text(encoding="utf-8-sig")
+    Each key is a :class:`CaseStudyConfig` field, read by the field's type,
+    and may be given once in the file; an override is a ``str``, or an
+    ``int`` for an ``int`` field."""
     raw: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    first_lines = {}  # key -> the line that gives it
+    for lineno, line in enumerate(read_lines(source), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ValueError(f"config line {lineno}: expected key=value")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_lines:
+            raise ValueError(
+                f"config line {lineno}: duplicate key {key!r} (first at line {first_lines[key]})"
+            )
+        first_lines[key] = lineno
+        raw[key] = value.strip()
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 

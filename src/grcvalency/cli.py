@@ -16,7 +16,7 @@ from . import __version__
 from .betacode import beta_to_unicode
 from .frames import FORMAT_VERSION, extract_entries, lexicon_lines, write_lexicon
 from .manifest import build_manifest, write_manifest
-from .output import write_atomic
+from .output import read_lines, write_atomic
 from .treebank import (
     LAYOUT_BREAK,
     TreebankParseError,
@@ -69,9 +69,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_EMPTY = 3
-
-_ENCODING = "utf-8-sig"  # a leading byte order mark is dropped
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract here reserves 2 for
@@ -306,14 +303,16 @@ def cmd_query(args) -> int:
 
 def cmd_constructions(args) -> int:
     _bind_numpy_names()
+    for flag, value in (("--min-count", args.min_count), ("--min-authors", args.min_authors)):
+        if value < 0:
+            return _fail(f"{flag} takes a non-negative count")
     lexicon = read_lexicon(args.lexicon)
     verb = _nfc(args.verb)
     records = constructions_for_verb(
         lexicon, verb, min_count=args.min_count, min_authors=args.min_authors
     )
     if args.known_frames:
-        lines = Path(args.known_frames).read_text(encoding=_ENCODING).splitlines()
-        known = [_nfc(line.strip()) for line in lines if line.strip()]
+        known = [_nfc(line.strip()) for line in read_lines(args.known_frames) if line.strip()]
         only_lexicon, only_known = diff_constructions(lexicon, verb, known)
         kept = {record.frame for record in records}
         only_lexicon = [record for record in only_lexicon if record.frame in kept]
@@ -385,11 +384,7 @@ def cmd_betacode(args) -> int:
         return _fail("provide TEXT or --file")
     if args.text is not None and args.path:
         return _fail("provide either TEXT or --file, not both")
-    lines = (
-        [args.text]
-        if args.text is not None
-        else Path(args.path).read_text(encoding=_ENCODING).splitlines()
-    )
+    lines = [args.text] if args.text is not None else read_lines(args.path)
     converted = []  # every line, before any is printed
     for number, line in enumerate(lines, start=1):
         try:

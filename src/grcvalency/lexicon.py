@@ -20,13 +20,13 @@ import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 
 from .frames import (
     COLUMNS, FRAME_GRAMMAR, LexiconEntry, LexiconFormatError, frame_fault, parse_frame,
 )
+from .output import read_lines
 
 
 @dataclass
@@ -145,28 +145,19 @@ class Lexicon:
 def read_lexicon(source) -> Lexicon:
     """Read a lexicon TSV in the full layout, :data:`COLUMNS`.
 
-    The file is streamed a line at a time, each line put in NFC and cut into
-    rows as ``str.splitlines`` cuts the whole text, and each value of the
-    :attr:`Lexicon.INTERNED` columns is ``sys.intern``ed, so equal values are
-    one string.  A malformed row rejects the whole file, and the error names
+    The rows stream from :func:`~grcvalency.output.read_lines`, each is put
+    in NFC, and each value of the :attr:`Lexicon.INTERNED` columns is
+    ``sys.intern``ed, so equal values are one string.  A malformed row rejects the whole file, and the error names
     each faulty line in line order: a wrong column count, non-integer ids, or
     a ``frame`` or ``frame_fillers`` string that :data:`FRAME_GRAMMAR`, the
     rule :func:`parse_frame` reads by, rejects.  Each distinct string is
     judged once, and a bad one is named at the first line that holds it.
     """
-    try:
-        with open(source, encoding="utf-8-sig", newline="") as handle:
-            entries = _read_entries(handle)
-    except UnicodeDecodeError:
-        # a streaming decoder counts the byte's position from its chunk;
-        # decoding the whole file again names it from the file's start
-        Path(source).read_bytes().decode("utf-8")
-        raise
-    return Lexicon(entries)
+    return Lexicon(_read_entries(read_lines(source)))
 
 
-def _read_entries(handle) -> list[LexiconEntry]:
-    rows = (row for line in handle for row in unicodedata.normalize("NFC", line).splitlines())
+def _read_entries(lines) -> list[LexiconEntry]:
+    rows = (unicodedata.normalize("NFC", line) for line in lines)
     header = next(rows, None)
     if header is None:
         raise LexiconFormatError("empty lexicon file (missing header)")

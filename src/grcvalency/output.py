@@ -1,8 +1,24 @@
-"""The one writer every output file goes through, encoding and atomic replace."""
+"""The one reader of every text input and the one writer of every output."""
 
 import os
 import tempfile
 from pathlib import Path
+
+
+def read_lines(source):
+    """Stream the rows of the UTF-8 text file ``source``, cut as
+    ``str.splitlines`` cuts its whole text, after a leading byte order
+    mark.  This is the one place a text input is decoded.  An undecodable
+    byte raises the error of decoding the whole file as ``utf-8``, so its
+    position counts from the file's first byte, the mark included."""
+    try:
+        with open(source, encoding="utf-8-sig", newline="") as handle:
+            for line in handle:
+                yield from line.splitlines()
+    except UnicodeDecodeError:
+        # a streaming decoder counts the byte's position from its chunk
+        Path(source).read_bytes().decode("utf-8")
+        raise
 
 
 def write_atomic(destination, chunks) -> int:

@@ -17,9 +17,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from pathlib import Path
 
 from .betacode import BetaCodeError, beta_to_unicode
+from .output import read_lines
 from .postag import PosTag, PostagError, decode_postag
 
 _REQUIRED_ATTRIBUTES = ("id", "form", "lemma", "postag", "head", "relation")
@@ -284,15 +284,22 @@ def validate_sentence(tree: SentenceTree) -> ValidationReport:
 
 
 def load_manifest(source) -> dict[str, tuple[str, str]]:
-    """Read a sidecar metadata manifest: ``filename<TAB>author<TAB>title``."""
-    text = Path(source).read_text(encoding="utf-8-sig")
+    """Read a sidecar metadata manifest: ``filename<TAB>author<TAB>title``,
+    each file named once."""
     mapping = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    first_lines = {}  # filename -> the line that names it
+    for lineno, line in enumerate(read_lines(source), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"manifest line {lineno}: expected 3 tab-separated fields")
         filename, author, title = parts
+        if filename in first_lines:
+            raise ValueError(
+                f"manifest line {lineno}: duplicate file {filename!r}"
+                f" (first at line {first_lines[filename]})"
+            )
+        first_lines[filename] = lineno
         mapping[filename] = (author.strip(), title.strip())
     return mapping

@@ -500,6 +500,19 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
     assert load_config(path).ks_exact_limit == 16
 
 
+def test_config_rejects_a_key_given_twice_and_overrides_still_win(tmp_path):
+    path = tmp_path / "twice.conf"
+    path.write_text(
+        "# thresholds\nmin_epic_tokens = 1\n\nks_exact_limit = 16\nmin_epic_tokens = 2\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    assert str(info.value) == "config line 5: duplicate key 'min_epic_tokens' (first at line 2)"
+    path.write_text("min_epic_tokens = 1\nks_exact_limit = 16\n", encoding="utf-8")
+    assert load_config(path, overrides={"min_epic_tokens": 2}).min_epic_tokens == 2
+
+
 def test_lexicon_of_excluded_works_only_gives_empty_baseline():
     lexicon = Lexicon([])
     assert build_baseline(lexicon, "φέρω", [("Homer", "Iliad")]) == []

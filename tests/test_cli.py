@@ -634,6 +634,15 @@ def test_stats_rejects_negative_frames_before_reading_the_lexicon(tmp_path, caps
     assert capsys.readouterr().err == "error: --frames takes a non-negative count\n"
 
 
+@pytest.mark.parametrize("flag", ["--min-count", "--min-authors"])
+def test_constructions_rejects_a_negative_threshold_before_reading_the_lexicon(
+    tmp_path, capsys, flag
+):
+    for lexicon in (tmp_path / "missing.tsv", GOLDEN_LEXICON):
+        assert main(["constructions", str(lexicon), "--verb", "φέρω", flag, "-5"]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} takes a non-negative count\n")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
@@ -996,8 +1005,11 @@ def test_casestudy_reads_the_treebank_before_the_span_file(tmp_path, capsys):
     manifest, spans = tmp_path / "meta.tsv", tmp_path / "bad_spans.tsv"
     manifest.write_bytes(b"\xff\n")
     spans.write_text("1\t2\t3\n", encoding="utf-8")
-    with config_path.open("a", encoding="utf-8") as config:
-        config.write(f"manifest_path = {manifest}\nformula_span_path = {spans}\n")
+    # each key once: the config's own span file is replaced, not named again
+    config = [line for line in config_path.read_text(encoding="utf-8").splitlines()
+              if not line.startswith("formula_span_path")]
+    config += [f"manifest_path = {manifest}", f"formula_span_path = {spans}"]
+    config_path.write_text("\n".join(config) + "\n", encoding="utf-8")
     assert main(["casestudy", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
@@ -1085,24 +1097,24 @@ def _text_inputs(base):
 _CASESTUDY = ["casestudy", "--config", "case/case.conf"]
 
 
-@pytest.mark.parametrize(
-    "text_input, argv",
-    [
-        ("data/manifest.tsv",
-         ["extract", "data/corpus", "--manifest", "data/manifest.tsv", "-o", "lexicon.tsv"]),
-        ("known.txt",
-         ["constructions", "data/golden_lexicon.tsv", "--verb", "ἀκούω", "--known-frames",
-          "known.txt"]),
-        ("case/bare_vectors.txt", [*_CASESTUDY, "--vectors", "case/bare_vectors.txt"]),
-        ("case/vectors.txt", _CASESTUDY),
-        ("case/case.conf", _CASESTUDY),
-        ("case/spans.tsv", _CASESTUDY),
-        ("case/lexicon.tsv", _CASESTUDY),
-        ("batch.txt", ["betacode", "--file", "batch.txt"]),
-    ],
-    ids=["manifest", "known_frames", "vectors", "vectors_with_header", "config", "spans",
-         "lexicon", "betacode_batch"],
-)
+# every kind of text input, by name: its path under _text_inputs' base and
+# a command that reads it
+_TEXT_INPUT_RUNS = {
+    "manifest": ("data/manifest.tsv",
+                 ["extract", "data/corpus", "--manifest", "data/manifest.tsv", "-o", "lexicon.tsv"]),
+    "known_frames": ("known.txt",
+                     ["constructions", "data/golden_lexicon.tsv", "--verb", "ἀκούω",
+                      "--known-frames", "known.txt"]),
+    "vectors": ("case/bare_vectors.txt", [*_CASESTUDY, "--vectors", "case/bare_vectors.txt"]),
+    "vectors_with_header": ("case/vectors.txt", _CASESTUDY),
+    "config": ("case/case.conf", _CASESTUDY),
+    "spans": ("case/spans.tsv", _CASESTUDY),
+    "lexicon": ("case/lexicon.tsv", _CASESTUDY),
+    "betacode_batch": ("batch.txt", ["betacode", "--file", "batch.txt"]),
+}
+
+
+@pytest.mark.parametrize("text_input, argv", _TEXT_INPUT_RUNS.values(), ids=_TEXT_INPUT_RUNS)
 def test_a_text_input_may_start_with_a_byte_order_mark(
     tmp_path, capsys, monkeypatch, text_input, argv
 ):
@@ -1130,6 +1142,44 @@ def test_a_text_input_may_start_with_a_byte_order_mark(
         runs[copy] = code, captured.out, captured.err, outputs
     assert runs["plain"][0] == 0, runs["plain"]
     assert runs["marked"] == runs["plain"]
+
+
+# the other commands that read a text input; the rest read one each
+_MORE_READERS = {
+    "lexicon": [["stats", "case/lexicon.tsv"], ["query", "case/lexicon.tsv"],
+                ["constructions", "case/lexicon.tsv", "--verb", "φέρω"]],
+}
+# every input but the vector file, which is read as bytes, not decoded whole
+_DECODED_INPUTS = {name: _TEXT_INPUT_RUNS[name] for name in _TEXT_INPUT_RUNS
+                   if not name.startswith("vectors")}
+
+
+@pytest.mark.parametrize("name", _DECODED_INPUTS)
+def test_an_undecodable_byte_after_a_byte_order_mark_is_placed_from_the_first_byte(
+    tmp_path, capsys, monkeypatch, name
+):
+    # each command names the byte where decoding the whole file as utf-8 does
+    text_input, argv = _DECODED_INPUTS[name]
+    _text_inputs(tmp_path)
+    path = tmp_path / text_input
+    text = path.read_bytes()
+    data = codecs.BOM_UTF8 + text[:2] + b"\xff" + text[2:]
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as info:
+        data.decode("utf-8")
+    assert info.value.start == 5
+    monkeypatch.chdir(tmp_path)
+    for command in [argv, *_MORE_READERS.get(name, [])]:
+        assert main(command) == 1, command
+        assert capsys.readouterr() == ("", f"error: {info.value}\n"), command
+
+
+def test_a_side_file_names_its_first_fault_in_file_order(tmp_path, capsys):
+    # the rows stream, so a bad line before a later undecodable byte is the fault named
+    path = tmp_path / "batch.txt"
+    path.write_bytes(b"lo/gos\nlo/gos?\n" + b"lo/gos\n" * 20000 + b"\xff\n")
+    assert main(["betacode", "--file", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
 def test_extract_and_casestudy_write_the_manifest_last(tmp_path, monkeypatch):

@@ -1,11 +1,13 @@
-"""The numpy modules (lexicon, semantics, casestudy) load only with the
-commands and names that use them: ``extract``, ``betacode`` and
-``--version`` run with numpy blocked, the package's public names resolve
-on first use, and a wrapper set on ``cli`` before any numpy command has run
-is the function that command calls."""
+"""Fresh interpreters: the numpy modules (lexicon, semantics, casestudy)
+load only with the commands and names that use them: ``extract``,
+``betacode`` and ``--version`` run with numpy blocked, the package's public
+names resolve on first use, and a wrapper set on ``cli`` before any numpy
+command has run is the function that command calls.  A run writes the same
+bytes whatever the interpreter's string hash seed."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,10 +46,13 @@ _NUMPY_BLOCKED = (
 )
 
 
-def _python(*args, cwd=None):
-    """A fresh interpreter that imports grcvalency from this checkout."""
+def _python(*args, cwd=None, **environ):
+    """A fresh interpreter that imports grcvalency from this checkout, with
+    ``environ`` added to its environment."""
     paths = [str(SOURCE), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), PYTHONIOENCODING="utf-8")
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(paths), PYTHONIOENCODING="utf-8", **environ
+    )
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, timeout=120
     )
@@ -81,7 +86,7 @@ def _outputs(directory):
     outputs = {}
     for path in sorted(directory.iterdir()):
         outputs[path.name] = path.read_bytes()
-        if path.name.endswith(".manifest.json"):
+        if path.name.endswith("manifest.json"):
             manifest = json.loads(outputs[path.name])
             del manifest["timestamp"]
             outputs[path.name] = manifest
@@ -176,3 +181,27 @@ def test_an_unknown_name_is_no_attribute_of_the_package_or_the_cli():
             module.no_such_name
     with pytest.raises(ImportError):
         exec("from grcvalency import no_such_name", {})
+
+
+def test_extract_and_casestudy_write_the_same_bytes_under_every_hash_seed(tmp_path):
+    # set and dict orders of str keys follow PYTHONHASHSEED; no output may
+    config_path = _write_case_files(tmp_path)
+    out = tmp_path / "out"  # the config's output_dir
+    runs = {}
+    for seed in ("0", "1", "12345"):
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        streams = []
+        for argv in (["extract", "corpus", "-o", "out/lexicon.tsv"],
+                     ["casestudy", "--config", config_path.name]):
+            run = _python("-m", "grcvalency.cli", *argv, cwd=tmp_path, PYTHONHASHSEED=seed)
+            assert run.returncode == 0, run.stderr
+            streams.append((run.stdout, run.stderr))
+        runs[seed] = streams, _outputs(out)
+    assert sorted(runs["0"][1]) == [
+        "fig2_boxplot.csv", "lexicon.tsv", "lexicon.tsv.manifest.json",
+        "lexicon.tsv.report.tsv", "manifest.json", "report.tsv", "run.log", "table5.tsv",
+        "table6.tsv",
+    ]
+    assert runs["1"] == runs["0"]
+    assert runs["12345"] == runs["0"]

@@ -546,3 +546,15 @@ def test_manifest_loads_and_rejects_bad_lines(tmp_path):
     bad.write_text("only-two\tfields\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         load_manifest(bad)
+
+
+def test_manifest_rejects_a_file_named_twice(tmp_path):
+    path = tmp_path / "twice.tsv"
+    path.write_text(
+        "a.xml\tHomer\tIliad\n# the next work\nb.xml\tHesiod\tTheogony\n"
+        "a.xml\tHomer\tOdyssey\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as info:
+        load_manifest(path)
+    assert str(info.value) == "manifest line 4: duplicate file 'a.xml' (first at line 1)"
