@@ -8,14 +8,16 @@ import argparse
 import contextlib
 import dataclasses
 import gc
+import hashlib
+import json
 import sys
 import unicodedata
+from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .betacode import beta_to_unicode
 from .frames import FORMAT_VERSION, extract_entries, lexicon_lines, write_lexicon
-from .manifest import build_manifest, write_manifest
 from .output import read_lines, write_atomic
 from .treebank import (
     LAYOUT_BREAK,
@@ -224,11 +226,33 @@ def _write_report(path: Path, rows) -> None:
     ))
 
 
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def build_manifest(command: str, config: dict, input_paths) -> dict:
+    """A run's command, settings, sha256 per input path, versions and UTC timestamp."""
+    return {
+        "command": command,
+        "config": config,
+        "inputs": {str(p): _sha256(Path(p)) for p in input_paths},
+        "tool_version": __version__,
+        "format_version": FORMAT_VERSION,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+
+
 def _finish_run(report_path: Path, report_rows, manifest_path: Path, **manifest) -> int:
-    """Write the report, then the manifest of ``build_manifest(**manifest)``
-    last; returns the number of input files that failed."""
+    """Write the report, then the manifest of ``build_manifest(**manifest)`` last,
+    as JSON with its keys sorted at every level; returns the number of input
+    files that failed."""
     _write_report(report_path, report_rows)
-    write_manifest(build_manifest(**manifest), manifest_path)
+    text = json.dumps(build_manifest(**manifest), ensure_ascii=False, indent=2, sort_keys=True)
+    write_atomic(manifest_path, [text + "\n"])
     return sum(row[2] == "file_error" for row in report_rows)
 
 

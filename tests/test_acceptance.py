@@ -9,29 +9,26 @@ import os
 import random
 import time
 import unicodedata
-from pathlib import Path
 
 import pytest
 
 from grcvalency import (
-    Lexicon,
     beta_to_unicode,
     decode_postag,
     encode_postag,
     extract_entries,
     frame_frequencies,
     ks_two_sample,
-    load_manifest,
     parse_treebank_file,
     query_entries,
     read_lexicon,
     significance_stars,
     stats_basic,
     stats_by_author,
-    validate_sentence,
     write_lexicon,
 )
 from grcvalency.casestudy import CaseStudyConfig
+from grcvalency.cli import main
 from grcvalency.postag import FIELDS
 
 import synthetic_case
@@ -234,7 +231,7 @@ def test_criterion_7_synthetic_case_study(tmp_path):
     )
 
 
-def test_criterion_8_full_corpus_reproduction():
+def test_criterion_8_full_corpus_reproduction(tmp_path):
     corpus_dir = os.environ.get("AGVALEX_AGDT_DIR")
     if not corpus_dir:
         pytest.skip(
@@ -242,12 +239,14 @@ def test_criterion_8_full_corpus_reproduction():
             "(and AGVALEX_AGDT_MANIFEST to a filename/author/title TSV) to run"
         )
     manifest_path = os.environ.get("AGVALEX_AGDT_MANIFEST")
-    meta = load_manifest(manifest_path) if manifest_path else {}
-    trees = []
-    for path in sorted(Path(corpus_dir).rglob("*.xml")):
-        parsed, _ = parse_treebank_file(path.read_bytes(), fallback_meta=meta.get(path.name))
-        trees.extend(t for t in parsed if validate_sentence(t).ok)
-    lexicon = Lexicon(extract_entries(trees))
+    # the command a user runs, so the corpus is read as extract reads it: the
+    # directory's own *.xml files, each checked, excluded and reported alike
+    output = tmp_path / "lexicon.tsv"
+    argv = ["extract", corpus_dir, "-o", str(output)]
+    if manifest_path:
+        argv += ["--manifest", manifest_path]
+    assert main(argv) == 0  # else stdout names the report of what failed
+    lexicon = read_lexicon(output)
     basic = stats_basic(lexicon)
 
     def within(value, target, tolerance=0.01):
@@ -260,7 +259,7 @@ def test_criterion_8_full_corpus_reproduction():
     top_frame, top_count = frame_frequencies(lexicon, top_k=1)[0]
     assert top_frame == "active_OBJ[accusative]"
     assert within(top_count, 12_563)
-    if meta:
+    if manifest_path:
         by_author = dict(stats_by_author(lexicon))
         assert within(by_author.get("Homer", 0), 30_574)
         homeric_genitives = query_entries(

@@ -4,6 +4,7 @@ import errno
 import gc
 import inspect
 import json
+import random
 import shutil
 import stat
 import sys
@@ -737,6 +738,70 @@ def test_casestudy_command_end_to_end(tmp_path, capsys):
     )
 
 
+def _shuffle_rows(path, keep):
+    """Shuffle the lines of ``path`` after its first ``keep``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    body = lines[keep:]
+    random.Random(7).shuffle(body)
+    assert body != lines[keep:]
+    path.write_bytes(b"".join(lines[:keep] + body))
+
+
+def _add_unused_vectors(tmp_path):
+    # 50 rows ahead of the others, for lemmas no pair holds; the header counts them
+    path = tmp_path / "vectors.txt"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    count, dimension = map(int, header.split())
+    extra = [
+        f"ἀργ{index} " + " ".join(str(index + axis + 1) for axis in range(dimension))
+        for index in range(50)
+    ]
+    path.write_text("\n".join([f"{count + 50} {dimension}", *extra, *rows]) + "\n", encoding="utf-8")
+
+
+def _add_non_epic_work(tmp_path):
+    # the compared verbs with their objects, in a work neither epic nor under
+    # a span: sentence ids no span line names
+    sentences = []
+    for index, (verb, obj) in enumerate(
+        [(synthetic_case.TIGHT_VERB, lemma) for lemma in synthetic_case.TIGHT_EPIC_TYPES]
+        + [(synthetic_case.SAME_VERB, lemma) for lemma in synthetic_case.SAME_TYPES]
+    ):
+        sentences.append(
+            f'  <sentence id="{90_000 + index}" subdoc="{index + 1}">\n'
+            f'    <word id="1" form="{verb}" lemma="{verb}" postag="v3spia---" head="0" relation="PRED"/>\n'
+            f'    <word id="2" form="{obj}" lemma="{obj}" postag="n-s---ma-" head="1" relation="OBJ"/>\n'
+            "  </sentence>\n"
+        )
+    (tmp_path / "corpus" / "republic.xml").write_text(
+        '<treebank author="Plato" title="Republic">\n' + "".join(sentences) + "</treebank>\n",
+        encoding="utf-8",
+    )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda tmp_path: _shuffle_rows(tmp_path / "lexicon.tsv", keep=1),
+        lambda tmp_path: _shuffle_rows(tmp_path / "vectors.txt", keep=1),
+        _add_unused_vectors,
+        _add_non_epic_work,
+    ],
+    ids=["shuffled-lexicon", "shuffled-vectors", "unused-vectors", "non-epic-work"],
+)
+def test_casestudy_outputs_ignore_changes_that_carry_no_evidence(tmp_path, change):
+    # metamorphic relations: an input change that carries no evidence about
+    # the compared verbs leaves every table, the log and the report as they were
+    config_path = _write_case_files(tmp_path)
+    out_dir = tmp_path / "out"
+    names = ("table5.tsv", "table6.tsv", "fig2_boxplot.csv", "run.log", "report.tsv")
+    assert main(["casestudy", "--config", str(config_path)]) == 0
+    before = {name: (out_dir / name).read_bytes() for name in names}
+    change(tmp_path)
+    assert main(["casestudy", "--config", str(config_path)]) == 0
+    assert {name: (out_dir / name).read_bytes() for name in names} == before
+
+
 def test_casestudy_manifest_records_every_setting(tmp_path):
     config_path = _write_case_files(tmp_path)
     assert main(["casestudy", "--config", str(config_path), "--min-epic-tokens", "7"]) == 0
@@ -1184,20 +1249,32 @@ def test_a_side_file_names_its_first_fault_in_file_order(tmp_path, capsys):
 
 def test_extract_and_casestudy_write_the_manifest_last(tmp_path, monkeypatch):
     calls = []
-    steps = ("write_lexicon", "write_case_study_outputs", "_write_report",
-             "build_manifest", "write_manifest")
-    for name in steps:
+    for name in ("write_lexicon", "write_case_study_outputs", "_write_report", "build_manifest"):
         def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, spy)  # looked up in cli, where a tracer patches them
+
+    def write_spy(destination, chunks, _real=cli.write_atomic):
+        calls.append(Path(destination).name)
+        return _real(destination, chunks)
+
+    # cli's own writes, the report and the manifest; the lexicon and the
+    # case-study tables are written by their modules
+    monkeypatch.setattr(cli, "write_atomic", write_spy)
     config_path = _write_case_files(tmp_path)
     (tmp_path / "corpus" / "truncated.xml").write_bytes(b"<treebank>")
     assert main(["extract", str(tmp_path / "corpus"), "-o", str(tmp_path / "extracted.tsv")]) == 2
     assert main(["casestudy", "--config", str(config_path)]) == 2
-    epilogue = ["_write_report", "build_manifest", "write_manifest"]
-    assert calls == ["write_lexicon", *epilogue, "write_case_study_outputs", *epilogue]
+    assert calls == [
+        "write_lexicon",
+        "_write_report", "extracted.tsv.report.tsv",
+        "build_manifest", "extracted.tsv.manifest.json",
+        "write_case_study_outputs",
+        "_write_report", "report.tsv",
+        "build_manifest", "manifest.json",
+    ]
 
 
 def _raise(*args, **kwargs):

@@ -165,6 +165,32 @@ def test_every_traced_layer_resolves_in_the_package(table):
     assert _unresolved(layers) == []
 
 
+def _called_names(source: str) -> set[str]:
+    """The bare names that ``source`` calls."""
+    return {
+        node.func.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_the_check_finds_a_name_imported_but_never_called():
+    source = "from .treebank import load, parse, validate\nvalidate(x)\nhandler = parse\nobj.load()\n"
+    assert _called_names(source) == {"validate"}
+
+
+@pytest.mark.parametrize("table", ["STAGES", "COMMAND_LAYERS"])
+def test_every_benchmark_stage_is_called_by_its_name_in_its_module(table):
+    # a name that resolves but is never called there (a dead import) would be
+    # wrapped without error and time nothing: its stage would go dark
+    uncalled = []
+    for module, attribute in _worker_table(table):
+        path = Path(importlib.import_module(module).__file__)
+        if attribute not in _called_names(path.read_text(encoding="utf-8")):
+            uncalled.append(f"{module}.{attribute}")
+    assert uncalled == []
+
+
 def test_the_traced_frame_parser_keeps_its_cache():
     # a traced query mix reads parse_frame's hit ratio from cache_info()
     assert hasattr(importlib.import_module("grcvalency.lexicon").parse_frame, "cache_info")
