@@ -66,7 +66,8 @@ class CaseStudyConfig:
     min_object_types: int = 10
     include_participles: bool = True
     ks_exact_limit: int = DEFAULT_EXACT_LIMIT
-    # CLI-level wiring; ignored by select_case_study and run_case_study.
+    # CLI-level wiring, like vector_space_path (cli loads the vectors); these
+    # four and it are ignored by select_case_study and run_case_study.
     treebank_dir: str = ""
     manifest_path: str = ""
     lexicon_path: str = ""
@@ -83,14 +84,12 @@ class VerbComparison:
     verb: str
     epic_type_count: int
     baseline_type_count: int
-    median_formulaic: float
-    median_baseline: float
-    variance_formulaic: float
-    variance_baseline: float
     ks: KSResult
     stars: str
-    oov_counts: tuple[int, int]  # (formulaic, baseline)
-    boxes: tuple[dict, dict]  # boxplot_stats of (formulaic, baseline), fig2's rows
+    # each of these is (formulaic, baseline)
+    variances: tuple[float, float]
+    oov_counts: tuple[int, int]
+    boxes: tuple[dict, dict]  # boxplot_stats, fig2's rows; table6's medians are theirs
 
 
 @dataclass
@@ -117,8 +116,6 @@ class CaseStudySelection:
 
     verbs: list[SelectedVerb]
     log: list[LogEvent]
-    pair_count: int
-    formulaic_count: int
 
     def lemmas(self) -> set[str]:
         """Every object lemma the comparison looks up: the types of the
@@ -256,7 +253,7 @@ def select_case_study(config: CaseStudyConfig, corpus, lexicon) -> CaseStudySele
                 )
                 break
         verbs.append(selected)
-    return CaseStudySelection(verbs, log, len(pairs), formulaic_count)
+    return CaseStudySelection(verbs, log)
 
 
 def run_case_study(
@@ -274,36 +271,28 @@ def run_case_study(
             selected.verb, selected.epic_types, selected.baseline_types
         )
         try:
-            formulaic_dist = centroid_similarities(epic_types, space, verb, FORMULAIC)
-            baseline_dist = centroid_similarities(baseline_types, space, verb, BASELINE)
+            dists = [
+                centroid_similarities(types, space, verb, group)
+                for group, types in ((FORMULAIC, epic_types), (BASELINE, baseline_types))
+            ]
         except tuple(_DROP_REASONS) as exc:
             log.append(
                 LogEvent(event="drop", verb=verb, reason=_DROP_REASONS[type(exc)], detail=str(exc))
             )
             continue
-        formulaic_summary = summarize(formulaic_dist.similarities)
-        baseline_summary = summarize(baseline_dist.similarities)
-        pooled = len(formulaic_dist.similarities) + len(baseline_dist.similarities)
+        samples = [dist.similarities for dist in dists]
+        pooled = sum(map(len, samples))
         method = "exact" if pooled <= config.ks_exact_limit else "asymptotic"
-        ks = ks_two_sample(
-            formulaic_dist.similarities,
-            baseline_dist.similarities,
-            method=method,
-            exact_limit=config.ks_exact_limit,
-        )
+        ks = ks_two_sample(*samples, method=method, exact_limit=config.ks_exact_limit)
         comparisons.append(VerbComparison(
             verb=verb,
             epic_type_count=len(epic_types),
             baseline_type_count=len(baseline_types),
-            median_formulaic=formulaic_summary["median"],
-            median_baseline=baseline_summary["median"],
-            variance_formulaic=formulaic_summary["variance"],
-            variance_baseline=baseline_summary["variance"],
             ks=ks,
             stars=significance_stars(ks.p_value),
-            oov_counts=(len(formulaic_dist.oov_lemmas), len(baseline_dist.oov_lemmas)),
-            boxes=(boxplot_stats(formulaic_dist.similarities),
-                   boxplot_stats(baseline_dist.similarities)),
+            variances=tuple(summarize(sample)["variance"] for sample in samples),
+            oov_counts=tuple(len(dist.oov_lemmas) for dist in dists),
+            boxes=tuple(boxplot_stats(sample) for sample in samples),
         ))
         log.append(
             LogEvent(
@@ -338,10 +327,10 @@ def write_case_study_outputs(result: CaseStudyResult, output_dir) -> dict[str, P
     ]
     for c in result.comparisons:
         table5.append(f"{c.verb}\t{c.epic_type_count}\t{c.baseline_type_count}\n")
-        numbers = (c.median_formulaic, c.median_baseline, c.variance_formulaic,
-                   c.variance_baseline, c.ks.d_statistic, c.ks.p_value)
-        table6.append("\t".join([c.verb, *map(_fmt, numbers), c.stars, str(c.oov_counts[0]),
-                                 str(c.oov_counts[1]), c.ks.method]) + "\n")
+        numbers = (*(box["median"] for box in c.boxes), *c.variances, c.ks.d_statistic,
+                   c.ks.p_value)
+        table6.append("\t".join([c.verb, *map(_fmt, numbers), c.stars, *map(str, c.oov_counts),
+                                 c.ks.method]) + "\n")
     boxplot = io.StringIO()  # csv.writer ends rows with \r\n, kept as written
     writer = csv.writer(boxplot)
     quantiles = ("min_whisker", "q1", "median", "q3", "max_whisker")

@@ -10,14 +10,25 @@ def read_lines(source):
     ``str.splitlines`` cuts its whole text, after a leading byte order
     mark.  This is the one place a text input is decoded.  An undecodable
     byte raises the error of decoding the whole file as ``utf-8``, so its
-    position counts from the file's first byte, the mark included."""
+    position counts from the file's first byte, the mark included; every
+    row that ends before the byte is given first."""
+    given = 0
     try:
         with open(source, encoding="utf-8-sig", newline="") as handle:
             for line in handle:
-                yield from line.splitlines()
+                rows = line.splitlines()
+                given += len(rows)
+                yield from rows
     except UnicodeDecodeError:
-        # a streaming decoder counts the byte's position from its chunk
-        Path(source).read_bytes().decode("utf-8")
+        # a streaming decoder counts the byte's position from its chunk and
+        # fails the whole chunk, so the rows before the byte in it are not given
+        data = Path(source).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # "?" ends no row: the row the byte falls in is dropped
+            yield from (data[: exc.start].decode("utf-8-sig") + "?").splitlines()[given:-1]
+            raise
         raise
 
 

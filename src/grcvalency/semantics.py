@@ -44,17 +44,12 @@ class VectorSpace:
     vectors: dict[str, np.ndarray]
     duplicate_count: int = 0
 
-    def __contains__(self, lemma):
-        return lemma in self.vectors
-
     def __len__(self):
         return len(self.vectors)
 
 
 @dataclass
 class SimilarityDistribution:
-    verb: str
-    group: str  # "formulaic" or "baseline"
     similarities: list[float]
     included_lemmas: list[str]
     oov_lemmas: list[str]
@@ -105,8 +100,9 @@ def _bytes_lemma(parts):
 
 def load_vector_space(source, lemmas=None) -> VectorSpace:
     """Load whitespace-separated text vectors, optionally preceded by a
-    ``<rows> <dims>`` header line.  Lemmas are NFC-normalized; a duplicate
-    lemma overwrites the previous one and is counted.
+    ``<rows> <dims>`` header line; ``<rows>`` counts every row, the rows
+    not in ``lemmas`` and duplicates included.  Lemmas are NFC-normalized;
+    a duplicate lemma overwrites the previous one and is counted.
 
     One streaming read judges every line in file order: it stops at the
     first undecodable line or lemma without components, and streams the
@@ -129,10 +125,10 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
     names = []  # the lemma of every row
     kept = []  # the lemma of every row parsed
     linenos = []  # the line number of every row parsed
-    declared = fault = None
+    header = fault = None  # header: line 1's (rows, dims), if it is one
 
     def bodies(lines):
-        nonlocal declared, fault
+        nonlocal header, fault
         for lineno, raw in enumerate(lines, start=1):
             parts = raw.split(None, 1)
             if not parts:
@@ -149,7 +145,7 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
                     fault = f"line {lineno}: invalid UTF-8"
                     return
                 if lineno == 1 and _is_header(line.split()):
-                    declared = int(line.split()[1])
+                    header = tuple(map(int, line.split()))
                     continue
                 lemma = parts[0]
             if len(parts) == 1:
@@ -167,6 +163,7 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
         rows = bodies(_lines(handle))
         # an empty input would make numpy warn, not raise
         head = next(rows, None)
+        declared = header and header[1]  # line 1 is read by now
         try:
             matrix = (
                 _parse_components(itertools.chain([head], rows)) if head else np.empty((0, declared or 0))
@@ -181,6 +178,9 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
     ):
         # the rows parsed all come before the line that stopped the read
         fault = _first_component_fault(source, linenos, declared) or fault
+    if not fault and header and (excess := header[0] - len(names)):
+        more = "more" if excess > 0 else "fewer"
+        fault = f"line 1: header declares {abs(excess)} row(s) {more} than the file holds"
     if fault or matrix is None or not names:
         raise VectorSpaceError(fault or "no vectors found")
     return VectorSpace(
@@ -266,11 +266,5 @@ def centroid_similarities(lemmas, space: VectorSpace, verb: str, group: str) -> 
         zero = next(lemma for lemma in included if not np.any(space.vectors[lemma]))
         raise UndefinedSimilarityError(f"{verb}/{group}: {zero} has a zero vector") from None
     similarities = [cosine_similarity(space.vectors[lemma], center) for lemma in included]
-    return SimilarityDistribution(
-        verb=verb,
-        group=group,
-        similarities=similarities,
-        included_lemmas=included,
-        oov_lemmas=oov,
-    )
+    return SimilarityDistribution(similarities=similarities, included_lemmas=included, oov_lemmas=oov)
 

@@ -212,7 +212,7 @@ def test_criterion_7_synthetic_case_study(tmp_path):
     by_verb = {c.verb: c for c in result.comparisons}
     tight = by_verb[synthetic_case.TIGHT_VERB]
     assert tight.ks.p_value < 0.05
-    assert tight.median_formulaic != tight.median_baseline
+    assert tight.boxes[0]["median"] != tight.boxes[1]["median"]
     same = by_verb[synthetic_case.SAME_VERB]
     assert same.ks.d_statistic <= 0.2
     assert same.stars == ""

@@ -264,7 +264,7 @@ def test_run_case_study_synthetic(tmp_path):
     assert tight.oov_counts == (1, 0)
     assert tight.ks.p_value < 0.05
     assert tight.stars == "**"
-    assert tight.median_formulaic != tight.median_baseline
+    assert tight.boxes[0]["median"] != tight.boxes[1]["median"]
     assert same.ks.d_statistic == 0.0
     assert same.ks.p_value == 1.0
     assert same.stars == ""

@@ -1,7 +1,9 @@
 import codecs
+import csv
 import dataclasses
 import errno
 import gc
+import importlib
 import inspect
 import json
 import random
@@ -17,9 +19,13 @@ import pytest
 import grcvalency.cli as cli
 import grcvalency.lexicon as lexicon_module
 from grcvalency import Lexicon, __version__, extract_entries, parse_treebank_file, read_lexicon
-from grcvalency.casestudy import DEFAULT_EPIC_WORKS, OUTPUT_NAMES, CaseStudyConfig
+from grcvalency.casestudy import (
+    BASELINE, DEFAULT_EPIC_WORKS, FORMULAIC, OUTPUT_NAMES, CaseStudyConfig,
+)
 from grcvalency.cli import main
 from grcvalency.frames import write_lexicon
+from grcvalency.semantics import centroid_similarities
+from grcvalency.stats import summarize
 
 import synthetic_case
 from conftest import CORPUS_DIR, DATA_DIR, GOLDEN_LEXICON, MANIFEST_FILE
@@ -835,6 +841,39 @@ _FAULTY_XML = """<treebank author="Homer" title="Odyssey">
 """
 
 
+@pytest.mark.parametrize("seed", [None, 7], ids=["synthetic", "bench seed 7"])
+def test_table6_takes_its_medians_from_fig2_and_its_variances_from_summarize(
+    tmp_path, monkeypatch, seed
+):
+    if seed is None:
+        config_path = _write_case_files(tmp_path)
+    else:
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        config_path = importlib.import_module("inputs").build_casestudy(seed, tmp_path)["config"]
+    runs = []
+
+    def spy(config, selection, space, _real=cli.run_case_study):
+        runs.append((selection, space))
+        return _real(config, selection, space)
+
+    monkeypatch.setattr(cli, "run_case_study", spy)
+    assert main(["casestudy", "--config", str(config_path)]) == 0
+    [(selection, space)] = runs
+    types = {selected.verb: (selected.epic_types, selected.baseline_types)
+             for selected in selection.verbs}
+    table6 = (tmp_path / "out" / "table6.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    with (tmp_path / "out" / "fig2_boxplot.csv").open(encoding="utf-8", newline="") as handle:
+        medians = {(row[0], row[1]): row[4] for row in list(csv.reader(handle))[1:]}
+    assert len(table6) >= 2 and len(medians) == 2 * len(table6)
+    for verb, *columns in (row.split("\t") for row in table6):
+        for group, lemmas, median, variance in zip(
+            (FORMULAIC, BASELINE), types[verb], columns[0:2], columns[2:4]
+        ):
+            assert median == medians[verb, group]
+            similarities = centroid_similarities(lemmas, space, verb, group).similarities
+            assert variance == format(summarize(similarities)["variance"], ".12g")
+
+
 def _case_outputs(out_dir):
     names = ("table5.tsv", "table6.tsv", "fig2_boxplot.csv", "run.log")
     return {name: (out_dir / name).read_bytes() for name in names}
@@ -1245,6 +1284,33 @@ def test_a_side_file_names_its_first_fault_in_file_order(tmp_path, capsys):
     path.write_bytes(b"lo/gos\nlo/gos?\n" + b"lo/gos\n" * 20000 + b"\xff\n")
     assert main(["betacode", "--file", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+@pytest.mark.parametrize("side_file", ["batch", "manifest", "config", "spans"])
+def test_a_short_side_file_names_its_first_fault_before_a_bad_byte(tmp_path, capsys, side_file):
+    # the fault and the byte fall in one decoder chunk
+    path = tmp_path / "side.txt"
+    if side_file == "batch":
+        path.write_bytes(b"lo/gos\nlo/gos?\n\xff\n")
+        argv, message = ["betacode", "--file", str(path)], "line 2: "
+    elif side_file == "manifest":
+        path.write_bytes(b"a.xml\tHomer\n\xff\n")
+        argv = ["extract", str(CORPUS_DIR), "--manifest", str(path), "-o", str(tmp_path / "l.tsv")]
+        message = "manifest line 1: expected 3 tab-separated fields"
+    elif side_file == "config":
+        path.write_bytes(b"# case\nmin_epic_tokens\n\xff\n")
+        argv, message = ["casestudy", "--config", str(path)], "config line 2: expected key=value"
+    else:
+        path.write_bytes(b"1\t2\t3\n\xff\n")
+        config_path = _write_case_files(tmp_path)
+        config = [line for line in config_path.read_text(encoding="utf-8").splitlines()
+                  if not line.startswith("formula_span_path")]
+        config_path.write_text("\n".join([*config, f"formula_span_path = {path}"]) + "\n",
+                               encoding="utf-8")
+        argv = ["casestudy", "--config", str(config_path)]
+        message = "span file line 1: expected 2 tab-separated fields"
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_extract_and_casestudy_write_the_manifest_last(tmp_path, monkeypatch):

@@ -84,3 +84,39 @@ def test_read_lines_streams_the_rows_before_a_later_undecodable_byte(tmp_path):
     with pytest.raises(UnicodeDecodeError) as info:
         list(lines)
     assert info.value.start == len(codecs.BOM_UTF8) + 6 + CHUNK * 2
+
+
+def _complete_rows(text):
+    """The rows of ``text`` that a line break ends."""
+    return [row.splitlines()[0] for row in text.splitlines(keepends=True) if row.splitlines()[0] != row]
+
+
+@pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "marked"])
+def test_the_rows_ending_before_an_undecodable_byte_come_before_its_error(tmp_path, mark):
+    path = tmp_path / "input.txt"
+    rng = random.Random(20261021)
+    cases = [
+        _at_chunk_end(mark, b"\n\xff"),  # the byte ends the first chunk
+        _at_chunk_end(mark, b"\xff\n"),  # the byte ends the first chunk, its row's break beyond
+        _at_chunk_end(mark, b"\r\xff"),
+        _at_chunk_end(mark, b"\x1c\xff"),
+        _at_chunk_end(mark, b"\r\n\xff"),  # \r\n cut by the chunk end
+        mark + b"lo/gos\nlo/gos?\n\xff\n",
+        mark + b"a\rb\x1cc\xe2\x80\xa8d\r\n\xce",
+        mark + b"\xff",
+        mark + b"first\n" + b"x" * CHUNK * 3 + b"\nlast\n\xff",
+    ]
+    while len(cases) < 150:
+        pieces = [rng.choice(PIECES) for _ in range(rng.randrange(0, 3000))]
+        pieces.insert(rng.randrange(len(pieces) + 1), rng.choice(BAD))
+        cases.append(mark + b"".join(pieces))
+    for data in cases:
+        path.write_bytes(data)
+        expected = _expected(data)
+        if not isinstance(expected, tuple):  # the bad byte joined a valid sequence
+            continue
+        rows = []
+        with pytest.raises(UnicodeDecodeError) as info:
+            rows.extend(read_lines(path))
+        assert (info.value.start, info.value.end, info.value.reason) == expected
+        assert rows == _complete_rows(data[: info.value.start].decode("utf-8-sig")), data[:40]

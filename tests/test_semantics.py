@@ -251,7 +251,7 @@ def test_only_a_component_fault_reads_the_file_again(tmp_path, monkeypatch, faul
     assert opened == [path] * opens
 
 
-@pytest.mark.parametrize("content", ["", "\n \n", "2 3\n", "2 3\n\n\t\n"])
+@pytest.mark.parametrize("content", ["", "\n \n", "0 3\n", "0 3\n\n\t\n"])
 def test_no_vectors_raises_without_numpy_warning(tmp_path, content):
     path = tmp_path / "empty.txt"
     path.write_text(content, encoding="utf-8")
@@ -259,6 +259,39 @@ def test_no_vectors_raises_without_numpy_warning(tmp_path, content):
         warnings.simplefilter("error")
         with pytest.raises(VectorSpaceError, match="^no vectors found$"):
             load_vector_space(path)
+
+
+def _header_fault(path, lemmas=None):
+    with pytest.raises(VectorSpaceError) as caught:
+        load_vector_space(path, lemmas)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("lemmas", [None, {"\u03b1"}, set()])
+@pytest.mark.parametrize("header,count", [("3 2", "1 row(s) more"), ("100 2", "98 row(s) more"),
+                                          ("1 2", "1 row(s) fewer")])
+def test_a_header_must_count_every_row(tmp_path, lemmas, header, count):
+    path = tmp_path / "space.txt"
+    path.write_text(f"{header}\n\u03b1 1 0\n\u03b2 0 1\n", encoding="utf-8")
+    assert _header_fault(path, lemmas) == f"line 1: header declares {count} than the file holds"
+
+
+def test_a_header_counts_duplicates_and_not_blank_lines(tmp_path):
+    path = tmp_path / "space.txt"
+    path.write_text("3 2\n\u03b1 1 0\n\n \n\u03b1 0 1\r\n\u03b2 1 1\n\n", encoding="utf-8")
+    space = load_vector_space(path)
+    assert (len(space), space.duplicate_count) == (2, 1)
+    path.write_text("2 2\n\u03b1 1 0\n\n\u03b1 0 1\n\u03b2 1 1\n", encoding="utf-8")
+    assert _header_fault(path) == "line 1: header declares 1 row(s) fewer than the file holds"
+
+
+@pytest.mark.parametrize("content", ["2 3\n", "2 3\n\n\t\n"])
+def test_a_header_without_rows_raises_without_numpy_warning(tmp_path, content):
+    path = tmp_path / "empty.txt"
+    path.write_text(content, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _header_fault(path) == "line 1: header declares 2 row(s) more than the file holds"
 
 
 def test_lemma_only_file_raises_without_numpy_warning(tmp_path):
@@ -356,7 +389,7 @@ def test_fuzzed_files_load_or_raise_vector_space_error(tmp_path):
 @pytest.mark.parametrize("fault", list(_FAULTS))
 def test_a_selective_load_judges_components_only_in_the_rows_it_reads(tmp_path, fault):
     good = b"\xce\xb1 0.5 1 2"
-    line1 = b"6 3" if fault == "header_width" else good
+    line1 = b"3 3" if fault == "header_width" else good
     path = tmp_path / "faults.txt"
     path.write_bytes(b"\n".join([line1, good, _FAULTS[fault][0], b"\xce\xb4 1 2 3"]) + b"\n")
     if fault in ("lemma_only", "invalid_utf8"):  # judged on every line
@@ -372,17 +405,23 @@ def test_a_selective_load_judges_components_only_in_the_rows_it_reads(tmp_path, 
 def _blank_unselected(data, wanted):
     """``data`` with each row whose lemma is not in ``wanted`` made blank,
     except the rows judged on every line: undecodable ones and lemmas
-    without components.  A selective load must read it as a full load."""
+    without components; a header's row count is lowered by the rows
+    blanked.  A selective load must read it as a full load."""
     lines = data.splitlines(keepends=True)
+    header, blanked = None, 0
     for index, line in enumerate(lines):
         try:
-            text = line.decode("utf-8")
+            text = line.decode("utf-8-sig" if index == 0 else "utf-8")
         except UnicodeDecodeError:
             continue
         parts = text.split(None, 1)
-        if len(parts) == 2 and not (index == 0 and _is_header(text.split())):
-            if unicodedata.normalize("NFC", parts[0]) not in wanted:
-                lines[index] = b"\n"
+        if index == 0 and _is_header(text.split()):
+            header = text.split()
+        elif len(parts) == 2 and unicodedata.normalize("NFC", parts[0]) not in wanted:
+            lines[index] = b"\n"
+            blanked += 1
+    if header:
+        lines[0] = f"{int(header[0]) - blanked} {header[1]}\n".encode("utf-8")
     return b"".join(lines)
 
 
