@@ -386,8 +386,8 @@ _READERS = {str: lambda key, value: value, int: _parse_int, tuple: _parse_works,
 def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
     """Parse a key=value config file; explicit overrides win over the file.
     Each key is a :class:`CaseStudyConfig` field, read by the field's type,
-    and may be given once in the file; an override is a ``str``, or an
-    ``int`` for an ``int`` field."""
+    and may be given once in the file; an override is read as the file's
+    value is."""
     raw: dict = {}
     first_lines = {}  # key -> the line that gives it
     for lineno, line in enumerate(read_lines(source), start=1):

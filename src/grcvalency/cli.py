@@ -19,13 +19,7 @@ from . import __version__
 from .betacode import beta_to_unicode
 from .frames import FORMAT_VERSION, extract_entries, lexicon_lines, write_lexicon
 from .output import read_lines, write_atomic
-from .treebank import (
-    LAYOUT_BREAK,
-    TreebankParseError,
-    load_manifest,
-    parse_treebank_file,
-    validate_sentence,
-)
+from .treebank import LAYOUT_BREAK, load_manifest, parse_treebank_file, validate_sentence
 
 # what stats, query, constructions and casestudy call; the package serves
 # each from the numpy module that holds it, which loads only with these commands
@@ -38,15 +32,16 @@ _NUMPY_NAMES = (
 # query_entries' filters, each also a --flag of the query command
 _QUERY_FILTERS = ("verb", "author", "title", "voice", "frame_contains", "realization", "mediator")
 
-# casestudy's flags that override a config key: (flag, key, type)
+# casestudy's flags that override a config key: (flag, key); load_config
+# reads a flag's value as it reads the file's
 _CASESTUDY_OVERRIDES = (
-    ("--treebank-dir", "treebank_dir", str),
-    ("--lexicon", "lexicon_path", str),
-    ("--vectors", "vector_space_path", str),
-    ("--spans", "formula_span_path", str),
-    ("--output-dir", "output_dir", str),
-    ("--min-epic-tokens", "min_epic_tokens", int),
-    ("--min-object-types", "min_object_types", int),
+    ("--treebank-dir", "treebank_dir"),
+    ("--lexicon", "lexicon_path"),
+    ("--vectors", "vector_space_path"),
+    ("--spans", "formula_span_path"),
+    ("--output-dir", "output_dir"),
+    ("--min-epic-tokens", "min_epic_tokens"),
+    ("--min-object-types", "min_object_types"),
 )
 
 
@@ -139,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     casestudy = sub.add_parser("casestudy", help="run the formulaic-vs-baseline comparison")
     casestudy.add_argument("--config", required=True)
-    for flag, key, type_ in _CASESTUDY_OVERRIDES:
-        casestudy.add_argument(flag, dest=key, type=type_)
+    for flag, key in _CASESTUDY_OVERRIDES:
+        casestudy.add_argument(flag, dest=key)
     casestudy.set_defaults(func=cmd_casestudy)
 
     betacode = sub.add_parser("betacode", help="transcode Beta Code to Unicode Greek")
@@ -156,27 +151,18 @@ def _load_corpus(directory: Path, manifest_path, report_rows, parsed_paths):
     name order, and yield each valid tree of each file that parsed.  Appends
     report rows ``(file, sentence_id, kind, detail)`` for unusable files, skipped
     words and excluded sentences to ``report_rows``, and the paths that parsed to
-    ``parsed_paths``; both are complete once the stream is exhausted.  A document
-    author or title holding a tab or line break fails its file, and such a subdoc
-    excludes its sentence: the lexicon's TSV could not hold them.  Bad data is
-    excluded and reported, never repaired; only an unreadable metadata manifest
-    raises."""
+    ``parsed_paths``; both are complete once the stream is exhausted.  A file that
+    cannot be read or that ``parse_treebank_file`` rejects (malformed XML, or an
+    author or title the lexicon's TSV could not hold) is reported as a
+    ``file_error``.  Bad data is excluded and reported, never repaired; only an
+    unreadable metadata manifest raises."""
     meta = load_manifest(manifest_path) if manifest_path else {}
     for path in sorted(directory.glob("*.xml")):
         try:
             data = path.read_bytes()
             file_trees, issues = parse_treebank_file(data, fallback_meta=meta.get(path.name))
-        except (OSError, TreebankParseError) as exc:
+        except (OSError, ValueError) as exc:
             report_rows.append((path.name, "", "file_error", str(exc)))
-            continue
-        # every tree of a file carries the document's author and title
-        broken = file_trees and [
-            f"{name} {value!r} would corrupt the TSV layout"
-            for name, value in (("author", file_trees[0].author), ("title", file_trees[0].title))
-            if LAYOUT_BREAK.search(value)
-        ]
-        if broken:
-            report_rows.append((path.name, "", "file_error", "; ".join(broken)))
             continue
         parsed_paths.append(path)
         for issue in issues:
@@ -354,7 +340,7 @@ def cmd_constructions(args) -> int:
 
 def cmd_casestudy(args) -> int:
     _bind_numpy_names()
-    overrides = {key: getattr(args, key) for _, key, _ in _CASESTUDY_OVERRIDES}
+    overrides = {key: getattr(args, key) for _, key in _CASESTUDY_OVERRIDES}
     config = load_config(args.config, overrides=overrides)
     for key in ("treebank_dir", "lexicon_path", "vector_space_path", "formula_span_path"):
         if not getattr(config, key):

@@ -55,14 +55,16 @@ class SimilarityDistribution:
     oov_lemmas: list[str]
 
 
-def _is_header(parts) -> bool:
-    if len(parts) != 2:
-        return False
+def _header(line):
+    """Line 1's ``(rows, dims)`` when its text is two integers, else None;
+    raises unless they declare 0 or more rows of 1 or more components."""
     try:
-        int(parts[0]), int(parts[1])
-    except ValueError:
-        return False
-    return True
+        rows, dims = map(int, line.decode("utf-8", "surrogateescape").split())
+    except ValueError:  # not two integers
+        return None
+    if rows < 0 or dims < 1:
+        raise VectorSpaceError(f"line 1: header needs 0+ rows of 1+ components, got {rows} {dims}")
+    return rows, dims
 
 
 def _parse_components(lines):
@@ -104,7 +106,9 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
     not in ``lemmas`` and duplicates included.  Lemmas are NFC-normalized;
     a duplicate lemma overwrites the previous one and is counted.
 
-    One streaming read judges every line in file order: it stops at the
+    Line 1 is a header when its text is two integers, judged before any
+    row: 0 or more rows of 1 or more components.  One streaming read then
+    judges every line in file order: it stops at the
     first undecodable line or lemma without components, and streams the
     components of the rows whose lemma is in ``lemmas`` (all rows when it
     is None) into one float64 matrix whose rows are the vectors.  Only
@@ -116,7 +120,7 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
     cut into lines where text mode would cut it.  A line whose lemma is
     printable UTF-8 and whose components are ASCII is split on its bytes;
     only its lemma, and the components of a row parsed, are decoded.  Every
-    other line is decoded whole and split as text: line 1, a lemma that is
+    other line is decoded whole and split as text: a lemma that is
     not printable UTF-8, components that are not ASCII, and components that
     start with one of ``\\x1c``-``\\x1f``, which ``str.split`` takes for
     whitespace and ``bytes.split`` does not.  Either way a line gives the
@@ -125,28 +129,23 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
     names = []  # the lemma of every row
     kept = []  # the lemma of every row parsed
     linenos = []  # the line number of every row parsed
-    header = fault = None  # header: line 1's (rows, dims), if it is one
+    fault = None
 
     def bodies(lines):
-        nonlocal header, fault
+        nonlocal fault
         for lineno, raw in enumerate(lines, start=1):
             parts = raw.split(None, 1)
             if not parts:
                 continue
-            lemma = _bytes_lemma(parts) if lineno > 1 else None
+            lemma = _bytes_lemma(parts)
             if lemma is None:
                 line = raw.decode("utf-8", "surrogateescape")
                 parts = line.split(None, 1)
                 if not parts:
                     continue
-                # a printable lemma and ASCII components hold no escaped byte
-                printable = parts[0].isprintable() and parts[-1].isascii()
-                if not printable and _ESCAPED_BYTE.search(line):
+                if _ESCAPED_BYTE.search(line):
                     fault = f"line {lineno}: invalid UTF-8"
                     return
-                if lineno == 1 and _is_header(line.split()):
-                    header = tuple(map(int, line.split()))
-                    continue
                 lemma = parts[0]
             if len(parts) == 1:
                 fault = f"line {lineno}: lemma without components"
@@ -160,10 +159,14 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
                 yield components.decode("ascii") if isinstance(components, bytes) else components
 
     with open(source, "rb", buffering=_READ_BUFFER) as handle:
-        rows = bodies(_lines(handle))
+        lines = _lines(handle)
+        first = next(lines, b"")
+        header = _header(first)
+        # a header is read as a blank line, so the rows keep their line numbers
+        rows = bodies(itertools.chain([b"" if header else first], lines))
         # an empty input would make numpy warn, not raise
         head = next(rows, None)
-        declared = header and header[1]  # line 1 is read by now
+        declared = header and header[1]
         try:
             matrix = (
                 _parse_components(itertools.chain([head], rows)) if head else np.empty((0, declared or 0))
@@ -263,7 +266,8 @@ def centroid_similarities(lemmas, space: VectorSpace, verb: str, group: str) -> 
     try:
         center = centroid([space.vectors[lemma] for lemma in included])
     except UndefinedSimilarityError:
-        zero = next(lemma for lemma in included if not np.any(space.vectors[lemma]))
+        # centroid's own test: a length of 0, all zeros or squares that underflow
+        zero = next(lemma for lemma in included if not np.linalg.norm(space.vectors[lemma]))
         raise UndefinedSimilarityError(f"{verb}/{group}: {zero} has a zero vector") from None
     similarities = [cosine_similarity(space.vectors[lemma], center) for lemma in included]
     return SimilarityDistribution(similarities=similarities, included_lemmas=included, oov_lemmas=oov)

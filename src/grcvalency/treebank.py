@@ -170,7 +170,9 @@ def parse_treebank_file(
     dropped once its words are read, so a file's element tree is never
     held whole.  The trees are built when the document has ended, so a
     malformed file gives none.  Malformed XML, and an encoding declaration
-    the parser cannot read, raise ``TreebankParseError``.
+    the parser cannot read, raise ``TreebankParseError``; a document with
+    sentences whose author or title holds a tab or line break, which the
+    lexicon's TSV cannot hold, raises a plain ``ValueError``.
     """
     sentences = []  # (sentence_id, subdoc, nodes) until the document's metadata is known
     issues = []
@@ -202,6 +204,13 @@ def parse_treebank_file(
         raise TreebankParseError(f"unusable encoding: {exc}", 0) from None
 
     author, title = _document_meta(root, fallback_meta)
+    broken = sentences and [
+        f"{name} {value!r} would corrupt the TSV layout"
+        for name, value in (("author", author), ("title", title))
+        if LAYOUT_BREAK.search(value)
+    ]
+    if broken:
+        raise ValueError("; ".join(broken))
     trees = [
         SentenceTree(sentence_id, subdoc, author, title, nodes)
         for sentence_id, subdoc, nodes in sentences

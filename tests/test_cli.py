@@ -821,6 +821,36 @@ def test_casestudy_manifest_records_every_setting(tmp_path):
     assert recorded["variance_convention"] == "sample (n-1)"
 
 
+@pytest.mark.parametrize("flag,key", [("--min-epic-tokens", "min_epic_tokens"),
+                                      ("--min-object-types", "min_object_types")])
+def test_a_threshold_flag_is_read_as_the_config_file_reads_it(tmp_path, capsys, flag, key):
+    config_path = _write_case_files(tmp_path)
+    assert main(["casestudy", "--config", str(config_path), flag, "x"]) == 1
+    from_flag = capsys.readouterr()
+    with config_path.open("a", encoding="utf-8") as handle:
+        handle.write(f"{key} = x\n")
+    assert main(["casestudy", "--config", str(config_path)]) == 1
+    from_file = capsys.readouterr()
+    assert from_flag.err == from_file.err == f"error: {key} must be an integer, got 'x'\n"
+    assert from_flag.out == from_file.out == ""
+
+
+def test_casestudy_drops_a_verb_whose_vector_has_a_length_of_zero(tmp_path, capsys):
+    # 1e-200 squared underflows: the vector is not all zeros, yet has no direction
+    config_path = _write_case_files(tmp_path)
+    vectors = tmp_path / "vectors.txt"
+    lemma = synthetic_case.TIGHT_EPIC_TYPES[0]
+    lines = vectors.read_text(encoding="utf-8").splitlines(keepends=True)
+    (index,) = [i for i, line in enumerate(lines) if line.split()[0] == lemma]
+    lines[index] = lemma + " 1e-200" * (len(lines[index].split()) - 1) + "\n"
+    vectors.write_text("".join(lines), encoding="utf-8")
+    assert main(["casestudy", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().err == ""
+    verb = synthetic_case.TIGHT_VERB
+    log = (tmp_path / "out" / "run.log").read_text(encoding="utf-8").splitlines()
+    assert f"drop\t{verb}\tzero_vector\t{verb}/formulaic: {lemma} has a zero vector" in log
+
+
 def test_casestudy_missing_paths_is_usage_error(tmp_path, capsys):
     config_path = tmp_path / "bare.conf"
     config_path.write_text("output_dir = out\n", encoding="utf-8")

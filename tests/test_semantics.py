@@ -16,7 +16,6 @@ from grcvalency.semantics import (
     UndefinedSimilarityError,
     VectorSpace,
     VectorSpaceError,
-    _is_header,
     centroid,
     centroid_similarities,
     cosine_similarity,
@@ -96,10 +95,24 @@ def test_only_line_one_can_be_the_header(tmp_path):
         load_vector_space(path)
 
 
+def _reference_header(text):
+    """The two integers of a line that is two integers, else None."""
+    parts = text.split()
+    try:
+        return (int(parts[0]), int(parts[1])) if len(parts) == 2 else None
+    except ValueError:
+        return None
+
+
+def _bad_header(header):
+    return header[0] < 0 or header[1] < 1
+
+
 def _reference_load(path):
     """The loader as it was before the bulk parse: one Python float() per
-    component, one array per line, with a leading byte order mark dropped.
-    Returns (dimension, vectors, duplicates)."""
+    component, one array per line, with a leading byte order mark dropped,
+    and line 1 a header of 0 or more rows of 1 or more components when it
+    is two integers.  Returns (dimension, vectors, duplicates)."""
     vectors = {}
     dimension = None
     declared = None
@@ -109,14 +122,13 @@ def _reference_load(path):
             parts = line.split()
             if not parts:
                 continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0])
-                    declared = int(parts[1])
-                except ValueError:
-                    pass
-                else:
-                    continue
+            if lineno == 1 and (header := _reference_header(line)):
+                if _bad_header(header):
+                    raise ValueError(
+                        f"line 1: header needs 0+ rows of 1+ components, got {header[0]} {header[1]}"
+                    )
+                declared = header[1]
+                continue
             lemma = unicodedata.normalize("NFC", parts[0])
             try:
                 vector = np.array([float(x) for x in parts[1:]], dtype=float)
@@ -276,6 +288,16 @@ def test_a_header_must_count_every_row(tmp_path, lemmas, header, count):
     assert _header_fault(path, lemmas) == f"line 1: header declares {count} than the file holds"
 
 
+@pytest.mark.parametrize("lemmas", [None, set(), {"\u03b1"}])
+@pytest.mark.parametrize("header", ["2 -3", "2 0", "-2 3"])
+@pytest.mark.parametrize("later", [b"", b"\xff 1 2 3\n"])
+def test_a_header_must_declare_a_count_and_a_width(tmp_path, lemmas, header, later):
+    # judged at line 1, before any row: a bad byte further on does not win
+    path = tmp_path / "space.txt"
+    path.write_bytes(f"{header}\n\u03b1 1 2 3\n\u03b2 4 5 6\n".encode() + later)
+    assert _header_fault(path, lemmas) == f"line 1: header needs 0+ rows of 1+ components, got {header}"
+
+
 def test_a_header_counts_duplicates_and_not_blank_lines(tmp_path):
     path = tmp_path / "space.txt"
     path.write_text("3 2\n\u03b1 1 0\n\n \n\u03b1 0 1\r\n\u03b2 1 1\n\n", encoding="utf-8")
@@ -405,8 +427,9 @@ def test_a_selective_load_judges_components_only_in_the_rows_it_reads(tmp_path, 
 def _blank_unselected(data, wanted):
     """``data`` with each row whose lemma is not in ``wanted`` made blank,
     except the rows judged on every line: undecodable ones and lemmas
-    without components; a header's row count is lowered by the rows
-    blanked.  A selective load must read it as a full load."""
+    without components; a sound header's row count is lowered by the rows
+    blanked, and a bad one is kept, being the file's fault.  A selective
+    load must read it as a full load."""
     lines = data.splitlines(keepends=True)
     header, blanked = None, 0
     for index, line in enumerate(lines):
@@ -415,13 +438,13 @@ def _blank_unselected(data, wanted):
         except UnicodeDecodeError:
             continue
         parts = text.split(None, 1)
-        if index == 0 and _is_header(text.split()):
-            header = text.split()
+        if index == 0 and _reference_header(text):
+            header = _reference_header(text)
         elif len(parts) == 2 and unicodedata.normalize("NFC", parts[0]) not in wanted:
             lines[index] = b"\n"
             blanked += 1
-    if header:
-        lines[0] = f"{int(header[0]) - blanked} {header[1]}\n".encode("utf-8")
+    if header and not _bad_header(header):
+        lines[0] = f"{header[0] - blanked} {header[1]}\n".encode("utf-8")
     return b"".join(lines)
 
 
@@ -510,6 +533,13 @@ def test_cosine_errors():
         cosine_similarity([0, 0], [1, 0])
     with pytest.raises(ValueError):
         cosine_similarity([1, 0], [1, 0, 0])
+
+
+def test_a_vector_whose_length_underflows_to_zero_is_named():
+    # not all zeros, but its squares underflow: centroid cannot unit-normalize it
+    space = VectorSpace(2, {"\u03b1": np.array([1.0, 0.0]), "\u03b2": np.array([1e-200, 1e-200])})
+    with pytest.raises(UndefinedSimilarityError, match="^φέρω/formulaic: β has a zero vector$"):
+        centroid_similarities(["\u03b1", "\u03b2"], space, "φέρω", "formulaic")
 
 
 def test_centroid_of_single_vector_is_it_normalized():

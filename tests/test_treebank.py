@@ -71,6 +71,27 @@ def test_fallback_metadata_used_when_xml_is_bare():
     assert (trees[0].author, trees[0].title) == ("Homer", "Odyssey")
 
 
+def test_a_document_field_that_would_break_the_tsv_rejects_the_file():
+    sentence = (
+        "<sentence id='1'><word id='1' form='a' lemma='a' postag='d-----' head='0' "
+        "relation='PRED'/></sentence>"
+    )
+    data = f'<treebank author="Homer&#10;X" title="Iliad">{sentence}</treebank>'.encode()
+    with pytest.raises(ValueError) as info:
+        parse_treebank_file(data)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "author 'Homer\\nX' would corrupt the TSV layout"
+    bare = f"<treebank>{sentence}</treebank>".encode()
+    with pytest.raises(ValueError) as info:
+        parse_treebank_file(bare, fallback_meta=("Homer\tX", "Il\u2028iad"))
+    assert str(info.value) == (
+        "author 'Homer\\tX' would corrupt the TSV layout; "
+        "title 'Il\\u2028iad' would corrupt the TSV layout"
+    )
+    # a document without sentences gives no row to corrupt
+    assert parse_treebank_file(b'<treebank author="Homer&#10;X" title="Iliad"/>') == ([], [])
+
+
 def test_empty_file_yields_no_trees():
     trees, issues = parse_treebank_file(b"<treebank/>")
     assert trees == [] and issues == []
