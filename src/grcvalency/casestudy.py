@@ -14,6 +14,7 @@ import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .frames import collect_arguments, identify_predicates, is_plain_object, parse_frame
 from .output import read_lines, write_atomic
@@ -46,8 +47,7 @@ _DROP_REASONS = {
 }
 
 
-@dataclass(frozen=True)
-class TrVObjPair:
+class TrVObjPair(NamedTuple):
     verb: str
     object: str
     sentence_id: int

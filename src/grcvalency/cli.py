@@ -81,6 +81,14 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _count(args, name: str) -> int:
+    """Count flag ``name``'s value; anything but a non-negative integer raises ``ValueError``."""
+    with contextlib.suppress(ValueError):
+        if (count := int(getattr(args, name))) >= 0:
+            return count
+    raise ValueError(f"--{name.replace('_', '-')} takes a non-negative count")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="grcvalency", description=__doc__)
     parser.add_argument(
@@ -111,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = stats.add_mutually_exclusive_group()
     group.add_argument("--basic", action="store_true")
     group.add_argument("--by-author", action="store_true")
-    group.add_argument("--frames", type=int, metavar="TOP_K")
+    group.add_argument("--frames", metavar="TOP_K")
     stats.set_defaults(func=cmd_stats)
 
     query = sub.add_parser("query", help="filter lexicon entries")
@@ -125,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     constructions.add_argument("lexicon")
     constructions.add_argument("--verb", required=True)
-    constructions.add_argument("--min-count", type=int, default=1)
-    constructions.add_argument("--min-authors", type=int, default=1)
+    constructions.add_argument("--min-count", default=1)
+    constructions.add_argument("--min-authors", default=1)
     constructions.add_argument(
         "--known-frames", help="file with one known frame per line; switches to diff output"
     )
@@ -280,16 +288,15 @@ def cmd_extract(args) -> int:
 
 def cmd_stats(args) -> int:
     _bind_numpy_names()
-    if args.frames is not None and args.frames < 0:
-        return _fail("--frames takes a non-negative count")
+    top_k = None if args.frames is None else _count(args, "frames")
     lexicon = read_lexicon(args.lexicon)
     if args.by_author:
         print("author\tentries")
         for author, count in stats_by_author(lexicon):
             print(f"{author}\t{count}")
-    elif args.frames is not None:
+    elif top_k is not None:
         print("frame\tcount")
-        for frame, count in frame_frequencies(lexicon, args.frames):
+        for frame, count in frame_frequencies(lexicon, top_k):
             print(f"{frame}\t{count}")
     else:
         print("metric\tvalue")
@@ -313,14 +320,10 @@ def cmd_query(args) -> int:
 
 def cmd_constructions(args) -> int:
     _bind_numpy_names()
-    for flag, value in (("--min-count", args.min_count), ("--min-authors", args.min_authors)):
-        if value < 0:
-            return _fail(f"{flag} takes a non-negative count")
+    min_count, min_authors = _count(args, "min_count"), _count(args, "min_authors")
     lexicon = read_lexicon(args.lexicon)
     verb = _nfc(args.verb)
-    records = constructions_for_verb(
-        lexicon, verb, min_count=args.min_count, min_authors=args.min_authors
-    )
+    records = constructions_for_verb(lexicon, verb, min_count=min_count, min_authors=min_authors)
     if args.known_frames:
         known = [_nfc(line.strip()) for line in read_lines(args.known_frames) if line.strip()]
         only_lexicon, only_known = diff_constructions(lexicon, verb, known)

@@ -19,9 +19,9 @@ rejects a field holding a tab or a line break.
 
 import re
 import unicodedata
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
+from typing import NamedTuple
 
 from .output import write_atomic
 from .postag import UNSPECIFIED
@@ -55,8 +55,7 @@ class LexiconFormatError(ValueError):
         self.row_errors = row_errors or []
 
 
-@dataclass(frozen=True)
-class FrameElement:
+class FrameElement(NamedTuple):
     """One element of a frame, ``(mediator)LABEL[realization]{filler}``.
 
     The mediator is the lemma of the first preposition or conjunction on
@@ -78,12 +77,18 @@ class FrameElement:
         return f"{prefix}{self.label}[{self.realization}]"
 
 
-@dataclass(frozen=True)
-class ArgumentSlot(FrameElement):
+class ArgumentSlot(NamedTuple):
     """A frame element found in a tree, with where its filler sits."""
 
+    mediator: str | None
+    label: str
+    realization: str
+    filler: str | None
     filler_token_id: int
     surface_position: int
+    # shared, as a named tuple cannot extend FrameElement
+    base_relation = FrameElement.base_relation
+    render = FrameElement.render
 
 
 def is_plain_object(element: FrameElement) -> bool:
@@ -136,8 +141,7 @@ def parse_frame(frame: str) -> tuple[str, tuple[FrameElement, ...]]:
     return voice, tuple([FrameElement(*match.groups()) for match in matches])
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     author: str
     title: str
     subdoc: str
@@ -151,7 +155,7 @@ class LexiconEntry:
 
 FORMAT_VERSION = "1"
 
-COLUMNS = tuple(field.name for field in fields(LexiconEntry))
+COLUMNS = tuple(LexiconEntry.__annotations__)
 FIGURE1_COLUMNS = tuple(c for c in COLUMNS if c != "root_id")
 
 

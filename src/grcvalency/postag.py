@@ -7,8 +7,8 @@ The letter tables below follow the treebank annotation guidelines and are
 the documented alphabet; any other letter is a decode error.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 UNSPECIFIED = "unspecified"
 
@@ -103,8 +103,7 @@ class PostagError(ValueError):
         return f"{self.args[0]}: {self.char!r} at position {self.position}"
 
 
-@dataclass(frozen=True)
-class PosTag:
+class PosTag(NamedTuple):
     pos: str = UNSPECIFIED
     person: str = UNSPECIFIED
     number: str = UNSPECIFIED
@@ -134,7 +133,7 @@ class PosTag:
 def decode_postag(tag: str) -> PosTag:
     """Decode a 1-9 character positional tag, right-padding with '-'.
 
-    Cached per process, so every occurrence of a tag shares one frozen
+    Cached per process, so every occurrence of a tag shares one immutable
     :class:`PosTag`.  Errors are not cached.
     """
     if not 1 <= len(tag) <= 9:

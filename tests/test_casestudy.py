@@ -214,8 +214,7 @@ def test_build_baseline_matches_a_scan_of_the_entries(seed):
     rng = random.Random(seed)
     for size in (0, 1, 7, 60, 300):
         entries = [
-            dataclasses.replace(
-                entry,
+            entry._replace(
                 frame_fillers=",".join(
                     [entry.frame_fillers] + rng.sample(_BASELINE_DECOYS, rng.randint(0, 3))
                 ),

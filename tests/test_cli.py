@@ -650,6 +650,23 @@ def test_constructions_rejects_a_negative_threshold_before_reading_the_lexicon(
         assert capsys.readouterr() == ("", f"error: {flag} takes a non-negative count\n")
 
 
+@pytest.mark.parametrize("value", ["x", "-1", "1.5", ""])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["stats"], "--frames"),
+        (["constructions", "--verb", "φέρω"], "--min-count"),
+        (["constructions", "--verb", "φέρω"], "--min-authors"),
+    ],
+)
+def test_a_count_flag_rejects_every_bad_value_on_one_line(tmp_path, capsys, command, flag, value):
+    # a non-integer gets the negative count's line, not argparse's usage block
+    name, *rest = command
+    for lexicon in (tmp_path / "missing.tsv", GOLDEN_LEXICON):
+        assert main([name, str(lexicon), *rest, f"{flag}={value}"]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} takes a non-negative count\n")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

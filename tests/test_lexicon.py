@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import errno
 import inspect
 import itertools
@@ -179,7 +178,7 @@ def test_write_rejects_fields_that_break_the_layout(tmp_path):
         for field, value in itertools.product(
             COLUMNS, (f"{character}Persians", f"Per{character}sians", f"Persians{character}")
         ):
-            broken = dataclasses.replace(PUBLISHED_ENTRY, **{field: value})
+            broken = PUBLISHED_ENTRY._replace(**{field: value})
             for figure1_layout in (False, True):
                 if figure1_layout and field not in FIGURE1_COLUMNS:
                     continue  # root_id is not written in that layout
@@ -188,7 +187,7 @@ def test_write_rejects_fields_that_break_the_layout(tmp_path):
                 assert str(info.value) == f"field would corrupt the TSV layout: {value!r}"
     assert list(tmp_path.iterdir()) == []
     # a column the layout leaves out is not judged
-    broken = dataclasses.replace(PUBLISHED_ENTRY, root_id="7\t8")
+    broken = PUBLISHED_ENTRY._replace(root_id="7\t8")
     path = tmp_path / "fig1.tsv"
     write_lexicon([broken], path, figure1_layout=True)
     fig1 = tmp_path / "fig1_clean.tsv"
@@ -201,7 +200,7 @@ def test_a_late_layout_break_keeps_the_old_file_and_no_temp_file(tmp_path, chara
     # rows stream into the temp file, so the break is found after 4,999 are written
     entries = list(_random_lexicon(6000, seed=5))
     value = entries[4999].verb + character
-    entries[4999] = dataclasses.replace(entries[4999], verb=value)
+    entries[4999] = entries[4999]._replace(verb=value)
     path = tmp_path / "lexicon.tsv"
     write_lexicon(Lexicon([PUBLISHED_ENTRY]), path)
     old = path.read_bytes()
@@ -226,7 +225,7 @@ def test_write_lexicon_streams_rather_than_building_the_file(tmp_path):
 
 
 def test_columns_are_the_entry_fields_in_the_golden_header_order():
-    assert COLUMNS == tuple(field.name for field in dataclasses.fields(LexiconEntry))
+    assert COLUMNS == LexiconEntry._fields
     header = GOLDEN_LEXICON.read_text(encoding="utf-8").splitlines()[0]
     assert COLUMNS == tuple(header.split("\t"))
     assert FIGURE1_COLUMNS == tuple(name for name in COLUMNS if name != "root_id")
@@ -247,8 +246,7 @@ def test_a_rows_nfc_is_the_nfc_of_each_field(tmp_path):
         row = unicodedata.normalize("NFC", "\t".join(fields))
         assert row == "\t".join(unicodedata.normalize("NFC", f) for f in fields)
     # a row written from NFD fields is the row of their NFC forms
-    nfd = dataclasses.replace(
-        PUBLISHED_ENTRY,
+    nfd = PUBLISHED_ENTRY._replace(
         **{
             name: unicodedata.normalize("NFD", getattr(PUBLISHED_ENTRY, name))
             for name in ("subdoc", "verb", "frame", "frame_fillers")
@@ -887,16 +885,14 @@ def test_query_matches_brute_force_for_every_filter_subset():
 
 
 def _entry(verb, author, frame):
-    return dataclasses.replace(
-        PUBLISHED_ENTRY, verb=verb, author=author, voice="active", frame=frame
-    )
+    return PUBLISHED_ENTRY._replace(verb=verb, author=author, voice="active", frame=frame)
 
 
 def test_read_names_each_malformed_frame_at_its_first_line(tmp_path):
     # a frame_fillers string is judged by the same rule as a frame
     path = tmp_path / "frames.tsv"
-    bad_fillers = dataclasses.replace(
-        _entry("φέρω", "Homer", "active_OBJ[accusative]"), frame_fillers="active_OBJ[accusative]{"
+    bad_fillers = _entry("φέρω", "Homer", "active_OBJ[accusative]")._replace(
+        frame_fillers="active_OBJ[accusative]{"
     )
     _write_rows(
         path,
