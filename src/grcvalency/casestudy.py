@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .frames import collect_arguments, identify_predicates, is_plain_object, parse_frame
-from .output import read_lines, write_atomic
+from .output import content_rows, write_atomic
 from .semantics import (
     DegenerateCentroidError,
     InsufficientDataError,
@@ -138,9 +138,7 @@ def load_formula_spans(source) -> dict[int, frozenset[int]]:
     """Read ``sentence_id<TAB>token_ids`` (token ids comma-separated) into
     the token ids marked formulaic per sentence; a sentence's lines merge."""
     spans = {}
-    for lineno, line in enumerate(read_lines(source), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in content_rows(source):
         parts = line.split("\t")
         if lineno == 1 and parts[0] == "sentence_id":
             continue
@@ -390,11 +388,8 @@ def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
     value is."""
     raw: dict = {}
     first_lines = {}  # key -> the line that gives it
-    for lineno, line in enumerate(read_lines(source), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
+    for lineno, line in content_rows(source):
+        key, sep, value = line.strip().partition("=")
         if not sep:
             raise ValueError(f"config line {lineno}: expected key=value")
         key = key.strip()

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .betacode import beta_to_unicode
 from .frames import FORMAT_VERSION, extract_entries, lexicon_lines, write_lexicon
-from .output import read_lines, write_atomic
+from .output import content_rows, read_lines, write_atomic
 from .treebank import LAYOUT_BREAK, load_manifest, parse_treebank_file, validate_sentence
 
 # what stats, query, constructions and casestudy call; the package serves
@@ -325,7 +325,7 @@ def cmd_constructions(args) -> int:
     verb = _nfc(args.verb)
     records = constructions_for_verb(lexicon, verb, min_count=min_count, min_authors=min_authors)
     if args.known_frames:
-        known = [_nfc(line.strip()) for line in read_lines(args.known_frames) if line.strip()]
+        known = [_nfc(line.strip()) for _, line in content_rows(args.known_frames)]
         only_lexicon, only_known = diff_constructions(lexicon, verb, known)
         kept = {record.frame for record in records}
         only_lexicon = [record for record in only_lexicon if record.frame in kept]

@@ -11,19 +11,22 @@ A frame is a voice plus :class:`FrameElement`s, written by
 directions of the format live here, and :data:`FRAME_GRAMMAR` alone
 decides which strings are frames.
 
-So does the lexicon's write side: a UTF-8 TSV of :class:`LexiconEntry`'s
+So does the lexicon TSV, both ways: a UTF-8 file of :class:`LexiconEntry`'s
 fields, in order, or the published eight columns without root_id.
 :func:`lexicon_lines` writes both layouts and ``query``'s rows in NFC and
-rejects a field holding a tab or a line break.
+rejects a field holding a tab or a line break; :func:`read_entries` reads
+the full layout back and judges every row.
 """
 
+import collections
 import re
+import sys
 import unicodedata
 from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
-from .output import write_atomic
+from .output import read_lines, write_atomic
 from .postag import UNSPECIFIED
 from .treebank import LAYOUT_BREAK, SentenceTree, WordNode
 
@@ -118,7 +121,7 @@ def render_frame(voice: str, slots) -> tuple[str, str]:
     return voice + "_" + ",".join(elements), voice + "_" + ",".join(filler_elements)
 
 
-def frame_fault(frame: str) -> str:
+def _frame_fault(frame: str) -> str:
     """What is wrong with a string :data:`FRAME_GRAMMAR` rejects: no voice,
     ``_`` or element, or the first element that does not follow the layout."""
     voice, sep, rest = frame.partition("_")
@@ -132,9 +135,9 @@ def frame_fault(frame: str) -> str:
 def parse_frame(frame: str) -> tuple[str, tuple[FrameElement, ...]]:
     """Split a canonical frame (or frame_fillers) string into voice and
     elements.  :data:`FRAME_GRAMMAR` alone accepts or rejects it; a rejected
-    string raises :class:`LexiconFormatError` with its :func:`frame_fault`."""
+    string raises :class:`LexiconFormatError` with its fault."""
     if FRAME_GRAMMAR.fullmatch(frame) is None:
-        raise LexiconFormatError(frame_fault(frame))
+        raise LexiconFormatError(_frame_fault(frame))
     voice, _, rest = frame.partition("_")
     # the element pattern's groups are FrameElement's fields, in order
     matches = map(_ELEMENT_RE.fullmatch, rest.split(","))
@@ -180,6 +183,58 @@ def write_lexicon(lexicon, destination, figure1_layout: bool = False) -> int:
     """Stream the TSV through :func:`write_atomic` a row at a time; returns bytes written."""
     lines = lexicon_lines(lexicon, FIGURE1_COLUMNS if figure1_layout else COLUMNS)
     return write_atomic(destination, (line + "\n" for line in lines))
+
+
+def read_entries(source) -> list[LexiconEntry]:
+    """Read a lexicon TSV in the full layout, :data:`COLUMNS`.
+
+    The rows stream from :func:`~grcvalency.output.read_lines`, each is put
+    in NFC, and each author, title, verb, voice and frame value is
+    ``sys.intern``ed, so equal values are one string.  Empty rows are
+    skipped.  A malformed row rejects the whole file, and the error names
+    each faulty line in line order: a wrong column count, non-integer ids, or
+    a ``frame`` or ``frame_fillers`` string that :data:`FRAME_GRAMMAR`, the
+    rule :func:`parse_frame` reads by, rejects.  Each distinct string is
+    judged once, and a bad one is named at the first line that holds it.
+    """
+    rows = (unicodedata.normalize("NFC", line) for line in read_lines(source))
+    header = next(rows, None)
+    if header is None:
+        raise LexiconFormatError("empty lexicon file (missing header)")
+    header = tuple(header.split("\t"))
+    if header != COLUMNS:
+        collections.deque(rows, maxlen=0)  # an undecodable byte further on wins
+        raise LexiconFormatError(f"unexpected header {header!r}")
+    intern = sys.intern
+    entries = []
+    row_errors = []
+    first_lines = {}  # frame or frame_fillers string -> the first line that holds it
+    for lineno, line in enumerate(rows, start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(COLUMNS):
+            row_errors.append((lineno, f"expected {len(COLUMNS)} columns, got {len(fields)}"))
+            continue
+        author, title, subdoc, verb, voice, sentence_id, root_id, frame, fillers = fields
+        try:
+            sentence_id, root_id = int(sentence_id), int(root_id)
+        except ValueError:
+            row_errors.append((lineno, "sentence_id and root_id must be integers"))
+            continue
+        frame = intern(frame)
+        entries.append(LexiconEntry(
+            intern(author), intern(title), subdoc, intern(verb), intern(voice),
+            sentence_id, root_id, frame, fillers,
+        ))
+        first_lines.setdefault(frame, lineno)
+        first_lines.setdefault(fillers, lineno)
+    for text, lineno in first_lines.items():
+        if FRAME_GRAMMAR.fullmatch(text) is None:
+            row_errors.append((lineno, _frame_fault(text)))
+    if row_errors:
+        raise LexiconFormatError("lexicon file rejected", sorted(row_errors))
+    return entries
 
 
 @lru_cache(maxsize=None)

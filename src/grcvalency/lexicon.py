@@ -1,9 +1,9 @@
-"""The lexicon's read side: the TSV reader, aggregation tables, and queries.
+"""The lexicon's numpy columns, aggregation tables, and queries.
 
-The TSV layout and its writer live in :mod:`grcvalency.frames`, which
-imports no numpy, so ``extract`` never loads this module.
-:func:`read_lexicon` streams the file, puts every row in NFC and shares
-equal query-column strings.  Queries that need slot-level detail
+The TSV layout, its writer and its row reader live in
+:mod:`grcvalency.frames`, which imports no numpy, so ``extract`` never
+loads this module; :func:`read_lexicon` builds a :class:`Lexicon` from the
+entries that reader gives.  Queries that need slot-level detail
 (realization, mediator) parse the frame strings rather than re-deriving
 anything from the source treebank, so a lexicon file is self-sufficient.
 
@@ -14,19 +14,13 @@ filters, then on first use one ready (frame, count, authors) row per
 (verb, frame), ranked per verb, for the inventories.
 """
 
-import collections
-import sys
-import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
 
-from .frames import (
-    COLUMNS, FRAME_GRAMMAR, LexiconEntry, LexiconFormatError, frame_fault, parse_frame,
-)
-from .output import read_lines
+from .frames import LexiconEntry, parse_frame, read_entries
 
 
 @dataclass
@@ -50,9 +44,9 @@ class Lexicon:
     author, title, voice, frame and verb, each verb's rows in entry order,
     and one mask over frame codes per realization value and per mediator
     value, for which every distinct frame is parsed; a frame that does not
-    parse raises :class:`LexiconFormatError`.  ``frame_fillers`` is parsed
-    only where it is read; a lexicon from :func:`read_lexicon` has had both
-    columns judged.
+    parse raises :class:`~grcvalency.frames.LexiconFormatError`.
+    ``frame_fillers`` is parsed only where it is read; a lexicon from
+    :func:`read_lexicon` has had both columns judged.
 
     :attr:`groups`, one ready inventory row per (verb, frame), is built on the
     first construction query.  Nothing is rebuilt, so ``entries`` must not
@@ -143,58 +137,8 @@ class Lexicon:
 
 
 def read_lexicon(source) -> Lexicon:
-    """Read a lexicon TSV in the full layout, :data:`COLUMNS`.
-
-    The rows stream from :func:`~grcvalency.output.read_lines`, each is put
-    in NFC, and each value of the :attr:`Lexicon.INTERNED` columns is
-    ``sys.intern``ed, so equal values are one string.  A malformed row rejects the whole file, and the error names
-    each faulty line in line order: a wrong column count, non-integer ids, or
-    a ``frame`` or ``frame_fillers`` string that :data:`FRAME_GRAMMAR`, the
-    rule :func:`parse_frame` reads by, rejects.  Each distinct string is
-    judged once, and a bad one is named at the first line that holds it.
-    """
-    return Lexicon(_read_entries(read_lines(source)))
-
-
-def _read_entries(lines) -> list[LexiconEntry]:
-    rows = (unicodedata.normalize("NFC", line) for line in lines)
-    header = next(rows, None)
-    if header is None:
-        raise LexiconFormatError("empty lexicon file (missing header)")
-    header = tuple(header.split("\t"))
-    if header != COLUMNS:
-        collections.deque(rows, maxlen=0)  # an undecodable byte further on wins
-        raise LexiconFormatError(f"unexpected header {header!r}")
-    intern = sys.intern
-    entries = []
-    row_errors = []
-    first_lines = {}  # frame or frame_fillers string -> the first line that holds it
-    for lineno, line in enumerate(rows, start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(COLUMNS):
-            row_errors.append((lineno, f"expected {len(COLUMNS)} columns, got {len(fields)}"))
-            continue
-        author, title, subdoc, verb, voice, sentence_id, root_id, frame, fillers = fields
-        try:
-            sentence_id, root_id = int(sentence_id), int(root_id)
-        except ValueError:
-            row_errors.append((lineno, "sentence_id and root_id must be integers"))
-            continue
-        frame = intern(frame)
-        entries.append(LexiconEntry(
-            intern(author), intern(title), subdoc, intern(verb), intern(voice),
-            sentence_id, root_id, frame, fillers,
-        ))
-        first_lines.setdefault(frame, lineno)
-        first_lines.setdefault(fillers, lineno)
-    for text, lineno in first_lines.items():
-        if FRAME_GRAMMAR.fullmatch(text) is None:
-            row_errors.append((lineno, frame_fault(text)))
-    if row_errors:
-        raise LexiconFormatError("lexicon file rejected", sorted(row_errors))
-    return entries
+    """The :class:`Lexicon` of a lexicon TSV; see :func:`~grcvalency.frames.read_entries`."""
+    return Lexicon(read_entries(source))
 
 
 def stats_basic(lexicon) -> dict:

@@ -32,6 +32,17 @@ def read_lines(source):
         raise
 
 
+def content_rows(source):
+    """``(line number, row)`` for each row of :func:`read_lines` that holds
+    content: the one rule of the side files (metadata manifest, span file,
+    case-study config, known-frames list) skips a blank row and a row whose
+    first non-whitespace character is ``#``."""
+    for lineno, line in enumerate(read_lines(source), start=1):
+        stripped = line.lstrip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line
+
+
 def write_atomic(destination, chunks) -> int:
     """Stream the ``str`` ``chunks``, UTF-8 encoded and with no newline
     translation, into a temp file beside ``destination`` and rename it over

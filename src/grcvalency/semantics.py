@@ -16,6 +16,8 @@ import numpy as np
 _DEGENERATE_NORM = 1e-12
 # surrogateescape reads each undecodable byte as a lone surrogate
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# a header field: int() alone would also read "1_0" and non-ASCII digits
+_INTEGER = re.compile("[-+]?[0-9]+")
 # whitespace to str.split but not to bytes.split
 _STR_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 # a large buffer: the binary line iteration is then far cheaper than text mode's
@@ -56,12 +58,13 @@ class SimilarityDistribution:
 
 
 def _header(line):
-    """Line 1's ``(rows, dims)`` when its text is two integers, else None;
-    raises unless they declare 0 or more rows of 1 or more components."""
-    try:
-        rows, dims = map(int, line.decode("utf-8", "surrogateescape").split())
-    except ValueError:  # not two integers
+    """Line 1's ``(rows, dims)`` when its text is two integers, each ASCII
+    digits with an optional sign, else None; raises unless they declare 0 or
+    more rows of 1 or more components."""
+    fields = line.decode("utf-8", "surrogateescape").split()
+    if len(fields) != 2 or not all(map(_INTEGER.fullmatch, fields)):
         return None
+    rows, dims = map(int, fields)
     if rows < 0 or dims < 1:
         raise VectorSpaceError(f"line 1: header needs 0+ rows of 1+ components, got {rows} {dims}")
     return rows, dims

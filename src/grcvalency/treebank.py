@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .betacode import BetaCodeError, beta_to_unicode
-from .output import read_lines
+from .output import content_rows
 from .postag import PosTag, PostagError, decode_postag
 
 _REQUIRED_ATTRIBUTES = ("id", "form", "lemma", "postag", "head", "relation")
@@ -297,9 +297,7 @@ def load_manifest(source) -> dict[str, tuple[str, str]]:
     each file named once."""
     mapping = {}
     first_lines = {}  # filename -> the line that names it
-    for lineno, line in enumerate(read_lines(source), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in content_rows(source):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"manifest line {lineno}: expected 3 tab-separated fields")

@@ -66,6 +66,10 @@ def test_span_file_header_comments_and_merging(tmp_path):
         "sentence_id\ttoken_ids\n# a note\n7\t1,2\n7\t5\n", encoding="utf-8"
     )
     assert load_formula_spans(path) == {7: frozenset({1, 2, 5})}
+    # an indented comment is a comment, as in the config and the manifest
+    path.write_text("sentence_id\ttoken_ids\n  # a note\n7\t1,2\n\t# more\n7\t0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^span file line 5: token ids must be positive$"):
+        load_formula_spans(path)
 
 
 def test_extraction_matches_hand_scan(corpus_trees):
@@ -420,6 +424,7 @@ def test_config_file_roundtrip(tmp_path):
             [
                 "# comment",
                 "treebank_dir = corpus",
+                "  # an indented comment",
                 "lexicon_path = lex.tsv",
                 "vector_space_path = vectors.txt",
                 "formula_span_path = spans.tsv",
@@ -458,6 +463,12 @@ CONFIG_VALUES = {
     "lexicon_path": ("Lex.tsv", "Lex.tsv"),
     "output_dir": ("Out dir", "Out dir"),
 }
+
+
+def test_a_work_list_skips_empty_entries(tmp_path):
+    path = tmp_path / "works.conf"
+    path.write_text("epic_works = ;Homer|Iliad; ;  ;Hesiod|Theogony;\n", encoding="utf-8")
+    assert load_config(path).epic_works == (("Homer", "Iliad"), ("Hesiod", "Theogony"))
 
 
 def test_every_config_field_round_trips_through_one_line(tmp_path):

@@ -490,6 +490,17 @@ def test_constructions_and_diff(extracted, tmp_path, capsys):
     assert main(["constructions", str(extracted), "--verb", "οὐδαμός"]) == 3
 
 
+def test_a_known_frames_file_skips_blank_rows_and_comments(extracted, tmp_path, capsys):
+    known = tmp_path / "known.txt"
+    known.write_text(
+        "# frames I expect\nmiddle_OBJ[genitive]\n\n  # indented\n", encoding="utf-8"
+    )
+    argv = ["constructions", str(extracted), "--verb", "φέρω", "--known-frames", str(known)]
+    assert main(argv) == 0
+    known_rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("known")]
+    assert known_rows == ["known\tmiddle_OBJ[genitive]\t\t"]
+
+
 @pytest.mark.parametrize("threshold", [["--min-count", "2"], ["--min-authors", "2"]],
                          ids=["min-count", "min-authors"])
 def test_a_known_frames_diff_lists_the_frames_the_thresholds_keep(

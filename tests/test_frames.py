@@ -263,6 +263,8 @@ def test_realize_slot_case_mood_and_fallback():
     assert realization_of(_word(2, "d--------", "εὖ")) == "adverb"
     # a declined participle realizes as its case, not as a mood
     assert realization_of(_word(2, "v-sppamn-", "φέρω")) == "nominative"
+    # the participle part of speech without a mood or a case
+    assert realization_of(_word(2, "t--p-a---", "φέρω")) == "participle"
 
 
 def test_compose_frame_reproduces_published_entry():

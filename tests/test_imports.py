@@ -3,10 +3,12 @@ load only with the commands and names that use them: ``extract``,
 ``betacode`` and ``--version`` run with numpy blocked, the package's public
 names resolve on first use, and a wrapper set on ``cli`` before any numpy
 command has run is the function that command calls.  A run writes the same
-bytes whatever the interpreter's string hash seed."""
+bytes whatever the interpreter's string hash seed, and README's library
+example runs clean in development mode."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -181,6 +183,15 @@ def test_an_unknown_name_is_no_attribute_of_the_package_or_the_cli():
             module.no_such_name
     with pytest.raises(ImportError):
         exec("from grcvalency import no_such_name", {})
+
+
+def test_the_readme_library_example_runs_clean_in_development_mode():
+    readme = (SOURCE.parent / "README.md").read_text(encoding="utf-8")
+    library_use = readme.partition("\n## Library use\n")[2]
+    block = re.search(r"```python\n(.*?)```", library_use, re.S).group(1)
+    # run where its iliad.xml is; -X dev reports a file left open
+    run = _python("-X", "dev", "-W", "error", "-c", block, cwd=CORPUS_DIR)
+    assert (run.returncode, run.stderr.decode("utf-8")) == (0, "")
 
 
 def test_extract_and_casestudy_write_the_same_bytes_under_every_hash_seed(tmp_path):

@@ -15,10 +15,11 @@ import pytest
 import grcvalency.frames as frames_module
 import grcvalency.lexicon as lexicon_module
 import grcvalency.output as output_module
-from grcvalency.frames import COLUMNS, FIGURE1_COLUMNS, FrameElement, LexiconEntry, write_lexicon
+from grcvalency.frames import (
+    COLUMNS, FIGURE1_COLUMNS, FrameElement, LexiconEntry, LexiconFormatError, write_lexicon,
+)
 from grcvalency.lexicon import (
     Lexicon,
-    LexiconFormatError,
     constructions_for_verb,
     diff_constructions,
     frame_frequencies,
@@ -262,7 +263,6 @@ def test_a_rows_nfc_is_the_nfc_of_each_field(tmp_path):
 def test_lexicon_reads_frames_with_the_frame_codec():
     # Lexicon looks parse_frame up in lexicon; both names are one codec
     assert lexicon_module.parse_frame is frames_module.parse_frame
-    assert lexicon_module.LexiconFormatError is frames_module.LexiconFormatError
 
 
 def test_write_atomic_replaces_with_the_mode_open_would_give(tmp_path):
@@ -919,6 +919,29 @@ def test_read_names_each_malformed_frame_at_its_first_line(tmp_path):
     assert str(info.value).startswith(
         "lexicon file rejected: line 3: malformed frame element: 'OBJ[' in 'active_OBJ['; line 4"
     )
+
+
+def test_a_rejection_names_ten_lines_and_counts_the_rest(tmp_path):
+    path = tmp_path / "short.tsv"
+    _write_rows(path, [f"row{n}\tshort" for n in range(12)])
+    with pytest.raises(LexiconFormatError) as info:
+        read_lexicon(path)
+    assert info.value.row_errors == [(n, "expected 9 columns, got 2") for n in range(2, 14)]
+    assert str(info.value) == (
+        "lexicon file rejected: "
+        + "; ".join(f"line {n}: expected 9 columns, got 2" for n in range(2, 12))
+        + "; ... (12 rows total)"
+    )
+
+
+def test_empty_rows_are_skipped_and_later_rows_keep_their_line_numbers(tmp_path):
+    path = tmp_path / "blank.tsv"
+    _write_rows(path, [PUBLISHED_ENTRY, "", "", PUBLISHED_ENTRY])
+    assert read_lexicon(path).entries == [PUBLISHED_ENTRY, PUBLISHED_ENTRY]
+    _write_rows(path, [PUBLISHED_ENTRY, "", "", _entry("ἄγω", "Homer", "active_OBJ[")])
+    with pytest.raises(LexiconFormatError) as info:
+        read_lexicon(path)
+    assert info.value.row_errors == [(5, "malformed frame element: 'OBJ[' in 'active_OBJ['")]
 
 
 def test_a_malformed_frame_rejects_the_file_with_the_same_message_every_time(tmp_path):

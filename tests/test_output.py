@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from grcvalency.output import read_lines
+from grcvalency.output import content_rows, read_lines
 
 CHUNK = 8192  # the bytes a text file's decoder takes at a time
 
@@ -120,3 +120,10 @@ def test_the_rows_ending_before_an_undecodable_byte_come_before_its_error(tmp_pa
             rows.extend(read_lines(path))
         assert (info.value.start, info.value.end, info.value.reason) == expected
         assert rows == _complete_rows(data[: info.value.start].decode("utf-8-sig")), data[:40]
+
+
+def test_content_rows_skip_blank_rows_and_comments_and_keep_line_numbers(tmp_path):
+    path = tmp_path / "side.txt"
+    text = "# head\na\n\n \t\n  # indented\n\t#tab\nb # not a comment\n#\n"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert list(content_rows(path)) == [(2, "a"), (7, "b # not a comment")]

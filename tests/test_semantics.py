@@ -96,16 +96,37 @@ def test_only_line_one_can_be_the_header(tmp_path):
 
 
 def _reference_header(text):
-    """The two integers of a line that is two integers, else None."""
+    """The two integers of a line that is two integers of ASCII digits,
+    each with an optional sign, else None."""
     parts = text.split()
-    try:
-        return (int(parts[0]), int(parts[1])) if len(parts) == 2 else None
-    except ValueError:
+    digits = [part[1:] if part[0] in "+-" else part for part in parts]
+    if len(parts) != 2 or not all(d.isascii() and d.isdigit() for d in digits):
         return None
+    return int(parts[0]), int(parts[1])
 
 
 def _bad_header(header):
     return header[0] < 0 or header[1] < 1
+
+
+@pytest.mark.parametrize("line1", ["1_0 2", "\u0662 2"])
+def test_line_one_is_a_header_only_when_both_fields_are_ascii_digits(tmp_path, line1):
+    # int() reads both as integers, but neither is a component's number
+    path = tmp_path / "space.txt"
+    path.write_text(f"{line1}\n\u03b1 1\n", encoding="utf-8")
+    assert {lemma: list(vector) for lemma, vector in load_vector_space(path).vectors.items()} == {
+        line1.split()[0]: [2.0],
+        "\u03b1": [1.0],
+    }
+    assert _reference_header(line1) is None
+
+
+def test_a_signed_header_is_a_header(tmp_path):
+    path = tmp_path / "space.txt"
+    path.write_text("+2 2\n\u03b1 1 0\n\u03b2 0 1\n", encoding="utf-8")
+    space = load_vector_space(path)
+    assert (space.dimension, len(space)) == (2, 2)
+    assert _reference_header("+2 2") == (2, 2)
 
 
 def _reference_load(path):

@@ -236,6 +236,35 @@ def test_numpy_loads_only_with_the_lexicon_and_semantics_modules():
         assert _reachable(start, graph) & {"lexicon", "semantics", "numpy"} == set(), start
 
 
+ROW_FORMAT = {"COLUMNS", "FRAME_GRAMMAR"}
+
+
+def _row_format_names(source: str) -> set[str]:
+    """The names of :data:`ROW_FORMAT` that ``source`` names, imports or
+    reads as an attribute."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    return named & ROW_FORMAT
+
+
+def test_the_check_finds_the_row_format_however_it_is_named():
+    source = "from .frames import COLUMNS as c\nimport frames\nframes.FRAME_GRAMMAR\nFIGURE1_COLUMNS\n"
+    assert _row_format_names(source) == ROW_FORMAT
+    assert _row_format_names("'COLUMNS'\nFIGURE1_COLUMNS\n") == set()
+
+
+def test_only_the_frames_module_names_the_lexicon_row_format():
+    # the TSV's columns and frame grammar are decided where it is read and written
+    naming = {path.stem for path in SOURCES if _row_format_names(path.read_text(encoding="utf-8"))}
+    assert naming == {"frames"}
+
+
 def _declared_floor() -> tuple[int, int]:
     """The ``(major, minor)`` of ``requires-python = ">=X.Y"`` in pyproject.toml."""
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")

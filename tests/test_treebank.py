@@ -569,6 +569,15 @@ def test_manifest_loads_and_rejects_bad_lines(tmp_path):
         load_manifest(bad)
 
 
+def test_manifest_skips_indented_comments_and_counts_every_line(tmp_path):
+    path = tmp_path / "manifest.tsv"
+    path.write_text("  # works\na.xml\tHomer\tIliad\n\n\t# next\nb.xml\tHesiod\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^manifest line 5: expected 3 tab-separated fields$"):
+        load_manifest(path)
+    path.write_text("  # works\na.xml\tHomer\tIliad\n\n\t# next\n", encoding="utf-8")
+    assert load_manifest(path) == {"a.xml": ("Homer", "Iliad")}
+
+
 def test_manifest_rejects_a_file_named_twice(tmp_path):
     path = tmp_path / "twice.tsv"
     path.write_text(
