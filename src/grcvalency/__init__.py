@@ -9,6 +9,7 @@ from .frames import (
     ArgumentSlot, FrameElement, LexiconEntry, LexiconFormatError, collect_arguments,
     extract_entries, parse_frame, write_lexicon,
 )
+from .output import InputError
 from .postag import PosTag, PostagError, decode_postag, encode_postag
 from .stats import KSResult, boxplot_stats, ks_two_sample, significance_stars, summarize
 from .treebank import (

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .frames import collect_arguments, identify_predicates, is_plain_object, parse_frame
-from .output import content_rows, write_atomic
+from .output import InputError, content_rows, write_atomic
 from .semantics import (
     DegenerateCentroidError,
     InsufficientDataError,
@@ -136,21 +136,22 @@ class CaseStudyResult:
 
 def load_formula_spans(source) -> dict[int, frozenset[int]]:
     """Read ``sentence_id<TAB>token_ids`` (token ids comma-separated) into
-    the token ids marked formulaic per sentence; a sentence's lines merge."""
+    the token ids marked formulaic per sentence; a sentence's lines merge.
+    A first content row whose first field is ``sentence_id`` is a header."""
     spans = {}
-    for lineno, line in content_rows(source):
+    for index, (lineno, line) in enumerate(content_rows(source)):
         parts = line.split("\t")
-        if lineno == 1 and parts[0] == "sentence_id":
+        if index == 0 and parts[0] == "sentence_id":
             continue
         if len(parts) != 2:
-            raise ValueError(f"span file line {lineno}: expected 2 tab-separated fields")
+            raise InputError([(lineno, "expected 2 tab-separated fields")], source)
         try:
             sentence_id = int(parts[0])
             token_ids = frozenset(int(t) for t in parts[1].split(",") if t.strip())
         except ValueError:
-            raise ValueError(f"span file line {lineno}: ids must be integers") from None
+            raise InputError([(lineno, "ids must be integers")], source) from None
         if any(t <= 0 for t in token_ids):
-            raise ValueError(f"span file line {lineno}: token ids must be positive")
+            raise InputError([(lineno, "token ids must be positive")], source)
         spans[sentence_id] = spans.get(sentence_id, frozenset()) | token_ids
     return spans
 
@@ -391,12 +392,11 @@ def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
     for lineno, line in content_rows(source):
         key, sep, value = line.strip().partition("=")
         if not sep:
-            raise ValueError(f"config line {lineno}: expected key=value")
+            raise InputError([(lineno, "expected key=value")], source)
         key = key.strip()
         if key in first_lines:
-            raise ValueError(
-                f"config line {lineno}: duplicate key {key!r} (first at line {first_lines[key]})"
-            )
+            detail = f"duplicate key {key!r} (first at line {first_lines[key]})"
+            raise InputError([(lineno, detail)], source)
         first_lines[key] = lineno
         raw[key] = value.strip()
     if overrides:

@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import __version__
 from .betacode import beta_to_unicode
-from .frames import FORMAT_VERSION, extract_entries, lexicon_lines, write_lexicon
-from .output import content_rows, read_lines, write_atomic
+from .frames import FORMAT_VERSION, extract_entries, lexicon_lines, read_frames, write_lexicon
+from .output import InputError, read_lines, write_atomic
 from .treebank import LAYOUT_BREAK, load_manifest, parse_treebank_file, validate_sentence
 
 # what stats, query, constructions and casestudy call; the package serves
@@ -325,7 +325,7 @@ def cmd_constructions(args) -> int:
     verb = _nfc(args.verb)
     records = constructions_for_verb(lexicon, verb, min_count=min_count, min_authors=min_authors)
     if args.known_frames:
-        known = [_nfc(line.strip()) for _, line in content_rows(args.known_frames)]
+        known = read_frames(args.known_frames)
         only_lexicon, only_known = diff_constructions(lexicon, verb, known)
         kept = {record.frame for record in records}
         only_lexicon = [record for record in only_lexicon if record.frame in kept]
@@ -403,7 +403,9 @@ def cmd_betacode(args) -> int:
         try:
             converted.append(beta_to_unicode(line))
         except ValueError as exc:
-            return _fail(f"line {number}: {exc}" if args.path else str(exc))
+            if args.path:
+                raise InputError([(number, str(exc))], args.path) from None
+            return _fail(str(exc))
     for line in converted:
         print(line)
     return EXIT_OK

@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
-from .output import read_lines, write_atomic
+from .output import InputError, content_rows, read_lines, write_atomic
 from .postag import UNSPECIFIED
 from .treebank import LAYOUT_BREAK, SentenceTree, WordNode
 
@@ -47,15 +47,8 @@ _ELEMENT_RE = re.compile(_ELEMENT)
 FRAME_GRAMMAR = re.compile("[^_]+_{0}(?:,{0})*".format(re.sub(r"\?P<\w+>", "?:", _ELEMENT)))
 
 
-class LexiconFormatError(ValueError):
-    def __init__(self, message, row_errors=None):
-        details = ""
-        if row_errors:
-            details = ": " + "; ".join(f"line {n}: {msg}" for n, msg in row_errors[:10])
-            if len(row_errors) > 10:
-                details += f"; ... ({len(row_errors)} rows total)"
-        super().__init__(message + details)
-        self.row_errors = row_errors or []
+class LexiconFormatError(InputError):
+    """A frame string, a lexicon file or a frame list that is rejected."""
 
 
 class FrameElement(NamedTuple):
@@ -200,11 +193,11 @@ def read_entries(source) -> list[LexiconEntry]:
     rows = (unicodedata.normalize("NFC", line) for line in read_lines(source))
     header = next(rows, None)
     if header is None:
-        raise LexiconFormatError("empty lexicon file (missing header)")
+        raise LexiconFormatError("empty lexicon file (missing header)", source)
     header = tuple(header.split("\t"))
     if header != COLUMNS:
         collections.deque(rows, maxlen=0)  # an undecodable byte further on wins
-        raise LexiconFormatError(f"unexpected header {header!r}")
+        raise LexiconFormatError([(1, f"unexpected header {header!r}")], source)
     intern = sys.intern
     entries = []
     row_errors = []
@@ -233,8 +226,20 @@ def read_entries(source) -> list[LexiconEntry]:
         if FRAME_GRAMMAR.fullmatch(text) is None:
             row_errors.append((lineno, _frame_fault(text)))
     if row_errors:
-        raise LexiconFormatError("lexicon file rejected", sorted(row_errors))
+        raise LexiconFormatError(sorted(row_errors), source)
     return entries
+
+
+def read_frames(source) -> list[str]:
+    """The frames listed one per :func:`~grcvalency.output.content_rows` row,
+    stripped and in NFC; the first that :data:`FRAME_GRAMMAR` rejects rejects
+    the list, with the fault a lexicon row holding it gets."""
+    frames = []
+    for lineno, line in content_rows(source):
+        frames.append(unicodedata.normalize("NFC", line.strip()))
+        if FRAME_GRAMMAR.fullmatch(frames[-1]) is None:
+            raise LexiconFormatError([(lineno, _frame_fault(frames[-1]))], source)
+    return frames
 
 
 @lru_cache(maxsize=None)

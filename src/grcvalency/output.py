@@ -1,17 +1,42 @@
-"""The one reader of every text input and the one writer of every output."""
+"""One reader of every text input, one wording of its rejection, one writer of every output."""
 
 import os
 import tempfile
 from pathlib import Path
 
 
+class InputError(ValueError):
+    """A rejected text input.  ``faults`` is the detail of a fault of the
+    whole file, or the ``(line, detail)`` pairs of its faulty lines in line
+    order, kept as ``row_errors``.  Its text is ``<source>: <detail>``, or
+    ``<source>: line N: <detail>`` for each of the first ten lines, joined
+    by ``; `` and followed by ``; ... (N rows total)`` past ten; with no
+    ``source`` (a frame string given in code) it is the faults' text alone.
+    This is the one place a rejection is worded."""
+
+    def __init__(self, faults, source=None):
+        super().__init__(faults, source)
+        self.row_errors = [] if isinstance(faults, str) else faults
+
+    def __str__(self):
+        faults, source = self.args
+        if isinstance(faults, str):
+            text = faults
+        else:
+            text = "; ".join(f"line {lineno}: {detail}" for lineno, detail in faults[:10])
+            if len(faults) > 10:
+                text += f"; ... ({len(faults)} rows total)"
+        return text if source is None else f"{source}: {text}"
+
+
 def read_lines(source):
     """Stream the rows of the UTF-8 text file ``source``, cut as
     ``str.splitlines`` cuts its whole text, after a leading byte order
     mark.  This is the one place a text input is decoded.  An undecodable
-    byte raises the error of decoding the whole file as ``utf-8``, so its
-    position counts from the file's first byte, the mark included; every
-    row that ends before the byte is given first."""
+    byte raises an :class:`InputError` naming its line, caused by and worded
+    as the error of decoding the whole file as ``utf-8``, so its position
+    counts from the file's first byte, the mark included; every row that
+    ends before the byte is given first."""
     given = 0
     try:
         with open(source, encoding="utf-8-sig", newline="") as handle:
@@ -26,9 +51,10 @@ def read_lines(source):
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # "?" ends no row: the row the byte falls in is dropped
-            yield from (data[: exc.start].decode("utf-8-sig") + "?").splitlines()[given:-1]
-            raise
+            # "?" ends no row: the row the byte falls in is the last
+            rows = (data[: exc.start].decode("utf-8-sig") + "?").splitlines()
+            yield from rows[given:-1]
+            raise InputError([(len(rows), str(exc))], source) from exc
         raise
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .output import InputError
+
 _DEGENERATE_NORM = 1e-12
 # surrogateescape reads each undecodable byte as a lone surrogate
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
@@ -24,7 +26,7 @@ _STR_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 _READ_BUFFER = 1 << 20
 
 
-class VectorSpaceError(ValueError):
+class VectorSpaceError(InputError):
     """Bad vector file: inconsistent dimension, non-numeric data, and kin."""
 
 
@@ -57,7 +59,7 @@ class SimilarityDistribution:
     oov_lemmas: list[str]
 
 
-def _header(line):
+def _header(line, source):
     """Line 1's ``(rows, dims)`` when its text is two integers, each ASCII
     digits with an optional sign, else None; raises unless they declare 0 or
     more rows of 1 or more components."""
@@ -66,7 +68,8 @@ def _header(line):
         return None
     rows, dims = map(int, fields)
     if rows < 0 or dims < 1:
-        raise VectorSpaceError(f"line 1: header needs 0+ rows of 1+ components, got {rows} {dims}")
+        detail = f"header needs 0+ rows of 1+ components, got {rows} {dims}"
+        raise VectorSpaceError([(1, detail)], source)
     return rows, dims
 
 
@@ -147,11 +150,11 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
                 if not parts:
                     continue
                 if _ESCAPED_BYTE.search(line):
-                    fault = f"line {lineno}: invalid UTF-8"
+                    fault = (lineno, "invalid UTF-8")
                     return
                 lemma = parts[0]
             if len(parts) == 1:
-                fault = f"line {lineno}: lemma without components"
+                fault = (lineno, "lemma without components")
                 return
             lemma = unicodedata.normalize("NFC", lemma)
             names.append(lemma)
@@ -164,7 +167,7 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
     with open(source, "rb", buffering=_READ_BUFFER) as handle:
         lines = _lines(handle)
         first = next(lines, b"")
-        header = _header(first)
+        header = _header(first, source)
         # a header is read as a blank line, so the rows keep their line numbers
         rows = bodies(itertools.chain([b"" if header else first], lines))
         # an empty input would make numpy warn, not raise
@@ -186,9 +189,9 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
         fault = _first_component_fault(source, linenos, declared) or fault
     if not fault and header and (excess := header[0] - len(names)):
         more = "more" if excess > 0 else "fewer"
-        fault = f"line 1: header declares {abs(excess)} row(s) {more} than the file holds"
+        fault = (1, f"header declares {abs(excess)} row(s) {more} than the file holds")
     if fault or matrix is None or not names:
-        raise VectorSpaceError(fault or "no vectors found")
+        raise VectorSpaceError([fault] if fault else "no vectors found", source)
     return VectorSpace(
         dimension=matrix.shape[1],
         vectors=dict(zip(kept, matrix)),
@@ -197,8 +200,8 @@ def load_vector_space(source, lemmas=None) -> VectorSpace:
 
 
 def _first_component_fault(source, linenos, dimension):
-    """Parse the rows at ``linenos`` again, one by one: the message naming
-    the first with a non-numeric or non-finite component or a width other
+    """Parse the rows at ``linenos`` again, one by one: ``(line, detail)``
+    of the first with a non-numeric or non-finite component or a width other
     than ``dimension`` (else the first row's), or None if all are sound."""
     rows = set(linenos)
     with open(source, "rb", buffering=_READ_BUFFER) as handle:
@@ -210,13 +213,13 @@ def _first_component_fault(source, linenos, dimension):
             try:
                 vector = _parse_components([line.split(None, 1)[1]])[0]
             except ValueError:
-                return f"line {lineno}: non-numeric vector component"
+                return lineno, "non-numeric vector component"
             if not np.isfinite(vector).all():
-                return f"line {lineno}: non-finite vector component"
+                return lineno, "non-finite vector component"
             if dimension is None:
                 dimension = vector.size
             if vector.size != dimension:
-                return f"line {lineno}: expected {dimension} components, got {vector.size}"
+                return lineno, f"expected {dimension} components, got {vector.size}"
     return None
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .betacode import BetaCodeError, beta_to_unicode
-from .output import content_rows
+from .output import InputError, content_rows
 from .postag import PosTag, PostagError, decode_postag
 
 _REQUIRED_ATTRIBUTES = ("id", "form", "lemma", "postag", "head", "relation")
@@ -300,13 +300,11 @@ def load_manifest(source) -> dict[str, tuple[str, str]]:
     for lineno, line in content_rows(source):
         parts = line.split("\t")
         if len(parts) != 3:
-            raise ValueError(f"manifest line {lineno}: expected 3 tab-separated fields")
+            raise InputError([(lineno, "expected 3 tab-separated fields")], source)
         filename, author, title = parts
         if filename in first_lines:
-            raise ValueError(
-                f"manifest line {lineno}: duplicate file {filename!r}"
-                f" (first at line {first_lines[filename]})"
-            )
+            detail = f"duplicate file {filename!r} (first at line {first_lines[filename]})"
+            raise InputError([(lineno, detail)], source)
         first_lines[filename] = lineno
         mapping[filename] = (author.strip(), title.strip())
     return mapping

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import random
+import re
 from collections import Counter, defaultdict
 
 import pytest
@@ -47,14 +48,15 @@ def test_span_file_parses(tmp_path):
     assert 999999 not in spans
     bad = tmp_path / "bad.tsv"
     bad.write_text("12\t1,0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="^span file line 1: token ids must be positive$"):
+    at = re.escape(str(bad))
+    with pytest.raises(ValueError, match=f"^{at}: line 1: token ids must be positive$"):
         load_formula_spans(bad)
     bad.write_text("12\t1\textra\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="^span file line 1: expected 2 tab-separated fields$"):
+    with pytest.raises(ValueError, match=f"^{at}: line 1: expected 2 tab-separated fields$"):
         load_formula_spans(bad)
     for line in ("12\tx,3", "x\t3"):
         bad.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="^span file line 1: ids must be integers$") as info:
+        with pytest.raises(ValueError, match=f"^{at}: line 1: ids must be integers$") as info:
             load_formula_spans(bad)
         # the message is the whole error; int()'s own is not chained to it
         assert info.value.__suppress_context__, line
@@ -68,7 +70,14 @@ def test_span_file_header_comments_and_merging(tmp_path):
     assert load_formula_spans(path) == {7: frozenset({1, 2, 5})}
     # an indented comment is a comment, as in the config and the manifest
     path.write_text("sentence_id\ttoken_ids\n  # a note\n7\t1,2\n\t# more\n7\t0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="^span file line 5: token ids must be positive$"):
+    at = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"^{at}: line 5: token ids must be positive$"):
+        load_formula_spans(path)
+    # the header is the first content row, after a comment too, and only there
+    path.write_text("# spans\nsentence_id\ttoken_ids\n7\t1,2\n", encoding="utf-8")
+    assert load_formula_spans(path) == {7: frozenset({1, 2})}
+    path.write_text("7\t1,2\nsentence_id\ttoken_ids\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{at}: line 2: ids must be integers$"):
         load_formula_spans(path)
 
 
@@ -518,7 +527,7 @@ def test_config_rejects_a_key_given_twice_and_overrides_still_win(tmp_path):
     )
     with pytest.raises(ValueError) as info:
         load_config(path)
-    assert str(info.value) == "config line 5: duplicate key 'min_epic_tokens' (first at line 2)"
+    assert str(info.value) == f"{path}: line 5: duplicate key 'min_epic_tokens' (first at line 2)"
     path.write_text("min_epic_tokens = 1\nks_exact_limit = 16\n", encoding="utf-8")
     assert load_config(path, overrides={"min_epic_tokens": 2}).min_epic_tokens == 2
 

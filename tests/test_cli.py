@@ -596,7 +596,7 @@ def test_betacode_file_batch(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: line 2: character outside the Beta Code alphabet: '?' at offset 2\n"
+        f"error: {batch}: line 2: character outside the Beta Code alphabet: '?' at offset 2\n"
     )
     assert main(["betacode"]) == 1
     assert main(["betacode", "de/os", "--file", str(batch)]) == 1
@@ -1006,7 +1006,7 @@ def test_every_lexicon_command_rejects_a_file_with_a_bad_frame(tmp_path, capsys,
         lexicon.write_bytes(clean)
         lineno = _corrupt_lexicon(lexicon, column, value)
         expected = (
-            f"error: lexicon file rejected: line {lineno}: "
+            f"error: {lexicon}: line {lineno}: "
             f"malformed frame element: {chunk!r} in {value!r}\n"
         )
         for argv in (
@@ -1018,36 +1018,6 @@ def test_every_lexicon_command_rejects_a_file_with_a_bad_frame(tmp_path, capsys,
             assert main(argv) == 1, (column, argv)
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", expected), (column, argv)
-    assert not (tmp_path / "out").exists()
-
-
-def test_undecodable_input_exits_one_with_the_decode_error(tmp_path, capsys, monkeypatch):
-    config_path = _write_case_files(tmp_path)
-    lexicon = tmp_path / "lexicon.tsv"
-    good = tmp_path / "good.tsv"
-    shutil.copy(lexicon, good)
-    lexicon.write_bytes(lexicon.read_bytes() + b"Homer\t\xff\n")
-    undecodable = tmp_path / "lines.txt"
-    undecodable.write_bytes(b"de/os\n\xff\n")
-    # casestudy reads the lexicon before it parses a treebank file
-    monkeypatch.setattr(cli, "parse_treebank_file", _raise)
-    assert main(["casestudy", "--config", str(config_path)]) == 1
-    expected = capsys.readouterr().err
-    assert expected.startswith("error: 'utf-8' codec can't decode byte 0xff")
-    for argv in (
-        ["stats", str(lexicon)],
-        ["query", str(lexicon)],
-        ["constructions", str(lexicon), "--verb", "ἔχω"],
-        ["constructions", str(good), "--verb", "ἔχω", "--known-frames", str(undecodable)],
-        ["betacode", "--file", str(undecodable)],
-    ):
-        assert main(argv) == 1, argv
-        captured = capsys.readouterr()
-        assert captured.out == "", argv
-        if argv[1] == str(lexicon):
-            assert captured.err == expected, argv
-        else:
-            assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff"), argv
     assert not (tmp_path / "out").exists()
 
 
@@ -1173,7 +1143,9 @@ def test_casestudy_reads_the_treebank_before_the_span_file(tmp_path, capsys):
     config += [f"manifest_path = {manifest}", f"formula_span_path = {spans}"]
     config_path.write_text("\n".join(config) + "\n", encoding="utf-8")
     assert main(["casestudy", "--config", str(config_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert capsys.readouterr().err.startswith(
+        f"error: {manifest}: line 1: 'utf-8' codec can't decode byte 0xff"
+    )
 
 
 def _retitled_data_copy(destination, form):
@@ -1235,7 +1207,8 @@ def _text_inputs(base):
     """Every kind of text input the commands read, under ``base`` with
     relative paths: a copy of the test data, known frames, a Beta Code
     batch, and the synthetic case, its vectors also written without a
-    header so that line 1 holds a compared object's vector."""
+    header so that line 1 holds a compared object's vector, and its config
+    also naming the test data's metadata manifest."""
     shutil.copytree(DATA_DIR, base / "data")
     (base / "known.txt").write_text("middle_OBJ[accusative]\nactive_OBJ[genitive]\n",
                                     encoding="utf-8")
@@ -1254,6 +1227,9 @@ def _text_inputs(base):
         "output_dir = out\n",
         encoding="utf-8",
     )
+    config = (case_dir / "case.conf").read_text(encoding="utf-8")
+    (case_dir / "meta.conf").write_text(config + "manifest_path = data/manifest.tsv\n",
+                                        encoding="utf-8")
 
 
 _CASESTUDY = ["casestudy", "--config", "case/case.conf"]
@@ -1310,6 +1286,7 @@ def test_a_text_input_may_start_with_a_byte_order_mark(
 _MORE_READERS = {
     "lexicon": [["stats", "case/lexicon.tsv"], ["query", "case/lexicon.tsv"],
                 ["constructions", "case/lexicon.tsv", "--verb", "φέρω"]],
+    "manifest": [["casestudy", "--config", "case/meta.conf"]],
 }
 # every input but the vector file, which is read as bytes, not decoded whole
 _DECODED_INPUTS = {name: _TEXT_INPUT_RUNS[name] for name in _TEXT_INPUT_RUNS
@@ -1333,7 +1310,55 @@ def test_an_undecodable_byte_after_a_byte_order_mark_is_placed_from_the_first_by
     monkeypatch.chdir(tmp_path)
     for command in [argv, *_MORE_READERS.get(name, [])]:
         assert main(command) == 1, command
-        assert capsys.readouterr() == ("", f"error: {info.value}\n"), command
+        assert capsys.readouterr() == ("", f"error: {text_input}: line 1: {info.value}\n"), command
+
+
+# a row that is at fault on line 2 of each text input, and its detail
+_LINE_FAULTS = {
+    "manifest": ("a.xml\tHomer", "expected 3 tab-separated fields"),
+    "known_frames": ("active_OBJ[", "malformed frame element: 'OBJ[' in 'active_OBJ['"),
+    "vectors": ("λόγος", "lemma without components"),
+    "vectors_with_header": ("λόγος", "lemma without components"),
+    "config": ("min_epic_tokens", "expected key=value"),
+    "spans": ("1\t2\t3", "expected 2 tab-separated fields"),
+    "lexicon": ("too\tfew", "expected 9 columns, got 2"),
+    "betacode_batch": ("lo/gos?", "character outside the Beta Code alphabet: '?' at offset 6"),
+}
+
+
+@pytest.mark.parametrize("fault", ["line", "byte"])
+@pytest.mark.parametrize("name", _TEXT_INPUT_RUNS)
+def test_every_text_input_is_rejected_at_its_path_and_line(
+    tmp_path, capsys, monkeypatch, name, fault
+):
+    # one shape, `error: <path>: line N: <detail>`, for a bad row on line 2 or
+    # an undecodable byte there; a side file names the bad row before a later
+    # byte in the same decoder chunk, while the lexicon, read to its end
+    # before its rows are judged, would name the byte
+    text_input, argv = _TEXT_INPUT_RUNS[name]
+    _text_inputs(tmp_path)
+    path = tmp_path / text_input
+    lines = path.read_bytes().splitlines(keepends=True)
+    if fault == "line":
+        row, detail = _LINE_FAULTS[name]
+        lines[1] = row.encode("utf-8") + b"\n"
+        if name != "lexicon":
+            lines.append(b"\xff\n")
+    else:
+        lines[1] = b"\xff" + lines[1]
+    data = b"".join(lines)
+    path.write_bytes(data)
+    if fault == "byte" and name.startswith("vectors"):  # read as bytes, judged per line
+        detail = "invalid UTF-8"
+    elif fault == "byte":
+        with pytest.raises(UnicodeDecodeError) as info:
+            data.decode("utf-8")
+        detail = str(info.value)
+    monkeypatch.chdir(tmp_path)
+    for command in [argv, *_MORE_READERS.get(name, [])]:
+        assert main(command) == 1, command
+        assert capsys.readouterr() == ("", f"error: {text_input}: line 2: {detail}\n"), command
+    assert not (tmp_path / "out").exists() and not (tmp_path / "lexicon.tsv").exists()
 
 
 def test_a_side_file_names_its_first_fault_in_file_order(tmp_path, capsys):
@@ -1341,34 +1366,7 @@ def test_a_side_file_names_its_first_fault_in_file_order(tmp_path, capsys):
     path = tmp_path / "batch.txt"
     path.write_bytes(b"lo/gos\nlo/gos?\n" + b"lo/gos\n" * 20000 + b"\xff\n")
     assert main(["betacode", "--file", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: line 2: ")
-
-
-@pytest.mark.parametrize("side_file", ["batch", "manifest", "config", "spans"])
-def test_a_short_side_file_names_its_first_fault_before_a_bad_byte(tmp_path, capsys, side_file):
-    # the fault and the byte fall in one decoder chunk
-    path = tmp_path / "side.txt"
-    if side_file == "batch":
-        path.write_bytes(b"lo/gos\nlo/gos?\n\xff\n")
-        argv, message = ["betacode", "--file", str(path)], "line 2: "
-    elif side_file == "manifest":
-        path.write_bytes(b"a.xml\tHomer\n\xff\n")
-        argv = ["extract", str(CORPUS_DIR), "--manifest", str(path), "-o", str(tmp_path / "l.tsv")]
-        message = "manifest line 1: expected 3 tab-separated fields"
-    elif side_file == "config":
-        path.write_bytes(b"# case\nmin_epic_tokens\n\xff\n")
-        argv, message = ["casestudy", "--config", str(path)], "config line 2: expected key=value"
-    else:
-        path.write_bytes(b"1\t2\t3\n\xff\n")
-        config_path = _write_case_files(tmp_path)
-        config = [line for line in config_path.read_text(encoding="utf-8").splitlines()
-                  if not line.startswith("formula_span_path")]
-        config_path.write_text("\n".join([*config, f"formula_span_path = {path}"]) + "\n",
-                               encoding="utf-8")
-        argv = ["casestudy", "--config", str(config_path)]
-        message = "span file line 1: expected 2 tab-separated fields"
-    assert main(argv) == 1
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 2: ")
 
 
 def test_extract_and_casestudy_write_the_manifest_last(tmp_path, monkeypatch):

@@ -465,7 +465,8 @@ def test_the_streamed_read_gives_the_rows_of_splitlines(tmp_path, capsys):
             data.decode("utf-8")
         assert info.value.start > 65536
         assert main(["stats", str(path)]) == 1
-        assert capsys.readouterr() == ("", f"error: {info.value}\n")
+        lineno = data[: info.value.start].count(b"\n") + 1
+        assert capsys.readouterr() == ("", f"error: {path}: line {lineno}: {info.value}\n")
 
 
 def test_indexes_are_consistent(sample_lexicon):
@@ -917,7 +918,7 @@ def test_read_names_each_malformed_frame_at_its_first_line(tmp_path):
         (7, "malformed frame element: 'SBJ)' in 'active_SBJ)'"),
     ]
     assert str(info.value).startswith(
-        "lexicon file rejected: line 3: malformed frame element: 'OBJ[' in 'active_OBJ['; line 4"
+        f"{path}: line 3: malformed frame element: 'OBJ[' in 'active_OBJ['; line 4"
     )
 
 
@@ -928,7 +929,7 @@ def test_a_rejection_names_ten_lines_and_counts_the_rest(tmp_path):
         read_lexicon(path)
     assert info.value.row_errors == [(n, "expected 9 columns, got 2") for n in range(2, 14)]
     assert str(info.value) == (
-        "lexicon file rejected: "
+        f"{path}: "
         + "; ".join(f"line {n}: expected 9 columns, got 2" for n in range(2, 12))
         + "; ... (12 rows total)"
     )
@@ -956,7 +957,7 @@ def test_a_malformed_frame_rejects_the_file_with_the_same_message_every_time(tmp
             read_lexicon(path)
         messages.append(str(info.value))
     assert messages[0] == messages[1] == (
-        "lexicon file rejected: line 2: malformed frame element: 'SBJ)' in 'active_SBJ)'; "
+        f"{path}: line 2: malformed frame element: 'SBJ)' in 'active_SBJ)'; "
         "line 3: malformed frame element: 'OBJ[' in 'active_OBJ['"
     )
 

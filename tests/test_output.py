@@ -1,13 +1,14 @@
 """``output.read_lines``, the one reader of every text input: streamed, it
 gives the rows ``str.splitlines`` cuts from the whole text after a byte
-order mark, and an undecodable byte is placed from the file's first byte."""
+order mark, and an undecodable byte is placed from the file's first byte
+and named at its line by ``output.InputError``."""
 
 import codecs
 import random
 
 import pytest
 
-from grcvalency.output import content_rows, read_lines
+from grcvalency.output import InputError, content_rows, read_lines
 
 CHUNK = 8192  # the bytes a text file's decoder takes at a time
 
@@ -36,8 +37,8 @@ def _expected(data):
 def _read(path):
     try:
         return list(read_lines(path))
-    except UnicodeDecodeError as exc:
-        return exc.start, exc.end, exc.reason
+    except InputError as exc:  # caused by the whole file's decode error
+        return exc.__cause__.start, exc.__cause__.end, exc.__cause__.reason
 
 
 def _fuzzed(rng):
@@ -81,9 +82,10 @@ def test_read_lines_streams_the_rows_before_a_later_undecodable_byte(tmp_path):
     path.write_bytes(codecs.BOM_UTF8 + b"first\n" + b"x" * CHUNK * 2 + b"\xff\n")
     lines = read_lines(path)
     assert next(lines) == "first"
-    with pytest.raises(UnicodeDecodeError) as info:
+    with pytest.raises(InputError) as info:
         list(lines)
-    assert info.value.start == len(codecs.BOM_UTF8) + 6 + CHUNK * 2
+    assert info.value.__cause__.start == len(codecs.BOM_UTF8) + 6 + CHUNK * 2
+    assert str(info.value) == f"{path}: line 2: {info.value.__cause__}"
 
 
 def _complete_rows(text):
@@ -116,10 +118,13 @@ def test_the_rows_ending_before_an_undecodable_byte_come_before_its_error(tmp_pa
         if not isinstance(expected, tuple):  # the bad byte joined a valid sequence
             continue
         rows = []
-        with pytest.raises(UnicodeDecodeError) as info:
+        with pytest.raises(InputError) as info:
             rows.extend(read_lines(path))
-        assert (info.value.start, info.value.end, info.value.reason) == expected
-        assert rows == _complete_rows(data[: info.value.start].decode("utf-8-sig")), data[:40]
+        cause = info.value.__cause__
+        assert (cause.start, cause.end, cause.reason) == expected
+        assert rows == _complete_rows(data[: cause.start].decode("utf-8-sig")), data[:40]
+        # the byte's line is the one after the last row it ends
+        assert info.value.row_errors == [(len(rows) + 1, str(cause))]
 
 
 def test_content_rows_skip_blank_rows_and_comments_and_keep_line_numbers(tmp_path):

@@ -2,6 +2,7 @@ import builtins
 import itertools
 import math
 import random
+import re
 import unicodedata
 import warnings
 from collections import Counter
@@ -83,6 +84,11 @@ def test_load_errors(tmp_path, content, fragment):
         load_vector_space(path)
 
 
+def _rejection(path, detail):
+    """The whole text of the rejection of ``path`` with ``detail``, as a pattern."""
+    return f"^{re.escape(f'{path}: {detail}')}$"
+
+
 def test_only_line_one_can_be_the_header(tmp_path):
     path = tmp_path / "space.txt"
     path.write_text("α 1\n2 3\n", encoding="utf-8")
@@ -91,7 +97,8 @@ def test_only_line_one_can_be_the_header(tmp_path):
         "2": [3.0],
     }
     path.write_text("\n2 3\nα 1 2 3\n", encoding="utf-8")
-    with pytest.raises(VectorSpaceError, match="^line 3: expected 1 components, got 3$"):
+    message = _rejection(path, "line 3: expected 1 components, got 3")
+    with pytest.raises(VectorSpaceError, match=message):
         load_vector_space(path)
 
 
@@ -259,7 +266,7 @@ def test_first_fault_in_file_order_is_reported(tmp_path, first, second):
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(VectorSpaceError) as caught:
         load_vector_space(path)
-    assert str(caught.value) == f"line 3: {_FAULTS[first][1]}"
+    assert str(caught.value) == f"{path}: line 3: {_FAULTS[first][1]}"
 
 
 @pytest.mark.parametrize(
@@ -279,7 +286,8 @@ def test_only_a_component_fault_reads_the_file_again(tmp_path, monkeypatch, faul
     if fault is None:
         assert len(load_vector_space(path)) == 3
     else:
-        with pytest.raises(VectorSpaceError, match=f"^line 2: {_FAULTS[fault][1]}$"):
+        message = _rejection(path, f"line 2: {_FAULTS[fault][1]}")
+        with pytest.raises(VectorSpaceError, match=message):
             load_vector_space(path)
     assert opened == [path] * opens
 
@@ -290,7 +298,7 @@ def test_no_vectors_raises_without_numpy_warning(tmp_path, content):
     path.write_text(content, encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(VectorSpaceError, match="^no vectors found$"):
+        with pytest.raises(VectorSpaceError, match=_rejection(path, "no vectors found")):
             load_vector_space(path)
 
 
@@ -306,7 +314,9 @@ def _header_fault(path, lemmas=None):
 def test_a_header_must_count_every_row(tmp_path, lemmas, header, count):
     path = tmp_path / "space.txt"
     path.write_text(f"{header}\n\u03b1 1 0\n\u03b2 0 1\n", encoding="utf-8")
-    assert _header_fault(path, lemmas) == f"line 1: header declares {count} than the file holds"
+    assert _header_fault(path, lemmas) == (
+        f"{path}: line 1: header declares {count} than the file holds"
+    )
 
 
 @pytest.mark.parametrize("lemmas", [None, set(), {"\u03b1"}])
@@ -316,7 +326,9 @@ def test_a_header_must_declare_a_count_and_a_width(tmp_path, lemmas, header, lat
     # judged at line 1, before any row: a bad byte further on does not win
     path = tmp_path / "space.txt"
     path.write_bytes(f"{header}\n\u03b1 1 2 3\n\u03b2 4 5 6\n".encode() + later)
-    assert _header_fault(path, lemmas) == f"line 1: header needs 0+ rows of 1+ components, got {header}"
+    assert _header_fault(path, lemmas) == (
+        f"{path}: line 1: header needs 0+ rows of 1+ components, got {header}"
+    )
 
 
 def test_a_header_counts_duplicates_and_not_blank_lines(tmp_path):
@@ -325,7 +337,9 @@ def test_a_header_counts_duplicates_and_not_blank_lines(tmp_path):
     space = load_vector_space(path)
     assert (len(space), space.duplicate_count) == (2, 1)
     path.write_text("2 2\n\u03b1 1 0\n\n\u03b1 0 1\n\u03b2 1 1\n", encoding="utf-8")
-    assert _header_fault(path) == "line 1: header declares 1 row(s) fewer than the file holds"
+    assert _header_fault(path) == (
+        f"{path}: line 1: header declares 1 row(s) fewer than the file holds"
+    )
 
 
 @pytest.mark.parametrize("content", ["2 3\n", "2 3\n\n\t\n"])
@@ -334,7 +348,9 @@ def test_a_header_without_rows_raises_without_numpy_warning(tmp_path, content):
     path.write_text(content, encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _header_fault(path) == "line 1: header declares 2 row(s) more than the file holds"
+        assert _header_fault(path) == (
+            f"{path}: line 1: header declares 2 row(s) more than the file holds"
+        )
 
 
 def test_lemma_only_file_raises_without_numpy_warning(tmp_path):
@@ -342,7 +358,8 @@ def test_lemma_only_file_raises_without_numpy_warning(tmp_path):
     path.write_text("2 3\nα\nβ\n", encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(VectorSpaceError, match="^line 2: lemma without components$"):
+        message = _rejection(path, "line 2: lemma without components")
+        with pytest.raises(VectorSpaceError, match=message):
             load_vector_space(path)
 
 
@@ -403,7 +420,7 @@ def test_a_character_str_and_bytes_split_differently_reads_as_text(tmp_path, cha
     space = _outcome(path)
     expected = _reference_outcome(path)
     if isinstance(expected, str):
-        assert space == expected
+        assert space == f"{path}: {expected}"
     else:
         vectors = {lemma: vector.tobytes() for lemma, vector in space.vectors.items()}
         assert (space.dimension, vectors, space.duplicate_count) == expected
@@ -436,12 +453,13 @@ def test_a_selective_load_judges_components_only_in_the_rows_it_reads(tmp_path, 
     path = tmp_path / "faults.txt"
     path.write_bytes(b"\n".join([line1, good, _FAULTS[fault][0], b"\xce\xb4 1 2 3"]) + b"\n")
     if fault in ("lemma_only", "invalid_utf8"):  # judged on every line
-        with pytest.raises(VectorSpaceError, match=f"^line 3: {_FAULTS[fault][1]}$"):
+        message = _rejection(path, f"line 3: {_FAULTS[fault][1]}")
+        with pytest.raises(VectorSpaceError, match=message):
             load_vector_space(path, {"α"})
     else:
         space = load_vector_space(path, {"α", "δ"})
         assert list(space.vectors) == ["α", "δ"] and space.dimension == 3
-    with pytest.raises(VectorSpaceError, match=f"^line 3: {_FAULTS[fault][1]}$"):
+    with pytest.raises(VectorSpaceError, match=_rejection(path, f"line 3: {_FAULTS[fault][1]}")):
         load_vector_space(path, {"α", "γ"})
 
 
@@ -493,10 +511,11 @@ def test_selective_load_is_the_full_load_of_its_rows(tmp_path):
         full, selective, reference = _outcome(path), _outcome(path, lemmas), _outcome(blanked)
         if isinstance(selective, str):
             seen["raised"] += 1
-            assert selective == reference  # the same fault at the same line
+            # the same fault at the same line
+            assert selective == reference.replace(f"{blanked}: ", f"{path}: ", 1)
             continue
         if isinstance(reference, str):  # no row selected
-            assert reference == "no vectors found" and len(selective) == 0
+            assert reference == f"{blanked}: no vectors found" and len(selective) == 0
             seen["empty"] += 1
         else:
             assert selective.dimension == reference.dimension

@@ -14,6 +14,7 @@ import grcvalency.cli as cli
 from grcvalency import (
     BetaCodeError,
     DegenerateCentroidError,
+    InputError,
     InsufficientDataError,
     LexiconFormatError,
     PostagError,
@@ -265,6 +266,28 @@ def test_only_the_frames_module_names_the_lexicon_row_format():
     assert naming == {"frames"}
 
 
+# the place of a rejection in its input: a `line {n}:` prefix, or a kind of
+# file named before its line
+REJECTION_PREFIX = re.compile(
+    r"line \{[^}]*\}:|span file line|config line|manifest line|lexicon file rejected"
+)
+
+
+def test_the_check_finds_a_rejection_prefix_however_it_is_spelled():
+    for source in ('f"line {n}: bad"', 'f"line {n + 1}:"', '"config line 3"', "'manifest line'",
+                   '"span file line"', '"lexicon file rejected"'):
+        assert REJECTION_PREFIX.search(source), source
+    assert not REJECTION_PREFIX.search('f"duplicate key (first at line {first})"')
+
+
+def test_only_the_output_module_words_a_rejection():
+    # every text input is rejected as `<path>: line N: <detail>`, worded by output.InputError
+    wording = {
+        path.stem for path in SOURCES if REJECTION_PREFIX.search(path.read_text(encoding="utf-8"))
+    }
+    assert wording == {"output"}
+
+
 def _declared_floor() -> tuple[int, int]:
     """The ``(major, minor)`` of ``requires-python = ">=X.Y"`` in pyproject.toml."""
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
@@ -297,10 +320,11 @@ def test_every_module_parses_at_the_declared_python_floor(path):
 # package raises it
 EXCEPTION_CASES = [
     BetaCodeError("character outside the Beta Code alphabet", "%", 3),
-    LexiconFormatError("lexicon file rejected", [(2, "empty verb"), (5, "malformed frame")]),
+    InputError([(2, "expected key=value")], Path("case.conf")),
+    LexiconFormatError([(2, "empty verb"), (5, "malformed frame")], "lexicon.tsv"),
     PostagError("unknown case letter", "q", 8),
     TreebankParseError("malformed XML: mismatched tag", 120),
-    VectorSpaceError("line 3: invalid UTF-8"),
+    VectorSpaceError([(3, "invalid UTF-8")], "vectors.txt"),
     UndefinedSimilarityError("φέρω/formulaic: ναῦς has a zero vector"),
     DegenerateCentroidError("inputs cancel out; centroid is degenerate"),
     InsufficientDataError("φέρω/baseline: 1 lemma(s) in vocabulary, need at least 2"),

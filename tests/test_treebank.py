@@ -572,7 +572,8 @@ def test_manifest_loads_and_rejects_bad_lines(tmp_path):
 def test_manifest_skips_indented_comments_and_counts_every_line(tmp_path):
     path = tmp_path / "manifest.tsv"
     path.write_text("  # works\na.xml\tHomer\tIliad\n\n\t# next\nb.xml\tHesiod\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="^manifest line 5: expected 3 tab-separated fields$"):
+    at = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"^{at}: line 5: expected 3 tab-separated fields$"):
         load_manifest(path)
     path.write_text("  # works\na.xml\tHomer\tIliad\n\n\t# next\n", encoding="utf-8")
     assert load_manifest(path) == {"a.xml": ("Homer", "Iliad")}
@@ -587,4 +588,4 @@ def test_manifest_rejects_a_file_named_twice(tmp_path):
     )
     with pytest.raises(ValueError) as info:
         load_manifest(path)
-    assert str(info.value) == "manifest line 4: duplicate file 'a.xml' (first at line 1)"
+    assert str(info.value) == f"{path}: line 4: duplicate file 'a.xml' (first at line 1)"
