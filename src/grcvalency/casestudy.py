@@ -387,6 +387,7 @@ def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
     Each key is a :class:`CaseStudyConfig` field, read by the field's type,
     and may be given once in the file; an override is read as the file's
     value is."""
+    known = {field.name for field in fields(CaseStudyConfig)}
     raw: dict = {}
     first_lines = {}  # key -> the line that gives it
     for lineno, line in content_rows(source):
@@ -394,6 +395,8 @@ def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
         if not sep:
             raise InputError([(lineno, "expected key=value")], source)
         key = key.strip()
+        if key not in known:
+            raise InputError([(lineno, f"unknown config key {key!r}")], source)
         if key in first_lines:
             detail = f"duplicate key {key!r} (first at line {first_lines[key]})"
             raise InputError([(lineno, detail)], source)
@@ -407,6 +410,6 @@ def load_config(source, overrides: dict | None = None) -> CaseStudyConfig:
         for field in fields(CaseStudyConfig)
         if field.name in raw
     }
-    if raw:
+    if raw:  # the file's keys were judged as it was read: these are overrides
         raise ValueError(f"unknown config keys: {', '.join(sorted(raw))}")
     return CaseStudyConfig(**kwargs)

@@ -331,19 +331,10 @@ def extract_entries(corpus, include_participles: bool = True) -> list[LexiconEnt
             if not slots:
                 continue
             frame, frame_fillers = render_frame(verb.postag.voice, slots)
-            entries.append(
-                LexiconEntry(
-                    author=tree.author,
-                    title=tree.title,
-                    subdoc=tree.subdoc,
-                    verb=verb.lemma,
-                    voice=verb.postag.voice,
-                    sentence_id=tree.sentence_id,
-                    root_id=verb.token_id,
-                    frame=frame,
-                    frame_fillers=frame_fillers,
-                )
-            )
+            entries.append(LexiconEntry(
+                tree.author, tree.title, tree.subdoc, verb.lemma, verb.postag.voice,
+                tree.sentence_id, verb.token_id, frame, frame_fillers,
+            ))
     # the lexicon's row order; the stable sort keeps extraction order on ties
     entries.sort(key=attrgetter("author", "title", "verb", "sentence_id", "root_id"))
     return entries

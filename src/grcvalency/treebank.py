@@ -1,5 +1,10 @@
 """Analytical-layer treebank XML parsing, lemma normalization, validation.
 
+A file is read in one pass by expat's callbacks, which build no element
+tree: each word becomes a node, or a reported issue, as its start tag is
+read.  Malformed XML is reported in ElementTree's words and at its
+position, so a file's report does not depend on which parser read it.
+
 Parsing is total over a file: a word missing a required attribute (or
 carrying an undecodable postag or lemma) is skipped and reported, never
 repaired.  Lemmas and the document's author, title and subdocs are NFC
@@ -8,15 +13,14 @@ from extraction by the caller; the lexicon must mirror the annotation
 verbatim.
 """
 
-import io
 import re
 import sys
 import unicodedata
-import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
+from xml.parsers import expat
 
 from .betacode import BetaCodeError, beta_to_unicode
 from .output import InputError, content_rows
@@ -146,12 +150,147 @@ def _byte_offset(data: bytes, line: int, column: int) -> int:
     return line_start + len(head.encode("utf-8", "surrogateescape"))
 
 
-def _document_meta(root, fallback_meta):
-    """Author and title in NFC, each from an attribute, an element or the fallback."""
+def _document_meta(root, texts, fallback_meta):
+    """Author and title in NFC, each from a root attribute, the text of the
+    root's first child element of that name, or the fallback."""
     fallback_author, fallback_title = fallback_meta or ("", "")
-    author = root.get("author") or (root.findtext("author") or "").strip() or fallback_author
-    title = root.get("title") or (root.findtext("title") or "").strip() or fallback_title
+    author = root.get("author") or "".join(texts.get("author", ())).strip() or fallback_author
+    title = root.get("title") or "".join(texts.get("title", ())).strip() or fallback_title
     return unicodedata.normalize("NFC", author), unicodedata.normalize("NFC", title)
+
+
+class _Reader:
+    """The expat handlers of one parse, and what they have read.
+
+    The handlers count the element depth, which finds the root and its
+    first ``author`` and ``title`` children; while one of those children's
+    text is read, character data goes to a list until the next tag.  A
+    word's attribute dict becomes a node, or a failure, at its start tag,
+    and a sentence holds every word whose start tag lies between its own
+    tags, nested sentences' words included.  When an outermost sentence
+    closes, its sentences are read in the order their start tags came."""
+
+    __slots__ = (
+        "parser", "depth", "root", "texts", "external", "nodes", "failures",
+        "group", "open", "sentences", "issues",
+    )
+
+    def __init__(self, parser):
+        self.parser = parser
+        self.depth = 0
+        self.root = None  # the root element's attributes
+        self.texts = {}  # "author" or "title": the text pieces of the root's first such child
+        self.external = set()  # the external general entities the DTD declares
+        self.nodes = []  # the nodes of the words read since an outermost sentence opened
+        self.failures = []  # (number of the word among those, why it was skipped)
+        self.group = []  # [id, subdoc, node and word count at open, at close] per sentence
+        self.open = []  # those of the group still open, innermost last
+        self.sentences = []  # (sentence_id, subdoc, nodes) until the document's metadata is known
+        self.issues = []
+        parser.StartElementHandler = self.start
+        parser.EndElementHandler = self.end
+        parser.EntityDeclHandler = self.entity_declared
+        parser.SkippedEntityHandler = self.entity_skipped
+        parser.ExternalEntityRefHandler = self.external_entity
+
+    def clear(self):
+        """Drop the handlers, which hold the reader, so no cycle outlives the parse."""
+        parser = self.parser
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = parser.EntityDeclHandler = None
+        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
+
+    def start(self, name, attrs):
+        depth = self.depth
+        self.depth = depth + 1
+        if not depth:
+            self.root = attrs
+        if name == "word":
+            if self.open:
+                try:
+                    self.nodes.append(_parse_word(attrs))
+                except (BetaCodeError, PostagError, ValueError) as exc:
+                    self.failures.append((len(self.nodes) + len(self.failures) + 1, str(exc)))
+        elif name == "sentence":
+            read = len(self.nodes)
+            record = [attrs.get("id"), attrs.get("subdoc", ""), read, read + len(self.failures)]
+            self.group.append(record)
+            self.open.append(record)
+        elif depth == 1 and (name == "author" or name == "title") and name not in self.texts:
+            self.texts[name] = pieces = []
+            parser = self.parser
+            parser.CharacterDataHandler = pieces.append
+            parser.StartElementHandler = self._start_after_text
+            parser.EndElementHandler = self._end_after_text
+
+    def end(self, name):
+        self.depth -= 1
+        if name == "sentence":
+            read = len(self.nodes)
+            self.open.pop().extend((read, read + len(self.failures)))
+            if not self.open:
+                self._read_group()
+
+    def _stop_text(self):
+        parser = self.parser
+        parser.CharacterDataHandler = None
+        parser.StartElementHandler = self.start
+        parser.EndElementHandler = self.end
+
+    def _start_after_text(self, name, attrs):
+        # an element's text is what comes before its first child
+        self._stop_text()
+        self.start(name, attrs)
+
+    def _end_after_text(self, name):
+        self._stop_text()
+        self.end(name)
+
+    def _read_group(self):
+        nodes, failures, issues = self.nodes, self.failures, self.issues
+        for raw_id, subdoc, first_node, first_word, end_node, end_word in self.group:
+            try:
+                sentence_id = int(raw_id)
+            except (TypeError, ValueError):
+                issues.append(WordIssue(None, 0, f"sentence with unusable id {raw_id!r} skipped"))
+                continue
+            issues += [
+                WordIssue(sentence_id, number - first_word, message)
+                for number, message in failures
+                if first_word < number <= end_word
+            ]
+            subdoc = unicodedata.normalize("NFC", subdoc)
+            self.sentences.append((sentence_id, subdoc, nodes[first_node:end_node]))
+        self.nodes, self.failures, self.group = [], [], []
+
+    def entity_declared(self, name, is_parameter_entity, value, *_):
+        if value is None and not is_parameter_entity:
+            self.external.add(name)
+
+    def entity_skipped(self, name, is_parameter_entity):
+        if not is_parameter_entity:
+            self._undefined_entity(name)
+
+    def external_entity(self, context, *_):
+        # context names the entities open at the reference, in no set order;
+        # expat reads no external entity, so one of them is external
+        (name,) = self.external.intersection(context.split("\f"))
+        self._undefined_entity(name)
+
+    def _undefined_entity(self, name):
+        # ElementTree's words, as it reports a reference it cannot expand:
+        # at most 100 bytes of the reference, at the position expat is at
+        reference = f"&{name};".encode("utf-8")[:100].decode("utf-8", "replace")
+        position = self.parser.CurrentLineNumber, self.parser.CurrentColumnNumber
+        raise _expat_error(f"undefined entity {reference}", *position)
+
+
+def _expat_error(message, line, column):
+    """An error worded and placed as expat's own; built here, so that no
+    frame of the traceback it is raised with holds it."""
+    error = expat.ExpatError(f"{message}: line {line}, column {column}")
+    error.lineno, error.offset = line, column
+    return error
 
 
 def parse_treebank_file(
@@ -165,46 +304,35 @@ def parse_treebank_file(
     ignored.  Structural validation is deferred to
     :func:`validate_sentence`.
 
-    The XML is read as a stream: ``ET.iterparse`` feeds the parser 16 KiB
-    of ``data`` at a time, and each outermost ``sentence`` element is
-    dropped once its words are read, so a file's element tree is never
-    held whole.  The trees are built when the document has ended, so a
+    The XML is read in one pass by expat's callbacks, which build no
+    element tree: each word becomes a node as its start tag is read, and
+    a sentence's words are kept until its outermost sentence closes.  A
+    nested sentence's tree follows its outermost one's, whose words it
+    shares.  The trees are built when the document has ended, so a
     malformed file gives none.  Malformed XML, and an encoding declaration
-    the parser cannot read, raise ``TreebankParseError``; a document with
-    sentences whose author or title holds a tab or line break, which the
-    lexicon's TSV cannot hold, raises a plain ``ValueError``.
+    the parser cannot read, raise ``TreebankParseError``, worded and placed
+    as ElementTree words and places the fault; a document with sentences
+    whose author or title holds a tab or line break, which the lexicon's
+    TSV cannot hold, raises a plain ``ValueError``.
     """
-    sentences = []  # (sentence_id, subdoc, nodes) until the document's metadata is known
-    issues = []
-    root = None
-    open_sentences = 0
+    parser = expat.ParserCreate(namespace_separator="}")
+    reader = _Reader(parser)
     try:
-        for event, element in ET.iterparse(io.BytesIO(data), ("start", "end")):
-            if root is None:
-                root = element
-            if element.tag != "sentence":
-                continue
-            if event == "start":
-                open_sentences += 1
-                continue
-            open_sentences -= 1
-            if open_sentences:
-                continue  # a nested sentence is read with its outermost one, in document order
-            for sentence in element.iter("sentence"):
-                _read_sentence(sentence, sentences, issues)
-            if element is not root:
-                element.clear()
-    except ET.ParseError as exc:
-        line, column = exc.position
-        raise TreebankParseError(f"malformed XML: {exc.msg}", _byte_offset(data, line, column))
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        raise TreebankParseError(
+            f"malformed XML: {exc}", _byte_offset(data, exc.lineno, exc.offset)
+        ) from None
     except (LookupError, ValueError) as exc:
-        # only the parser raises these here: _read_sentence reports every
-        # ValueError of a word or a sentence id as a WordIssue.  expat cannot
-        # read the encoding that the declaration names
+        # only the parser raises these here: a word's or a sentence id's
+        # ValueError becomes a WordIssue.  expat cannot read the encoding
+        # that the declaration names
         raise TreebankParseError(f"unusable encoding: {exc}", 0) from None
+    finally:
+        reader.clear()
 
-    author, title = _document_meta(root, fallback_meta)
-    broken = sentences and [
+    author, title = _document_meta(reader.root, reader.texts, fallback_meta)
+    broken = reader.sentences and [
         f"{name} {value!r} would corrupt the TSV layout"
         for name, value in (("author", author), ("title", title))
         if LAYOUT_BREAK.search(value)
@@ -213,30 +341,12 @@ def parse_treebank_file(
         raise ValueError("; ".join(broken))
     trees = [
         SentenceTree(sentence_id, subdoc, author, title, nodes)
-        for sentence_id, subdoc, nodes in sentences
+        for sentence_id, subdoc, nodes in reader.sentences
     ]
-    return trees, issues
+    return trees, reader.issues
 
 
-def _read_sentence(sentence, sentences, issues) -> None:
-    raw_id = sentence.get("id")
-    try:
-        sentence_id = int(raw_id)
-    except (TypeError, ValueError):
-        issues.append(WordIssue(None, 0, f"sentence with unusable id {raw_id!r} skipped"))
-        return
-    nodes = []
-    for word_index, word in enumerate(sentence.iter("word"), start=1):
-        try:
-            nodes.append(_parse_word(word))
-        except (BetaCodeError, PostagError, ValueError) as exc:
-            issues.append(WordIssue(sentence_id, word_index, str(exc)))
-    subdoc = unicodedata.normalize("NFC", sentence.get("subdoc", ""))
-    sentences.append((sentence_id, subdoc, nodes))
-
-
-def _parse_word(word) -> WordNode:
-    attrib = word.attrib
+def _parse_word(attrib) -> WordNode:
     try:
         raw_id, _form, lemma, postag, raw_head, relation = _required_values(attrib)
     except KeyError:
@@ -254,8 +364,16 @@ def _parse_word(word) -> WordNode:
 
 def validate_sentence(tree: SentenceTree) -> ValidationReport:
     """Check token-id uniqueness, head resolution, acyclicity, and that the
-    subdoc holds no tab or line break."""
+    subdoc holds no tab or line break.
+
+    A valid tree is seen in one walk down from head 0: with unique ids,
+    reaching every token, and none twice, means each one's head chain ends
+    at 0.  Any other tree is judged by walking each token's head chain."""
     nodes, positions = tree.nodes, tree.positions
+    broken_subdoc = tree.subdoc if LAYOUT_BREAK.search(tree.subdoc) else None
+    if len(positions) == len(nodes) and _reaches_each_token_once(tree.children_index, len(nodes)):
+        return ValidationReport(tree.sentence_id, [], [], [], broken_subdoc)
+
     duplicates = []
     if len(positions) < len(nodes):  # each token id once, so a shortfall means duplicates
         counts = Counter(node.token_id for node in nodes)
@@ -288,8 +406,22 @@ def validate_sentence(tree: SentenceTree) -> ValidationReport:
         duplicate_ids=duplicates,
         dangling_heads=dangling,
         cycle_token_ids=sorted(cyclic),
-        broken_subdoc=tree.subdoc if LAYOUT_BREAK.search(tree.subdoc) else None,
+        broken_subdoc=broken_subdoc,
     )
+
+
+def _reaches_each_token_once(children_index, count) -> bool:
+    """Whether the walk down from head 0 reaches ``count`` tokens in all.
+    It stops past ``count``, as it must where a token with id 0 leads back
+    to head 0, and the tokens it reaches are distinct when their ids are."""
+    reached = list(children_index.get(0, ()))
+    for token_id in reached:  # reached grows as it is read
+        dependents = children_index.get(token_id)
+        if dependents:
+            reached += dependents
+            if len(reached) > count:
+                return False
+    return len(reached) == count
 
 
 def load_manifest(source) -> dict[str, tuple[str, str]]:

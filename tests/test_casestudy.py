@@ -492,9 +492,14 @@ def test_every_config_field_round_trips_through_one_line(tmp_path):
 
 def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
     path = tmp_path / "bad.conf"
-    path.write_text("mystery = 1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="mystery"):
+    path.write_text("ks_exact_limit = 16\n\nmystery = 1\nriddle = 2\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
         load_config(path)
+    assert str(info.value) == f"{path}: line 3: unknown config key 'mystery'"
+    path.write_text("ks_exact_limit = 16\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_config(path, overrides={"riddle": 2, "mystery": 1})
+    assert str(info.value) == "unknown config keys: mystery, riddle"
     path.write_text("min_epic_tokens = 0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="min_epic_tokens must be positive, got 0"):
         load_config(path)

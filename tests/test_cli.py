@@ -863,6 +863,18 @@ def test_a_threshold_flag_is_read_as_the_config_file_reads_it(tmp_path, capsys, 
     assert from_flag.out == from_file.out == ""
 
 
+def test_an_unknown_config_key_is_named_at_its_path_and_line(tmp_path, capsys):
+    # no flag can give such a key, so it is always the file's
+    config_path = _write_case_files(tmp_path)
+    text = config_path.read_text(encoding="utf-8")
+    config_path.write_text(text + "bogus = 1\n", encoding="utf-8")
+    lineno = len(text.splitlines()) + 1
+    assert main(["casestudy", "--config", str(config_path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {config_path}: line {lineno}: unknown config key 'bogus'\n"
+    )
+
+
 def test_casestudy_drops_a_verb_whose_vector_has_a_length_of_zero(tmp_path, capsys):
     # 1e-200 squared underflows: the vector is not all zeros, yet has no direction
     config_path = _write_case_files(tmp_path)

@@ -237,6 +237,37 @@ def test_numpy_loads_only_with_the_lexicon_and_semantics_modules():
         assert _reachable(start, graph) & {"lexicon", "semantics", "numpy"} == set(), start
 
 
+def _dotted_imports(source: str) -> set[str]:
+    """Every module an import statement anywhere in ``source`` names, dotted
+    in full: ``from a.b import c`` gives ``a.b`` and ``a.b.c``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _imports_elementtree(source: str) -> bool:
+    return any(name.startswith("xml.etree") for name in _dotted_imports(source))
+
+
+def test_the_check_finds_elementtree_however_it_is_imported():
+    for source in ("import xml.etree.ElementTree as ET\n", "from xml import etree\n",
+                   "def f():\n    from xml.etree import ElementTree\n"):
+        assert _imports_elementtree(source), source
+    assert not _imports_elementtree("from xml.parsers import expat\nfrom . import etree\n")
+
+
+def test_no_module_imports_elementtree():
+    # the treebank reader drives expat itself, so an ElementTree import
+    # would only add to every command's start-up
+    importing = [path.name for path in SOURCES if _imports_elementtree(path.read_text(encoding="utf-8"))]
+    assert importing == []
+
+
 ROW_FORMAT = {"COLUMNS", "FRAME_GRAMMAR"}
 
 

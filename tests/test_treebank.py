@@ -1,3 +1,5 @@
+import gc
+import io
 import random
 import re
 import unicodedata
@@ -7,12 +9,14 @@ import pytest
 
 from grcvalency.betacode import BetaCodeError
 from grcvalency.treebank import (
+    LAYOUT_BREAK,
     SentenceTree,
     TreebankParseError,
     ValidationReport,
     WordIssue,
     WordNode,
     _byte_offset,
+    _parse_word,
     load_manifest,
     normalize_lemma,
     parse_treebank_file,
@@ -182,8 +186,8 @@ def test_an_encoding_the_parser_cannot_read_fails_at_the_declaration(encoding, f
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_a_file_of_several_feeds_parses_whole(extra):
-    # ET.iterparse reads its source 16 KiB at a time; the document ends
-    # exactly at a read boundary, or one byte past it
+    # the document ends exactly at 16 KiB boundaries, or one byte past
+    # one: the reader is given the whole file, whatever its size
     read_bytes = 16 * 1024
     sentence = (
         '<sentence id="{}"><word id="1" form="lu/w" lemma="lu/w1" postag="v1spia---"'
@@ -287,6 +291,204 @@ def test_fuzzed_xml_parses_or_raises_with_an_offset_inside_the_data():
             assert well_formed
         outcomes.add(well_formed)
     assert outcomes == {True, False}
+
+
+def _reference_parse(data, fallback_meta=None):
+    """The reader as it was when ElementTree's iterparse read each file:
+    every outermost sentence read as an element once it closed, then
+    cleared, and the metadata read off the root when the document ended."""
+    sentences, issues, root, open_sentences = [], [], None, 0
+    try:
+        for event, element in ET.iterparse(io.BytesIO(data), ("start", "end")):
+            if root is None:
+                root = element
+            if element.tag != "sentence":
+                continue
+            open_sentences += 1 if event == "start" else -1
+            if event == "start" or open_sentences:
+                continue
+            for sentence in element.iter("sentence"):
+                raw_id = sentence.get("id")
+                try:
+                    sentence_id = int(raw_id)
+                except (TypeError, ValueError):
+                    issues.append(WordIssue(None, 0, f"sentence with unusable id {raw_id!r} skipped"))
+                    continue
+                nodes = []
+                for word_index, word in enumerate(sentence.iter("word"), start=1):
+                    try:
+                        nodes.append(_parse_word(word.attrib))
+                    except ValueError as exc:
+                        issues.append(WordIssue(sentence_id, word_index, str(exc)))
+                subdoc = unicodedata.normalize("NFC", sentence.get("subdoc", ""))
+                sentences.append((sentence_id, subdoc, nodes))
+            if element is not root:
+                element.clear()
+    except ET.ParseError as exc:
+        raise TreebankParseError(f"malformed XML: {exc.msg}", _byte_offset(data, *exc.position))
+    except (LookupError, ValueError) as exc:
+        raise TreebankParseError(f"unusable encoding: {exc}", 0) from None
+    fallback_author, fallback_title = fallback_meta or ("", "")
+    author = root.get("author") or (root.findtext("author") or "").strip() or fallback_author
+    title = root.get("title") or (root.findtext("title") or "").strip() or fallback_title
+    author, title = (unicodedata.normalize("NFC", value) for value in (author, title))
+    broken = sentences and [
+        f"{name} {value!r} would corrupt the TSV layout"
+        for name, value in (("author", author), ("title", title))
+        if LAYOUT_BREAK.search(value)
+    ]
+    if broken:
+        raise ValueError("; ".join(broken))
+    trees = [SentenceTree(i, subdoc, author, title, nodes) for i, subdoc, nodes in sentences]
+    return trees, issues
+
+
+def _outcome(parse, data, fallback_meta):
+    try:
+        return parse(data, fallback_meta)
+    except TreebankParseError as exc:
+        return "malformed", exc.args, exc.byte_offset
+    except ValueError as exc:
+        return "layout", str(exc)
+
+
+_FUZZ_WORD = '<word id="{}" form="f" lemma="{}" postag="{}" head="{}" relation="{}"/>'
+_LONG_NAME = "ε" * 60  # 120 bytes, cut mid-character at ElementTree's 100
+_FUZZ_PIECES = [
+    # sentences, nested ones, bad ids, bad words and a subdoc the TSV cannot hold
+    '<sentence id="1" subdoc="1-2">' + _FUZZ_WORD.format(1, "lu/w1", "v3spia---", 0, "PRED")
+    + _FUZZ_WORD.format(2, "lo/gos", "n-s---ma-", 1, "OBJ") + "</sentence>",
+    '<sentence id="2">' + _FUZZ_WORD.format(1, "α", "v3spia---", 0, "PRED")
+    + '<sentence id="3"><p>' + _FUZZ_WORD.format(1, "β", "n-s---ma-", 2, "OBJ") + "</p></sentence>"
+    + _FUZZ_WORD.format(2, "γ", "bogus", 1, "OBJ") + '<sentence id="x"/></sentence>',
+    '<sentence subdoc="3">' + _FUZZ_WORD.format(1, "a", "d-----", 0, "PRED") + "</sentence>",
+    '<sentence id="4" subdoc="a&#9;b"><word id="1" lemma="a"/>'
+    + _FUZZ_WORD.format(0, "a", "d-----", 0, "PRED") + "</sentence>",
+    _FUZZ_WORD.format(5, "a", "d-----", 0, "PRED"),
+    # metadata: empty, with a child, repeated, padded, spread over markup
+    "<author/>", "<author>Hom<b>x</b>er</author>", "<title>Ajax</title>", "<title>Ilias</title>",
+    "<author>  Ὅμηρος\n</author>", "<author><![CDATA[Ho]]><!-- c -->m<?pi x?>er&amp;</author>",
+    "<title>a&#10;b</title>",
+    # entities: internal, predefined, external, undeclared, one holding markup
+    "&a;", "&amp;", "&x;", "&y;", "&c;", "&w;", "&nowhere;", f"&{_LONG_NAME};", f"&{'e' * 120};",
+    # namespaces, bound, default and unbound
+    '<n:sentence xmlns:n="urn:n" id="6"/>', '<sentence xmlns="urn:d" id="7"/>', "<q:word/>",
+    '<s xmlns:z="urn:z"><z:word id="1"/></s>',
+    # CDATA, comments and processing instructions
+    "<![CDATA[<sentence id='8'/>]]>", "<!-- <sentence id='9'/> -->", "<?pi data?>",
+]
+# spliced into a document, with the pieces above
+_FUZZ_BREAKS = ["<", "&", "]]>", "\r\n", "</sentence>", "<sentence id='10'>"]
+_FUZZ_DOCTYPES = [
+    "",
+    '<!DOCTYPE treebank [<!ENTITY a "alpha"><!ENTITY x SYSTEM "x.ent"><!ENTITY y "&x;">'
+    '<!ENTITY w \'<word id="7" form="f" lemma="w" postag="d-----" head="0" relation="PRED"/>\'>'
+    '<!ENTITY xx SYSTEM "x.ent"><!ENTITY b "&xx;"><!ENTITY c "&b;">]>',
+    # an external subset: an undeclared entity is skipped, not a fatal error
+    '<!DOCTYPE treebank SYSTEM "treebank.dtd" [<!ENTITY a "alpha"><!ENTITY x SYSTEM "x.ent">]>',
+    f'<!DOCTYPE treebank [<!ENTITY {_LONG_NAME} "long"><!ENTITY % p "pe"> %p;]>',
+]
+_FUZZ_PROLOGS = [
+    "", '<?xml version="1.0"?>\n', '<?xml version="1.0" encoding="ISO-8859-7"?>',
+    '<?xml version="1.0" encoding="xTF-8"?>', '<?xml version="1.0" encoding="UTF-32"?>',
+]
+_FUZZ_ROOTS = [
+    ("<treebank>", "</treebank>"),
+    ('<treebank author="Homer" title="Iliad">', "</treebank>"),
+    ('<treebank title="Il&#10;iad">', "</treebank>"),
+    ('<sentence id="11"><author>Sappho</author>', "</sentence>"),
+    ('<t:treebank xmlns:t="urn:t">', "</t:treebank>"),
+]
+
+
+def _fuzzed_document(rng):
+    opening, closing = rng.choice(_FUZZ_ROOTS)
+    body = "".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randint(0, 6)))
+    prolog = rng.choices(_FUZZ_PROLOGS, weights=(8, 8, 2, 1, 1))[0]
+    text = prolog + rng.choice(_FUZZ_DOCTYPES) + opening + body + closing
+    data = bytearray(text.encode("utf-8"))
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        mutation = rng.randrange(3)
+        if mutation == 0:
+            del data[rng.randrange(len(data) + 1):]
+        elif mutation == 1 and data:
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        else:
+            at = rng.randrange(len(data) + 1)
+            data[at:at] = rng.choice(_FUZZ_PIECES + _FUZZ_BREAKS).encode("utf-8")
+    return bytes(data)
+
+
+def test_the_reader_agrees_with_elementtree_on_fuzzed_files():
+    # equal trees and issues, or an equal error with the same byte offset,
+    # on documents built from pieces, then truncated, overwritten or spliced
+    rng = random.Random(20261022)
+    metas = [None, ("Aeschylus", "Persians"), ("Homer\tX", "")]
+    kinds = set()
+    for _ in range(4000):
+        data = _fuzzed_document(rng)
+        meta = rng.choice(metas)
+        expected = _outcome(_reference_parse, data, meta)
+        assert _outcome(parse_treebank_file, data, meta) == expected, (data, meta)
+        kinds.add(expected[0] if isinstance(expected[0], str) else "trees")
+    assert kinds == {"malformed", "layout", "trees"}
+
+
+@pytest.mark.parametrize(
+    "doctype,reference,expected",
+    [
+        # an external entity is not read; ElementTree names it at the reference
+        ('<!ENTITY x SYSTEM "x.ent">', "&x;", "&x;"),
+        # named from inside the internal entity that refers to it
+        ('<!ENTITY x SYSTEM "x.ent"><!ENTITY y "&x;">', "&y;", "&x;"),
+        # expat lists the open entities in hash order, the external one not last
+        ('<!ENTITY xx SYSTEM "x.ent"><!ENTITY b "&xx;"><!ENTITY c "&b;">', "&c;", "&xx;"),
+        # with an external subset an undeclared entity is skipped, not fatal
+        ('', "&nowhere;", "&nowhere;"),
+        # the name is cut to 100 bytes, here inside a two-byte character
+        ('', f"&{'ε' * 60};", "&" + "ε" * 49 + "\ufffd"),
+    ],
+)
+def test_an_entity_the_reader_cannot_expand_is_named_as_elementtree_names_it(
+    doctype, reference, expected
+):
+    subset = f' SYSTEM "treebank.dtd" [{doctype}]' if not doctype else f" [{doctype}]"
+    data = f"<!DOCTYPE treebank{subset}>\n<treebank>ab{reference}</treebank>".encode("utf-8")
+    with pytest.raises(TreebankParseError) as info:
+        parse_treebank_file(data)
+    column = len("<treebank>ab")
+    message = f"malformed XML: undefined entity {expected}: line 2, column {column}"
+    assert info.value.args == (message, data.index(b"<treebank>") + column)
+    reported = ("malformed", info.value.args, info.value.byte_offset)
+    assert _outcome(_reference_parse, data, None) == reported
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        (CORPUS_DIR / "iliad.xml").read_bytes(),
+        b"<treebank><author>A</author><sentence id='1'><word id='1'/></sentence></treebank>",
+        b"<treebank><sentence id='1'></treebank>",
+        b'<!DOCTYPE t [<!ENTITY x SYSTEM "x.ent"><!ENTITY y "&x;">]><t>&y;</t>',
+        b'<?xml version="1.0" encoding="xTF-8"?><t/>',
+    ],
+    ids=["corpus-file", "author-and-bad-word", "malformed", "external-entity", "encoding"],
+)
+def test_a_parse_leaves_no_garbage_for_the_collector(data):
+    # a batch run pauses the collector, so a reference cycle made by each
+    # parse would be kept until the command ends
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        try:
+            parse_treebank_file(data)
+        except ValueError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_nested_sentences_are_read_in_document_order():
@@ -519,17 +721,30 @@ def _reference_validate(tree):
 
 
 def test_validate_matches_the_reference_on_random_trees():
+    # ids are drawn from 0 up, so duplicates and a token 0 come up, and a
+    # tree only code can build: a word with id 0 whose head is 0, which a
+    # walk down from head 0 would follow forever.  Half the trees start
+    # valid, so the walk decides them, and some then get one word redrawn
     rng = random.Random(4242)
-    invalid = 0
-    for _ in range(3000):
+    valid = 0
+    for case in range(3000):
         size = rng.randint(1, 9)
-        nodes = [
-            _word(rng.randint(1, size + 1), rng.randint(0, size + 1)) for _ in range(size)
-        ]
+        if case % 2:
+            ids = rng.sample(range(1, size + 3), size)
+            nodes = [_word(token_id, rng.choice([0, *ids[:index]])) for index, token_id in enumerate(ids)]
+            rng.shuffle(nodes)
+            if rng.random() < 0.4:
+                nodes[rng.randrange(size)] = _word(rng.randint(0, size + 1), rng.randint(0, size + 1))
+        else:
+            nodes = [_word(rng.randint(0, size + 1), rng.randint(0, size + 1)) for _ in range(size)]
+        report = validate_sentence(_tree(nodes))
+        assert report == _reference_validate(_tree(nodes)), nodes
+        valid += report.ok
+    assert 1000 < valid < 2000
+    for nodes in ([_word(0, 0)], [_word(1, 0, "PRED"), _word(0, 0)], [_word(0, 1), _word(1, 0)]):
         report = validate_sentence(_tree(nodes))
         assert report == _reference_validate(_tree(nodes))
-        invalid += not report.ok
-    assert 0 < invalid < 3000
+        assert report.ok  # a head chain stops at id 0, as head 0 stops it
 
 
 def test_parse_bookkeeping_under_random_attribute_loss():
